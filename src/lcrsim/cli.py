@@ -18,7 +18,6 @@ import json
 import os
 import sys
 
-from .metrics import compare_runs
 from .runner import run_scenario, write_outputs
 from .scenario import (ScenarioError, builtin_scenario_path, list_builtin_scenarios,
                        load_scenario)
@@ -62,7 +61,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.trace) as fh:
-        res = verify_trace(fh)
+        try:
+            res = verify_trace(fh)
+        except ValueError as exc:
+            print(f"rejected: {exc}", file=sys.stderr)
+            return 1
     for name in sorted(res.checks):
         print(f"{name}: {'ok' if res.checks[name] else 'FAIL'}")
     for err in res.errors[:20]:

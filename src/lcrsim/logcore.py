@@ -162,9 +162,6 @@ class FutureStage:
             self.max_index_seen = entry.index
         return StageOutcome.STAGED
 
-    def take(self, index: int) -> Optional[Entry]:
-        return self.pending.pop(index, None)
-
     def peek(self, index: int) -> Optional[Entry]:
         return self.pending.get(index)
 

@@ -83,7 +83,7 @@ class ClientRequest:
 @dataclass(slots=True)
 class ClientResponse:
     request_id: str
-    outcome: str                # Ok | Redirected | Rejected
+    outcome: str                # Ok | Rejected
     leader_hint: int | None = None
 
 

@@ -144,15 +144,3 @@ class RunReport:
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerows(self.csv_rows())
 
-
-def compare_runs(a: RunReport, b: RunReport) -> dict[str, float]:
-    """Headline ratios of run ``a`` against run ``b`` (b as baseline)."""
-    out = {
-        "tps_ratio": a.tps() / b.tps() if b.tps() else float("inf"),
-        "rt_all_ratio": (a.rt_mean_us["all"] / b.rt_mean_us["all"]
-                         if b.rt_mean_us["all"] else float("inf")),
-    }
-    for k in ("t", "nt"):
-        if b.rt_mean_us[k]:
-            out[f"rt_{k}_ratio"] = a.rt_mean_us[k] / b.rt_mean_us[k]
-    return out

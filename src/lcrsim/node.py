@@ -358,12 +358,6 @@ class Node:
         self._refresh_windows()
         self._advance_commit()
 
-    def next_normal_index(self) -> int:
-        cur = self.normal_cursor
-        while self.log.occupied(cur):
-            cur += 1
-        return cur
-
     def _data_leader_accept(self, req: ClientRequest) -> None:
         if req.request_id in self.pending_by_rid:
             return  # retransmitted request, replication already in flight

@@ -145,7 +145,7 @@ class Simulation:
         self.client_ctx: dict[str, _ClientCtx] = {}
         self.client_timers: dict[tuple[str, str], int] = {}
 
-        self.hooks: list = []   # callables(kind, time, detail dict) for metrics
+        self.hooks: list = []   # callables(kind, time, frm, detail_str) for metrics
 
     # -- construction ------------------------------------------------------
 

@@ -11,14 +11,26 @@ and checks:
                       replay of its applied prefix
   ack_durability      every acknowledged request was applied by some node
   commit_monotone     per-node applied/commit counters never regress
+
+The trace is streamed: ``parse_trace`` yields one event at a time, and
+``verify_trace`` reads it in a single pass, so ``lcrsim verify FILE`` reads
+the file lazily. Every line is still split and checked, but only ``apply``,
+``ack`` and ``final_state`` lines become events. What the verifier keeps grows
+with the number of applied indices (one shared record per distinct
+(request id, kind, digest), referenced from each node's book) and with the
+number of acknowledged requests, not with the length of the trace.
 """
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .kv import KvStateMachine
 from .workload import payload_for_rid
+
+# The only event kinds verify_trace reads.
+VERIFIED_KINDS = frozenset({"apply", "ack", "final_state"})
 
 
 @dataclass(slots=True)
@@ -32,13 +44,25 @@ class TraceEvent:
     detail: dict
 
 
-def parse_trace(lines) -> list[TraceEvent]:
-    out = []
+def parse_trace(lines: Iterable[str],
+                kinds: Container[str] | None = None) -> Iterator[TraceEvent]:
+    """Yield the events of trace ``lines``, one at a time.
+
+    Blank lines are skipped. Every other line is split into its seven fields
+    and its time and size are checked; a malformed line raises ``ValueError``.
+    With ``kinds``, events of other kinds are checked but not built.
+    """
     for line in lines:
         line = line.strip()
         if not line:
             continue
-        time, kind, frm, to, msg_kind, nbytes, detail = line.split(",", 6)
+        try:
+            time, kind, frm, to, msg_kind, nbytes, detail = line.split(",", 6)
+            time, nbytes = int(time), int(nbytes)
+        except ValueError:
+            raise ValueError(f"malformed trace line: {line!r}") from None
+        if kinds is not None and kind not in kinds:
+            continue
         d = {}
         if detail:
             for part in detail.split("|"):
@@ -47,9 +71,7 @@ def parse_trace(lines) -> list[TraceEvent]:
                     d[k] = v
                 else:
                     d.setdefault("_", part)
-        out.append(TraceEvent(int(time), kind, frm, to, msg_kind,
-                              int(nbytes), d))
-    return out
+        yield TraceEvent(time, kind, frm, to, msg_kind, nbytes, d)
 
 
 @dataclass
@@ -70,8 +92,9 @@ class VerifyResult:
         self.checks.setdefault(check, True)
 
 
-def verify_trace(lines) -> VerifyResult:
-    events = parse_trace(lines)
+def verify_trace(lines: Iterable[str]) -> VerifyResult:
+    """Check a trace in one pass over ``lines``, which may be any iterable
+    of lines, an open file among them."""
     res = VerifyResult()
     for name in ("applied_prefix", "at_most_once", "digest_replay",
                  "ack_durability", "commit_monotone"):
@@ -79,17 +102,20 @@ def verify_trace(lines) -> VerifyResult:
 
     # node -> index -> (rid, kind, digest); and per-node apply order
     applied: dict[str, dict[int, tuple]] = {}
+    # every node that applies the same record points at this one tuple
+    records: dict[tuple, tuple] = {}
     sm_applied: dict[str, set] = {}
     acked: set[str] = set()
     finals: dict[str, dict] = {}
     last_applied_seen: dict[str, int] = {}
 
-    for ev in events:
+    for ev in parse_trace(lines, VERIFIED_KINDS):
         if ev.kind == "apply":
             node = ev.frm
             idx = int(ev.detail["idx"])
-            rid = ev.detail["rid"]
-            rec = (rid, ev.detail["kind"], ev.detail["digest"])
+            rec = (ev.detail["rid"], ev.detail["kind"], ev.detail["digest"])
+            rec = records.setdefault(rec, rec)
+            rid = rec[0]
             book = applied.setdefault(node, {})
             if idx in book and book[idx] != rec:
                 res.fail("applied_prefix",
@@ -108,9 +134,6 @@ def verify_trace(lines) -> VerifyResult:
                 seen.add(rid)
         elif ev.kind == "ack":
             acked.add(ev.detail["rid"])
-        elif ev.kind == "fault" and ev.detail.get("_") == "restart":
-            # the applied counter survives the crash; nothing resets
-            pass
         elif ev.kind == "final_state":
             finals[ev.frm] = ev.detail
 

@@ -136,7 +136,7 @@ def test_03_reallocation_properties(capsys):
 
 def test_04_generation_change_safety(capsys):
     result = run_scenario(_builtin("gen_change"), drain_s=6.0)
-    events = parse_trace(result.sim.trace)
+    events = list(parse_trace(result.sim.trace))
     gen_changes = [e for e in events if e.kind == "generation"]
     transitions = {(e.detail["old"], e.detail["new"]) for e in gen_changes}
     t_change = min(e.time for e in gen_changes) if gen_changes else 0

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from lcrsim.cli import main
+from lcrsim.runner import run_scenario, write_outputs
 from lcrsim.scenario import (ScenarioError, builtin_scenario_path,
                              list_builtin_scenarios, load_scenario)
 
@@ -113,6 +114,23 @@ class TestCli:
                 break
         trace.write_text("\n".join(lines) + "\n")
         assert main(["verify", str(trace)]) == 1
+
+    def test_verify_command_matches_run_verdict(self, tmp_path, capsys):
+        sc = load_scenario(builtin_scenario_path("fig14_response_time").read_text())
+        sc.duration_s = 0.5
+        result = run_scenario(sc)
+        write_outputs(result, str(tmp_path))
+        assert main(["verify", str(tmp_path / "trace.txt")]) == 0
+        printed = dict(line.split(": ")
+                       for line in capsys.readouterr().out.splitlines())
+        assert printed == {name: "ok" if passed else "FAIL"
+                           for name, passed in result.verdict.checks.items()}
+
+    def test_verify_rejects_malformed_line(self, tmp_path, capsys):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0,send,0,1,AppendEntriesRequest,152,\n0,send,0\n")
+        assert main(["verify", str(trace)]) == 1
+        assert "malformed trace line" in capsys.readouterr().err
 
     def test_compare_command(self, tmp_path, capsys):
         scen = tmp_path / "small.yaml"

@@ -1,5 +1,7 @@
 """State machine, client behaviour, metrics and trace verification."""
 
+import tracemalloc
+
 import pytest
 
 from lcrsim.kv import KvStateMachine, encode_insert, encode_transfer
@@ -113,41 +115,94 @@ def _expected_digest():
     return sm.digest()
 
 
+def _variants() -> dict[str, list[str]]:
+    """GOOD_TRACE and one tampered copy per check, as lists of lines."""
+    good = GOOD_TRACE.format(d=_expected_digest()).splitlines()
+    double = list(good)
+    double.insert(3, "12,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0")
+    return {
+        "clean": good,
+        "divergent_apply": [l.replace("idx=1|rid=c0.1.nt", "idx=1|rid=c9.9.nt")
+                            if l.startswith("11,apply,1,") else l for l in good],
+        "unapplied_ack": [l for l in good if ",apply," not in l],
+        "double_mutation": double,
+        "wrong_digest": GOOD_TRACE.format(d="deadbeef").splitlines(),
+        "gapped_prefix": [l.replace("idx=1", "idx=2") if ",apply,0," in l else l
+                          for l in good],
+    }
+
+
 class TestVerifier:
     def test_clean_trace_passes(self):
-        res = verify_trace(GOOD_TRACE.format(d=_expected_digest()).splitlines())
+        res = verify_trace(_variants()["clean"])
         assert res.ok, res.errors
 
     def test_divergent_apply_fails(self):
-        bad = GOOD_TRACE.format(d=_expected_digest()).replace(
-            "11,apply,1,-,-,0,idx=1|rid=c0.1.nt",
-            "11,apply,1,-,-,0,idx=1|rid=c9.9.nt")
-        res = verify_trace(bad.splitlines())
+        res = verify_trace(_variants()["divergent_apply"])
         assert not res.checks["applied_prefix"]
 
     def test_unapplied_ack_fails(self):
-        bad = "\n".join(l for l in
-                        GOOD_TRACE.format(d=_expected_digest()).splitlines()
-                        if ",apply," not in l)
-        res = verify_trace(bad.splitlines())
+        res = verify_trace(_variants()["unapplied_ack"])
         assert not res.checks["ack_durability"]
 
     def test_double_mutation_fails(self):
-        lines = GOOD_TRACE.format(d=_expected_digest()).splitlines()
-        lines.insert(3, "12,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0")
-        res = verify_trace(lines)
+        res = verify_trace(_variants()["double_mutation"])
         assert not res.checks["at_most_once"]
 
     def test_wrong_digest_fails(self):
-        res = verify_trace(GOOD_TRACE.format(d="deadbeef").splitlines())
+        res = verify_trace(_variants()["wrong_digest"])
         assert not res.checks["digest_replay"]
 
     def test_gapped_prefix_fails(self):
-        lines = [l.replace("idx=1", "idx=2") if ",apply,0," in l else l
-                 for l in GOOD_TRACE.format(d=_expected_digest()).splitlines()]
-        res = verify_trace(lines)
+        res = verify_trace(_variants()["gapped_prefix"])
         assert not res.checks["applied_prefix"] or \
             not res.checks["commit_monotone"]
+
+    @pytest.mark.parametrize("name", sorted(_variants()))
+    def test_one_pass_inputs_match_list(self, name, tmp_path):
+        lines = _variants()[name]
+        expected = verify_trace(lines)
+        for one_pass in (iter(lines), (l for l in lines)):
+            res = verify_trace(one_pass)
+            assert (res.checks, res.errors) == (expected.checks, expected.errors)
+        path = tmp_path / "trace.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with open(path) as fh:
+            res = verify_trace(fh)
+        assert (res.checks, res.errors) == (expected.checks, expected.errors)
+
+    def test_memory_does_not_grow_with_trace_length(self):
+        # 200k message lines that the verifier must read but need not keep;
+        # a list of their parsed events would take about 57 MB
+        good = _variants()["clean"]
+
+        def lines():
+            yield from good[:3]
+            for _ in range(100_000):
+                yield "15,send,0,1,AppendEntriesRequest,152,"
+                yield "16,deliver,0,1,AppendEntriesRequest,152,"
+            yield from good[3:]
+
+        tracemalloc.start()
+        try:
+            res = verify_trace(lines())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.ok, res.errors
+        assert peak < 1024 * 1024, peak
+
+    @pytest.mark.parametrize("bad", [
+        "13,send,0,1",                                   # too few fields
+        "x,send,0,1,AppendEntriesRequest,152,",          # time not a number
+        "13,deliver,0,1,AppendEntriesRequest,big,",      # size not a number
+        "13,apply,0,-,-,zero,idx=2|rid=|kind=NOOP|digest=-|dup=0",
+    ])
+    def test_malformed_line_is_rejected(self, bad):
+        lines = _variants()["clean"]
+        lines.insert(3, bad)
+        with pytest.raises(ValueError, match="malformed trace line"):
+            verify_trace(lines)
 
     def test_parse_round_trip(self):
         (ev,) = parse_trace(["5,send,0,1,AppendEntriesRequest,152,"])
