@@ -51,7 +51,6 @@ class FutureReplicateRequest:
 class FutureReplicateResponse:
     term: int
     generation: int
-    accepted: bool
     last_future_index: int
     from_leader: bool
     reason: str = "ok"          # ok | conflict | stale_gen | stale_term

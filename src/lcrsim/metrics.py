@@ -35,7 +35,6 @@ class TraceCollector:
         self.applies: dict[str, dict[int, int]] = {}     # rid -> node -> us
         self.window_closes = 0
         self.conflicts = 0
-        self.generation_changes: list[tuple[int, int, int]] = []
         self.elections = 0
 
     def __call__(self, kind: str, time: int, frm, detail: str) -> None:
@@ -51,9 +50,6 @@ class TraceCollector:
             self.window_closes += 1
         elif kind == "conflict":
             self.conflicts += 1
-        elif kind == "generation":
-            f = dict(p.split("=", 1) for p in detail.split("|"))
-            self.generation_changes.append((time, int(f["old"]), int(f["new"])))
         elif kind == "elect" and detail.startswith("leader"):
             self.elections += 1
 

@@ -43,7 +43,6 @@ class NodeConfig:
     # never fill around futures integrated more recently than this: their
     # neighbours' replication may still be in flight from slower peers
     step_grace_us: int = 50_000
-    reconcile_on_election: bool = True
     housekeeping_us: int = 100_000
 
 
@@ -54,8 +53,21 @@ class PendingFuture:
     acks: set = field(default_factory=set)
     leader_ack: bool = False
     acked: bool = False
-    created: int = 0
     last_sent: int = 0
+
+
+@dataclass(slots=True)
+class Peer:
+    """The leader's replication stream to one follower."""
+    next_index: int            # first index not yet confirmed by the follower
+    opt_next: int              # first index not yet sent (pipelined ahead)
+    last_resp: int             # time of the follower's latest response
+    match_index: int = 0
+    future_ack: int = 0        # highest future index the follower has staged
+    last_sent: int = -10**12
+    max_sent: int = 0          # highest index ever sent, to flag retransmits
+    inflight: list[int] = field(default_factory=list)   # unanswered seqs
+    force_full: set[int] = field(default_factory=set)   # no signal for these
 
 
 @dataclass
@@ -93,15 +105,7 @@ class Node:
         self.election_deadline = 0
 
         # leader volatile state
-        self.next_index: dict[int, int] = {}
-        self.opt_next: dict[int, int] = {}
-        self.match_index: dict[int, int] = {}
-        self.last_future_ack: dict[int, int] = {}
-        self.inflight: dict[int, list[int]] = {}
-        self.last_sent: dict[int, int] = {}
-        self.max_sent: dict[int, int] = {}
-        self.last_resp: dict[int, int] = {}
-        self.force_full: set = set()
+        self.peers: dict[int, Peer] = {}
         self.integrated_at: dict[int, int] = {}   # future idx -> integration time
         self.normal_cursor = 1
         self._seq = 0
@@ -155,14 +159,12 @@ class Node:
         everything staged on behalf of other data-leaders."""
         return max(self.persist.future_frontier, self.stage.max_index_seen)
 
-    def _normal_last_index(self) -> int:
-        # windows close against leader-sequenced progress only
-        return self.log.last_contiguous_index
-
     def _refresh_windows(self) -> None:
+        # windows close against leader-sequenced progress only
+        horizon = self.log.last_contiguous_index
         was_open = {w.start for w in self.windows if w.state == WindowState.OPEN}
         self.windows = maintain_windows(
-            self._normal_last_index(), self.windows,
+            horizon, self.windows,
             window_size=self.cfg.window_size,
             open_window_count=self.cfg.open_window_count,
             generation=self.generation)
@@ -171,7 +173,6 @@ class Node:
                 self.ctx.trace("window_close",
                                detail=f"start={w.start}|end={w.end}|gen={w.generation}")
         # closed windows behind the contiguous log can never matter again
-        horizon = self._normal_last_index()
         if self.windows and self.windows[0].end < horizon:
             self.windows = [w for w in self.windows
                             if w.end >= horizon or w.state == WindowState.OPEN]
@@ -199,15 +200,15 @@ class Node:
         elif name == "heartbeat":
             if self.role == LEADER:
                 for f in self._others():
-                    if (self.inflight.get(f) and self.ctx.now -
-                            self.last_resp.get(f, 0) >= self.cfg.max_await_us):
+                    p = self.peers[f]
+                    if p.inflight and self.ctx.now - p.last_resp >= self.cfg.max_await_us:
                         # follower went silent with requests outstanding:
                         # restart its stream from the last confirmed point
-                        self.inflight[f] = []
-                        self.opt_next[f] = self.next_index[f]
-                        self.last_resp[f] = self.ctx.now
+                        p.inflight.clear()
+                        p.opt_next = p.next_index
+                        p.last_resp = self.ctx.now
                         self._try_replicate(f)
-                    if self.ctx.now - self.last_sent.get(f, -10**12) >= self.cfg.heartbeat_us:
+                    if self.ctx.now - p.last_sent >= self.cfg.heartbeat_us:
                         self._send_append(f, heartbeat=True)
                 self._step_fill()
                 self.ctx.set_timer("heartbeat", self.cfg.heartbeat_us)
@@ -268,25 +269,15 @@ class Node:
         self.leader_id = self.id
         self.ctx.trace("elect", detail=f"leader|term={self.term}")
         start = self.log.last_contiguous_index + 1
-        for f in self._others():
-            self.next_index[f] = start
-            self.opt_next[f] = start
-            self.match_index[f] = 0
-            self.last_future_ack[f] = 0
-            self.inflight[f] = []
-            self.last_sent[f] = -10**12
-            self.max_sent[f] = 0
-            self.last_resp[f] = self.ctx.now
-        self.force_full = set()
+        self.peers = {f: self._new_peer(start) for f in self._others()}
         self.integrated_at = {i: self.ctx.now for i in self.log.entries
                               if i > self.log.last_contiguous_index}
         self.normal_cursor = 1
         if self.cfg.protocol == "lcr":
             for e in list(self.stage.pending.values()):
                 self._integrate_future(e)
-            if self.cfg.reconcile_on_election:
-                for m in self._others():
-                    self.ctx.send(m, ReconcileRequest(self.term, self.generation))
+            for m in self._others():
+                self.ctx.send(m, ReconcileRequest(self.term, self.generation))
         # term barrier so older entries can commit
         self._append_normal(Entry(index=0, term=self.term, kind=EntryKind.NOOP_FILL))
         for f in self._others():
@@ -361,25 +352,38 @@ class Node:
     def _data_leader_accept(self, req: ClientRequest) -> None:
         if req.request_id in self.pending_by_rid:
             return  # retransmitted request, replication already in flight
-        try:
-            idx = allocate_future_index(self.id, self.generation,
-                                        self._frontier_view(), self.windows)
-        except NoOpenWindow:
+        idx = self._allocate()
+        if idx is None:
             self._respond_client(req.client_id, None,
                                  ClientResponse(req.request_id, "Rejected"))
             return
+        self._stage_own_future(idx, req.request_id, req.payload, req.client_id,
+                               retransmit=False)
+
+    def _allocate(self) -> Optional[int]:
+        try:
+            return allocate_future_index(self.id, self.generation,
+                                         self._frontier_view(), self.windows)
+        except NoOpenWindow:
+            return None
+
+    def _stage_own_future(self, idx: int, request_id: str, payload: bytes,
+                          client_id: str, acked: bool = False,
+                          retransmit: bool = True) -> None:
+        """Stage this node's own future entry at ``idx``, track it until a
+        quorum confirms it, and replicate it to every other member."""
         entry = Entry(index=idx, term=self.term, kind=EntryKind.FUTURE,
                       origin=self.id, generation=self.generation,
-                      request_id=req.request_id, payload=req.payload)
+                      request_id=request_id, payload=payload)
         self.persist.future_frontier = max(self.persist.future_frontier, idx)
         self.stage.stage(entry, self.generation)
         self._note_staged_bytes()
         self.ctx.trace("alloc", detail=f"idx={idx}|gen={self.generation}|origin={self.id}")
-        p = PendingFuture(entry=entry, client_id=req.client_id,
-                          acks={self.id}, created=self.ctx.now)
+        p = PendingFuture(entry=entry, client_id=client_id, acks={self.id},
+                          acked=acked)
         self.pending_futures[idx] = p
-        self.pending_by_rid[req.request_id] = idx
-        self._broadcast_future(p)
+        self.pending_by_rid[request_id] = idx
+        self._broadcast_future(p, retransmit=retransmit)
 
     def _broadcast_future(self, p: PendingFuture, retransmit: bool = False,
                           skip: set | None = None) -> None:
@@ -403,7 +407,7 @@ class Node:
     def handle_future_replicate(self, frm: int, req: FutureReplicateRequest) -> None:
         if req.term < self.term:
             self.ctx.send(frm, FutureReplicateResponse(
-                term=self.term, generation=self.generation, accepted=False,
+                term=self.term, generation=self.generation,
                 last_future_index=self.stage.max_index_seen,
                 from_leader=self.role == LEADER, reason="stale_term"))
             return
@@ -411,7 +415,7 @@ class Node:
             self._step_down(req.term)
         if req.generation < self.generation:
             self.ctx.send(frm, FutureReplicateResponse(
-                term=self.term, generation=self.generation, accepted=False,
+                term=self.term, generation=self.generation,
                 last_future_index=self.stage.max_index_seen,
                 from_leader=self.role == LEADER, reason="stale_gen"))
             return
@@ -435,7 +439,6 @@ class Node:
                 reason = "stale_gen"
         self.ctx.send(frm, FutureReplicateResponse(
             term=self.term, generation=self.generation,
-            accepted=len(accepted_idx) == len(req.future_entries),
             last_future_index=self.stage.max_index_seen,
             from_leader=self.role == LEADER, reason=reason, indices=accepted_idx))
 
@@ -501,26 +504,12 @@ class Node:
         self._restage_pending(p)
 
     def _restage_pending(self, p: PendingFuture) -> None:
-        try:
-            idx = allocate_future_index(self.id, self.generation,
-                                        self._frontier_view(), self.windows)
-        except NoOpenWindow:
+        idx = self._allocate()
+        if idx is None:
             self.parked_futures.append(p)
-            return
-        e = p.entry
-        entry = Entry(index=idx, term=self.term, kind=EntryKind.FUTURE,
-                      origin=self.id, generation=self.generation,
-                      request_id=e.request_id, payload=e.payload)
-        self.persist.future_frontier = max(self.persist.future_frontier, idx)
-        self.stage.stage(entry, self.generation)
-        self._note_staged_bytes()
-        self.ctx.trace("alloc", detail=f"idx={idx}|gen={self.generation}|origin={self.id}")
-        np = PendingFuture(entry=entry, client_id=p.client_id, acks={self.id},
-                           leader_ack=False, acked=p.acked,
-                           created=p.created, last_sent=self.ctx.now)
-        self.pending_futures[idx] = np
-        self.pending_by_rid[entry.request_id] = idx
-        self._broadcast_future(np, retransmit=True)
+        else:
+            self._stage_own_future(idx, p.entry.request_id, p.entry.payload,
+                                   p.client_id, acked=p.acked)
 
     # -- generation change -------------------------------------------------
 
@@ -553,19 +542,9 @@ class Node:
         for idx, p in own:
             self.pending_futures.pop(idx, None)
             self.pending_by_rid.pop(p.entry.request_id, None)
-            new_idx = reallocate_index(idx, old_gen, new_gen, self.id)
-            self.persist.future_frontier = max(self.persist.future_frontier, new_idx)
-            entry = Entry(index=new_idx, term=self.term, kind=EntryKind.FUTURE,
-                          origin=self.id, generation=new_gen,
-                          request_id=p.entry.request_id, payload=p.entry.payload)
-            self.stage.stage(entry, new_gen)
-            self.ctx.trace("alloc", detail=f"idx={new_idx}|gen={new_gen}|origin={self.id}")
-            np = PendingFuture(entry=entry, client_id=p.client_id, acks={self.id},
-                               acked=p.acked, created=p.created)
-            self.pending_futures[new_idx] = np
-            self.pending_by_rid[entry.request_id] = new_idx
-            self._broadcast_future(np, retransmit=True)
-        self._note_staged_bytes()
+            self._stage_own_future(reallocate_index(idx, old_gen, new_gen, self.id),
+                                   p.entry.request_id, p.entry.payload,
+                                   p.client_id, acked=p.acked)
 
     def request_membership_change(self, new_size: int) -> None:
         """Leader-side admin entry point: grow the cluster one server at a time."""
@@ -582,37 +561,35 @@ class Node:
 
     def _apply_config(self, size: int) -> None:
         members = list(range(size))
-        for f in members:
-            if f != self.id and f not in self.next_index and self.role == LEADER:
-                self.next_index[f] = 1
-                self.opt_next[f] = 1
-                self.match_index[f] = 0
-                self.last_future_ack[f] = 0
-                self.inflight[f] = []
-                self.last_sent[f] = -10**12
-                self.max_sent[f] = 0
-                self.last_resp[f] = self.ctx.now
+        if self.role == LEADER:
+            for f in members:
+                if f != self.id and f not in self.peers:
+                    self.peers[f] = self._new_peer(1)
         self._change_generation(size, members)
+
+    def _new_peer(self, start: int) -> Peer:
+        return Peer(next_index=start, opt_next=start, last_resp=self.ctx.now)
 
     # -- append-entries: leader side --------------------------------------
 
     def _try_replicate(self, f: int) -> None:
-        if self.role != LEADER or f not in self.next_index:
+        p = self.peers.get(f)
+        if self.role != LEADER or p is None:
             return
-        while len(self.inflight[f]) < self.cfg.max_flying:
-            start = self.opt_next[f]
+        while len(p.inflight) < self.cfg.max_flying:
+            start = p.opt_next
             end = min(self.log.last_contiguous_index,
                       start + self.cfg.max_entries - 1)
             if start > end:
                 break
             self._send_append(f, start=start, end=end)
 
-    def _package(self, f: int, start: int, end: int) -> list[Entry]:
+    def _package(self, p: Peer, start: int, end: int) -> list[Entry]:
         out = []
         for i in range(start, end + 1):
             e = self.log.entries[i]
             if e.kind == EntryKind.FUTURE:
-                if self.last_future_ack.get(f, 0) >= i and (f, i) not in self.force_full:
+                if p.future_ack >= i and i not in p.force_full:
                     out.append(Entry(index=i, term=e.term, kind=EntryKind.SIGNAL,
                                      origin=e.origin, generation=e.generation))
                     continue
@@ -621,60 +598,59 @@ class Node:
 
     def _send_append(self, f: int, start: int = 0, end: int = -1,
                      heartbeat: bool = False) -> None:
+        p = self.peers[f]
         if heartbeat:
-            start = self.opt_next[f]
+            start = p.opt_next
             end = min(self.log.last_contiguous_index,
                       start + self.cfg.max_entries - 1)
-        entries = self._package(f, start, end) if end >= start else []
+        entries = self._package(p, start, end) if end >= start else []
         self._seq += 1
         req = AppendEntriesRequest(
             term=self.term, generation=self.generation, leader_id=self.id,
             prev_log_index=start - 1, prev_log_term=self._term_at(start - 1),
             entries=entries, leader_commit=self.commit_index, seq=self._seq)
-        retransmit = end >= start and start <= self.max_sent.get(f, 0)
+        retransmit = end >= start and start <= p.max_sent
         self.ctx.send(f, req, retransmit=retransmit)
-        if len(self.inflight[f]) < self.cfg.max_flying:
-            self.inflight[f].append(self._seq)
+        if len(p.inflight) < self.cfg.max_flying:
+            p.inflight.append(self._seq)
         if end >= start:
-            self.opt_next[f] = end + 1
-            self.max_sent[f] = max(self.max_sent.get(f, 0), end)
-        self.last_sent[f] = self.ctx.now
+            p.opt_next = end + 1
+            p.max_sent = max(p.max_sent, end)
+        p.last_sent = self.ctx.now
 
     def handle_append_response(self, frm: int, resp: AppendEntriesResponse) -> None:
         if resp.term > self.term:
             self._step_down(resp.term)
             return
-        if self.role != LEADER or resp.term < self.term or frm not in self.next_index:
+        p = self.peers.get(frm)
+        if self.role != LEADER or resp.term < self.term or p is None:
             return
-        self.last_resp[frm] = self.ctx.now
+        p.last_resp = self.ctx.now
         try:
-            self.inflight[frm].remove(resp.seq)
+            p.inflight.remove(resp.seq)
         except ValueError:
             if not resp.success:
-                if self.inflight[frm] and resp.seq > max(self.inflight[frm]):
+                if p.inflight and resp.seq > max(p.inflight):
                     # a probe sent while the pipe was full got answered: the
                     # follower is reachable again, so restart its stream now
-                    self.inflight[frm] = []
+                    p.inflight.clear()
                 else:
                     return  # stale failure from a stream that was already reset
-        self.last_future_ack[frm] = max(self.last_future_ack.get(frm, 0),
-                                        resp.last_future_index)
+        p.future_ack = max(p.future_ack, resp.last_future_index)
         report = resp.last_applied_index_report
         if resp.success:
-            self.match_index[frm] = max(self.match_index[frm], report)
-            self.next_index[frm] = report + 1
-            self.opt_next[frm] = max(self.opt_next[frm], report + 1)
+            p.match_index = max(p.match_index, report)
+            p.next_index = report + 1
+            p.opt_next = max(p.opt_next, report + 1)
         else:
-            self.next_index[frm] = report + 1
-            self.opt_next[frm] = report + 1
-            self.inflight[frm].clear()
+            p.next_index = p.opt_next = report + 1
+            p.inflight.clear()
             nxt = self.log.get(report + 1)
             if nxt is not None and nxt.kind == EntryKind.FUTURE:
-                self.force_full.add((frm, report + 1))
+                p.force_full.add(report + 1)
             if resp.prefix_ok:
-                self.match_index[frm] = max(self.match_index[frm], report)
-        self.force_full = {(f, i) for (f, i) in self.force_full
-                           if f != frm or i > self.match_index[frm]}
+                p.match_index = max(p.match_index, report)
+        p.force_full = {i for i in p.force_full if i > p.match_index}
         self._advance_commit()
         self._try_replicate(frm)
 
@@ -682,7 +658,7 @@ class Node:
         if self.role != LEADER:
             return
         marks = sorted(self.log.last_contiguous_index if m == self.id
-                       else self.match_index.get(m, 0)
+                       else self.peers[m].match_index
                        for m in self.membership)
         n = marks[len(marks) - self._majority()]
         n = min(n, self.log.last_contiguous_index)
@@ -888,28 +864,23 @@ class Node:
 
     # -- dispatch ----------------------------------------------------------
 
+    # message type -> handler(node, frm, msg)
+    _HANDLERS = {
+        ClientRequest: lambda n, frm, m: n.handle_client_request(m),
+        ForwardedRequest: lambda n, frm, m: n.handle_client_request(m.request, via=m.via),
+        ForwardedResponse: lambda n, frm, m: n.ctx.send_client(m.client_id, m.response),
+        AppendEntriesRequest: handle_append_entries,
+        AppendEntriesResponse: handle_append_response,
+        FutureReplicateRequest: handle_future_replicate,
+        FutureReplicateResponse: handle_future_ack,
+        VoteRequest: handle_vote_request,
+        VoteResponse: handle_vote_response,
+        ReconcileRequest: handle_reconcile_request,
+        ReconcileResponse: handle_reconcile_response,
+    }
+
     def on_message(self, frm, msg) -> None:
-        if isinstance(msg, ClientRequest):
-            self.handle_client_request(msg)
-        elif isinstance(msg, ForwardedRequest):
-            self.handle_client_request(msg.request, via=msg.via)
-        elif isinstance(msg, ForwardedResponse):
-            self.ctx.send_client(msg.client_id, msg.response)
-        elif isinstance(msg, AppendEntriesRequest):
-            self.handle_append_entries(frm, msg)
-        elif isinstance(msg, AppendEntriesResponse):
-            self.handle_append_response(frm, msg)
-        elif isinstance(msg, FutureReplicateRequest):
-            self.handle_future_replicate(frm, msg)
-        elif isinstance(msg, FutureReplicateResponse):
-            self.handle_future_ack(frm, msg)
-        elif isinstance(msg, VoteRequest):
-            self.handle_vote_request(frm, msg)
-        elif isinstance(msg, VoteResponse):
-            self.handle_vote_response(frm, msg)
-        elif isinstance(msg, ReconcileRequest):
-            self.handle_reconcile_request(frm, msg)
-        elif isinstance(msg, ReconcileResponse):
-            self.handle_reconcile_response(frm, msg)
-        else:
+        handler = self._HANDLERS.get(type(msg))
+        if handler is None:
             raise TypeError(f"unhandled message {type(msg)!r}")
+        handler(self, frm, msg)

@@ -132,13 +132,11 @@ def load_scenario(source) -> Scenario:
         entry_header_bytes=int(net.get("entry_header_bytes", 24)))
 
     p = _take(raw.get("processing", {}) or {}, "processing",
-              {"client_request_us", "repl_request_us", "repl_response_us",
-               "contention_window_us"})
+              {"client_request_us", "repl_request_us", "repl_response_us"})
     sc.cost = CostModel(
         client_request_us=int(p.get("client_request_us", 50)),
         repl_request_us=int(p.get("repl_request_us", 0)),
-        repl_response_us=int(p.get("repl_response_us", 50)),
-        contention_window_us=int(p.get("contention_window_us", 0)))
+        repl_response_us=int(p.get("repl_response_us", 50)))
 
     t = _take(raw.get("timers", {}) or {}, "timers",
               {"election_timeout_ms", "election_jitter", "heartbeat_ms",
@@ -147,7 +145,7 @@ def load_scenario(source) -> Scenario:
               {"max_flying_requests", "max_entries_per_request"})
     fl = _take(raw.get("future_log", {}) or {}, "future_log",
                {"window_size", "open_window_count", "step_threshold",
-                "step_timeout_ms", "step_grace_ms", "reconcile_on_election"})
+                "step_timeout_ms", "step_grace_ms"})
     sc.node_cfg = NodeConfig(
         protocol=sc.protocol,
         election_timeout_us=_ms(t.get("election_timeout_ms", 5000)),
@@ -161,8 +159,7 @@ def load_scenario(source) -> Scenario:
         open_window_count=int(fl.get("open_window_count", 2)),
         step_threshold=int(fl.get("step_threshold", 400)),
         step_timeout_us=_ms(fl.get("step_timeout_ms", 1000)),
-        step_grace_us=_ms(fl.get("step_grace_ms", 50)),
-        reconcile_on_election=bool(fl.get("reconcile_on_election", True)))
+        step_grace_us=_ms(fl.get("step_grace_ms", 50)))
 
     for f in raw.get("faults", []) or []:
         _take(f, "faults[]", {"time_s", "action", "node"})

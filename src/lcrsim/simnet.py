@@ -8,8 +8,7 @@ byte-identical traces.
 Latency is ``mean + uniform(0, magnitude)`` with probability ``fluct_prob``,
 otherwise exactly ``mean``. Message handling occupies the receiving node for a
 per-kind processing cost; a node busy with earlier work queues later arrivals
-(single logical worker per node). An optional contention window inflates the
-cost of work that arrives on a backlog, modelling worker starvation.
+(single logical worker per node).
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class CostModel:
     client_request_us: int = 50
     repl_request_us: int = 0
     repl_response_us: int = 50
-    contention_window_us: int = 0   # 0 disables backlog-dependent inflation
 
     def cost_of(self, msg) -> int:
         if isinstance(msg, (ClientRequest, ForwardedRequest)):
@@ -168,13 +166,14 @@ class Simulation:
         self.clients[client.client_id] = client
         ctx = _ClientCtx(self, client.client_id)
         self.client_ctx[client.client_id] = ctx
-        self._push(self.now, ("client_start", client.client_id))
+        self._push(self.now, self._start_client, client.client_id)
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: int, item) -> None:
+    def _push(self, time: int, handler, *args) -> None:
+        """Schedule ``handler(*args)`` at ``time``."""
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, item))
+        heapq.heappush(self._heap, (time, self._seq, handler, args))
 
     def record(self, time: int, kind: str, frm="-", to="-", msg_kind="-",
                nbytes: int = 0, detail: str = "") -> None:
@@ -203,7 +202,7 @@ class Simulation:
             return
         self.record(self.now, "send", frm, to, self._msg_kind(msg), nbytes)
         delay = self.node_latency.sample(self.rng)
-        self._push(self.now + delay, ("deliver", frm, to, msg, nbytes))
+        self._push(self.now + delay, self._handle_at_node, to, frm, msg, nbytes)
 
     def node_send_client(self, frm: int, client_id: str, resp) -> None:
         nbytes = message_bytes(resp, message_header=self.size.message_header_bytes,
@@ -216,29 +215,28 @@ class Simulation:
             st.dropped_bytes += nbytes
             return
         delay = self.client_latency.sample(self.rng)
-        self._push(self.now + delay, ("client_deliver", client_id, resp))
+        self._push(self.now + delay, self._deliver_to_client, client_id, resp)
 
     def client_send(self, client_id: str, to: int, msg) -> None:
         nbytes = message_bytes(msg, message_header=self.size.message_header_bytes,
                                entry_header=self.size.entry_header_bytes)
         delay = self.client_latency.sample(self.rng)
-        self._push(self.now + delay, ("node_deliver_from_client", client_id, to,
-                                      msg, nbytes))
+        self._push(self.now + delay, self._handle_at_node, to, client_id, msg, nbytes)
 
     def set_node_timer(self, node_id: int, incarnation: int, name: str,
                        fire_at: int) -> None:
         self.node_timers[(node_id, name)] = fire_at
-        self._push(fire_at, ("node_timer", node_id, incarnation, name, fire_at))
+        self._push(fire_at, self._fire_node_timer, node_id, incarnation, name, fire_at)
 
     def set_client_timer(self, client_id: str, name: str, fire_at: int) -> None:
         self.client_timers[(client_id, name)] = fire_at
-        self._push(fire_at, ("client_timer", client_id, name, fire_at))
+        self._push(fire_at, self._fire_client_timer, client_id, name, fire_at)
 
     # -- faults and admin --------------------------------------------------
 
     def schedule(self, time_us: int, fn) -> None:
         """Run an arbitrary callable at a point in virtual time."""
-        self._push(time_us, ("call", fn))
+        self._push(time_us, fn)
 
     def crash(self, node_id: int) -> None:
         self.alive[node_id] = False
@@ -287,12 +285,8 @@ class Simulation:
         st.recv_msgs += 1
         st.recv_bytes += nbytes
         self.record(self.now, "deliver", frm, node_id, self._msg_kind(msg), nbytes)
-        start = max(self.now, self.busy_until[node_id])
         cost = self.cost.cost_of(msg)
-        if cost and self.cost.contention_window_us:
-            backlog = start - self.now
-            cost = int(cost * (1 + backlog / self.cost.contention_window_us))
-        done = start + cost
+        done = max(self.now, self.busy_until[node_id]) + cost
         self.busy_until[node_id] = done
         st.busy_us += cost
         node = self.nodes[node_id]
@@ -304,49 +298,36 @@ class Simulation:
             node.on_message(frm, msg)
         st.staged_bytes_peak = max(st.staged_bytes_peak, node.staged_bytes_peak)
 
+    def _fire_node_timer(self, node_id: int, incarnation: int, name: str,
+                         fire_at: int) -> None:
+        if (self.alive.get(node_id) and self.incarnation.get(node_id) == incarnation
+                and self.node_timers.get((node_id, name)) == fire_at):
+            self.node_ctx[node_id].now = self.now
+            self.nodes[node_id].on_timer(name)
+
+    def _client(self, client_id: str):
+        ctx = self.client_ctx[client_id]
+        ctx.now = self.now
+        return self.clients[client_id], ctx
+
+    def _start_client(self, client_id: str) -> None:
+        client, ctx = self._client(client_id)
+        client.on_start(ctx)
+
+    def _deliver_to_client(self, client_id: str, resp) -> None:
+        client, ctx = self._client(client_id)
+        client.on_response(ctx, resp)
+
+    def _fire_client_timer(self, client_id: str, name: str, fire_at: int) -> None:
+        if self.client_timers.get((client_id, name)) == fire_at:
+            client, ctx = self._client(client_id)
+            client.on_timer(ctx, name)
+
     def run(self, until_us: int) -> None:
-        while self._heap:
-            time, _, item = self._heap[0]
-            if time > until_us:
-                break
-            heapq.heappop(self._heap)
-            self.now = time
-            kind = item[0]
-            if kind == "deliver":
-                _, frm, to, msg, nbytes = item
-                self._handle_at_node(to, frm, msg, nbytes)
-            elif kind == "node_deliver_from_client":
-                _, client_id, to, msg, nbytes = item
-                self._handle_at_node(to, client_id, msg, nbytes)
-            elif kind == "client_deliver":
-                _, client_id, resp = item
-                ctx = self.client_ctx[client_id]
-                ctx.now = time
-                self.clients[client_id].on_response(ctx, resp)
-            elif kind == "node_timer":
-                _, node_id, inc, name, fire_at = item
-                if (not self.alive.get(node_id)
-                        or self.incarnation.get(node_id) != inc
-                        or self.node_timers.get((node_id, name)) != fire_at):
-                    continue
-                ctx = self.node_ctx[node_id]
-                ctx.now = time
-                self.nodes[node_id].on_timer(name)
-            elif kind == "client_timer":
-                _, client_id, name, fire_at = item
-                if self.client_timers.get((client_id, name)) != fire_at:
-                    continue
-                ctx = self.client_ctx[client_id]
-                ctx.now = time
-                self.clients[client_id].on_timer(ctx, name)
-            elif kind == "client_start":
-                _, client_id = item
-                ctx = self.client_ctx[client_id]
-                ctx.now = time
-                self.clients[client_id].on_start(ctx)
-            elif kind == "call":
-                self.now = time
-                item[1]()
+        heap = self._heap
+        while heap and heap[0][0] <= until_us:
+            self.now, _, handler, args = heapq.heappop(heap)
+            handler(*args)
         self.now = until_us
 
     def finalize_trace(self) -> None:

@@ -7,7 +7,8 @@ import pytest
 from lcrsim.logcore import Entry, EntryKind, StageOutcome
 from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
                              ClientRequest, FutureReplicateRequest,
-                             FutureReplicateResponse, VoteRequest)
+                             FutureReplicateResponse, ReconcileResponse,
+                             VoteRequest)
 from lcrsim.node import FOLLOWER, LEADER, Node, NodeConfig
 
 
@@ -18,12 +19,15 @@ class FakeCtx:
         self.now = 0
         self.rng = random.Random(0)
         self.sent = []          # (to, msg)
+        self.retransmitted = [] # (to, msg) sent with the retransmit flag
         self.client_sent = []   # (client_id, resp)
         self.timers = {}
         self.traced = []
 
     def send(self, to, msg, retransmit=False):
         self.sent.append((to, msg))
+        if retransmit:
+            self.retransmitted.append((to, msg))
 
     def send_client(self, client_id, resp):
         self.client_sent.append((client_id, resp))
@@ -128,7 +132,7 @@ class TestFutureReplication:
         (idx,) = n.stage.pending
         def resp(from_leader):
             return FutureReplicateResponse(
-                term=n.term, generation=5, accepted=True, last_future_index=idx,
+                term=n.term, generation=5, last_future_index=idx,
                 from_leader=from_leader, indices=[idx])
         n.handle_future_ack(1, resp(False))
         assert not ctx.client_sent            # majority but no leader ack
@@ -142,7 +146,7 @@ class TestFutureReplication:
         n.handle_future_replicate(2, FutureReplicateRequest(
             term=n.term, generation=5, data_leader_id=2, future_entries=[fe]))
         ((to, resp),) = ctx.take_sent()
-        assert to == 2 and resp.accepted and not resp.from_leader
+        assert to == 2 and resp.reason == "ok" and not resp.from_leader
         assert resp.indices == [17]
         assert n.stage.peek(17) is not None
 
@@ -155,7 +159,7 @@ class TestFutureReplication:
         assert n.log.get(17) is fe
         resp = [m for to, m in ctx.sent
                 if isinstance(m, FutureReplicateResponse)][0]
-        assert resp.accepted and resp.from_leader
+        assert resp.reason == "ok" and resp.indices == [17] and resp.from_leader
 
     def test_leader_rejects_conflicting_future(self):
         n, _ = make_leader()
@@ -171,7 +175,7 @@ class TestFutureReplication:
         n.handle_future_replicate(2, FutureReplicateRequest(
             term=n.term, generation=5, data_leader_id=2, future_entries=[fe]))
         ((_, resp),) = ctx.take_sent()
-        assert not resp.accepted
+        assert resp.reason == "stale_gen" and resp.indices == []
 
 
 class TestSignalFlow:
@@ -184,14 +188,14 @@ class TestSignalFlow:
 
     def test_package_full_content_before_ack(self):
         n, _, fe = self._integrated_leader()
-        entries = n._package(1, fe.index, fe.index)
+        entries = n._package(n.peers[1], fe.index, fe.index)
         assert entries[0].kind == EntryKind.FUTURE
         assert entries[0].payload == fe.payload
 
     def test_package_signal_after_ack(self):
         n, _, fe = self._integrated_leader()
-        n.last_future_ack[1] = fe.index
-        entries = n._package(1, fe.index, fe.index)
+        n.peers[1].future_ack = fe.index
+        entries = n._package(n.peers[1], fe.index, fe.index)
         assert entries[0].kind == EntryKind.SIGNAL
         assert entries[0].payload == b""
 
@@ -225,15 +229,60 @@ class TestSignalFlow:
 
     def test_leader_switches_to_full_content_after_miss(self):
         n, ctx, fe = self._integrated_leader()
-        n.last_future_ack[1] = fe.index
-        n.inflight[1].append(999)
+        peer = n.peers[1]
+        peer.future_ack = fe.index
+        peer.inflight.append(999)
         n.handle_append_response(1, AppendEntriesResponse(
             term=n.term, generation=5, success=False,
             last_applied_index_report=fe.index - 1,
             last_future_index=0, seq=999, prefix_ok=True))
-        assert (1, fe.index) in n.force_full
-        entries = n._package(1, fe.index, fe.index)
+        assert fe.index in peer.force_full
+        entries = n._package(peer, fe.index, fe.index)
         assert entries[0].kind == EntryKind.FUTURE
+
+
+class TestLeaderStream:
+    def test_newer_failure_resets_stream(self):
+        n, ctx = make_leader()
+        n.handle_client_request(creq())
+        peer = n.peers[1]
+        old = list(peer.inflight)
+        assert peer.opt_next == n.log.last_index + 1 and old
+        ctx.take_sent()
+
+        def failure(seq):
+            return AppendEntriesResponse(
+                term=n.term, generation=5, success=False,
+                last_applied_index_report=0, last_future_index=0, seq=seq,
+                prefix_ok=False)
+        # older than the newest in-flight request: a reset already covered it
+        n.handle_append_response(1, failure(min(old) - 1))
+        assert peer.inflight == old and not ctx.sent
+        # newer than every in-flight request: the follower answered a probe
+        # sent while the pipe was full, so its stream restarts at once
+        n.handle_append_response(1, failure(max(old) + 100))
+        assert peer.next_index == 1
+        assert peer.inflight and min(peer.inflight) > max(old)
+        resent = [m for to, m in ctx.sent
+                  if to == 1 and isinstance(m, AppendEntriesRequest)]
+        assert [(m.prev_log_index, len(m.entries)) for m in resent] == \
+            [(0, n.log.last_index)]
+
+
+class TestReconcile:
+    def test_new_leader_integrates_reconciled_entry(self):
+        n, _ = make_leader()
+        fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE, origin=2,
+                   generation=5, request_id="c9.1.nt", payload=b"I k 1")
+        old_gen = Entry(index=22, term=n.term, kind=EntryKind.FUTURE, origin=1,
+                        generation=3, request_id="c9.2.nt", payload=b"I k 2")
+        n.handle_reconcile_response(2, ReconcileResponse(
+            term=n.term, generation=5, entries=[fe, old_gen]))
+        got = n.log.get(17)
+        assert got is not None and got.kind == EntryKind.FUTURE
+        assert (got.origin, got.request_id, got.payload) == (2, "c9.1.nt", b"I k 1")
+        assert 17 in n.integrated_at
+        assert n.log.get(22) is None
 
 
 class TestConflictResolution:
@@ -256,6 +305,41 @@ class TestConflictResolution:
                        if isinstance(m, FutureReplicateRequest)]
         assert rebroadcast and rebroadcast[0].future_entries[0].index == new_idx
 
+    def test_displaced_future_parks_until_a_window_opens(self):
+        n, ctx = make_follower(node_id=2)
+        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        (old_idx,) = list(n.stage.pending)
+        n.pending_futures[old_idx].acked = True   # client already answered
+        # a foreign future far ahead pushes every candidate past the windows
+        n.stage.stage(Entry(index=303, term=1, kind=EntryKind.FUTURE, origin=3,
+                            generation=5, request_id="c9.1.nt"), 5)
+        ctx.take_sent()
+        entries = [Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
+                   for i in range(1, old_idx)] + [
+            Entry(index=old_idx, term=1, kind=EntryKind.NORMAL,
+                  request_id="c0.9.t", payload=b"T a b 1")]
+        n.handle_append_entries(0, AppendEntriesRequest(
+            term=1, generation=5, leader_id=0, prev_log_index=0,
+            prev_log_term=0, entries=entries, leader_commit=0, seq=1))
+        assert not n.pending_futures and len(n.parked_futures) == 1
+        assert not any(isinstance(m, FutureReplicateRequest) for _, m in ctx.sent)
+        # the log moves on and the windows roll forward past index 303
+        n.handle_append_entries(0, AppendEntriesRequest(
+            term=1, generation=5, leader_id=0, prev_log_index=old_idx,
+            prev_log_term=1, leader_commit=0, seq=2,
+            entries=[Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
+                     for i in range(old_idx + 1, 151)]))
+        ctx.take_sent()
+        n.on_timer("housekeeping")
+        assert not n.parked_futures
+        ((new_idx, p),) = n.pending_futures.items()
+        assert new_idx > 303 and new_idx % 5 == 2 and n.stage.peek(new_idx)
+        assert p.acked and p.entry.request_id == "c1.1.nt"
+        assert n.pending_by_rid == {"c1.1.nt": new_idx}
+        resent = [(to, m.future_entries[0].index) for to, m in ctx.retransmitted
+                  if isinstance(m, FutureReplicateRequest)]
+        assert resent == [(to, new_idx) for to in (0, 1, 3, 4)]
+
     def test_foreign_staged_copy_is_dropped(self):
         n, ctx = make_follower(node_id=3)
         fe = Entry(index=7, term=1, kind=EntryKind.FUTURE, origin=2,
@@ -277,7 +361,8 @@ class TestCommit:
         n, ctx = make_leader()
         n.handle_client_request(creq())
         last = n.log.last_index
-        n.match_index.update({1: last, 2: last, 3: 0, 4: 0})
+        for f, match in {1: last, 2: last, 3: 0, 4: 0}.items():
+            n.peers[f].match_index = match
         n._advance_commit()
         assert n.commit_index == last
 
@@ -286,7 +371,8 @@ class TestCommit:
         n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
                                   origin=4, generation=5, request_id="c9.1.nt"))
         contig = n.log.last_contiguous_index
-        n.match_index.update({1: 9, 2: 9, 3: 9, 4: 9})
+        for f in (1, 2, 3, 4):
+            n.peers[f].match_index = 9
         n._advance_commit()
         assert n.commit_index == contig  # never crosses the hole at contig+1
 
@@ -380,7 +466,7 @@ class TestGenerationChange:
         configs = [e for e in n.log.entries.values()
                    if e.kind == EntryKind.CONFIG]
         assert [int(e.payload) for e in configs] == [6, 7]
-        assert 5 in n.next_index and 6 in n.next_index
+        assert 5 in n.peers and 6 in n.peers
 
 
 class TestRaftMode:

@@ -1,0 +1,45 @@
+"""The benchmark under perfbench/ reaches into lcrsim by name: its traced run
+wraps functions where their callers look them up, and its worker reads a few
+attributes of the simulation and the trace collector. A rename that would
+break the benchmark fails here instead."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from lcrsim.metrics import TraceCollector
+from lcrsim.simnet import LatencyModel, Simulation
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_traced_boundary_resolves():
+    tracer = _load_tracer()
+    missing = []
+    for modname, owner_name, attr, name in tracer.COARSE + tracer.FINE:
+        mod = importlib.import_module(modname)
+        if owner_name is None:
+            found = callable(getattr(mod, attr, None))
+        else:
+            # the tracer patches the attribute on the class itself
+            raw = vars(getattr(mod, owner_name, object)).get(attr)
+            found = callable(getattr(raw, "__func__", raw))
+        if not found:
+            missing.append(f"{name}: {modname}.{owner_name or ''}.{attr}")
+    assert not missing
+
+
+def test_worker_attributes_exist():
+    sim = Simulation(1, LatencyModel(), LatencyModel())
+    assert isinstance(sim._seq, int) and isinstance(sim._heap, list)
+    assert isinstance(sim.trace, list)
+    collector = TraceCollector()
+    for attr in ("elections", "conflicts", "window_closes"):
+        assert isinstance(getattr(collector, attr), int)

@@ -36,9 +36,14 @@ class TestLoader:
         with pytest.raises(ScenarioError, match="bogus"):
             load_scenario(SMALL + "\nbogus: 1\n")
 
-    def test_unknown_section_key(self):
-        with pytest.raises(ScenarioError, match="typo_ratio"):
-            load_scenario("name: x\nworkload: {typo_ratio: 0.5}\n")
+    @pytest.mark.parametrize("section, key", [
+        ("workload", "typo_ratio"),
+        ("processing", "contention_window_us"),
+        ("future_log", "reconcile_on_election"),
+    ])
+    def test_unknown_section_key(self, section, key):
+        with pytest.raises(ScenarioError, match=key):
+            load_scenario(f"name: x\n{section}: {{{key}: 0}}\n")
 
     def test_unknown_protocol(self):
         with pytest.raises(ScenarioError, match="paxos"):
