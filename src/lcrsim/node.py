@@ -9,7 +9,7 @@ context. Nothing here touches wall-clock time or global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .kv import KvStateMachine
@@ -452,7 +452,10 @@ class Node:
                     else StageOutcome.CONFLICT)
         if fe.index <= self.commit_index:
             return StageOutcome.CONFLICT
-        self.log.append(fe, self.commit_index)
+        # log a copy under this leader's term: the entry may carry an older
+        # term whose leader logged a different entry at this index, and
+        # (index, term) must name one entry for the prev_log_term check to hold
+        self.log.append(replace(fe, term=self.term), self.commit_index)
         self.stage.drop(fe.index)
         self.integrated_at[fe.index] = self.ctx.now
         self._refresh_windows()

@@ -152,11 +152,15 @@ class TestFutureReplication:
 
     def test_leader_integrates_future(self):
         n, ctx = make_leader()
-        fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=17, term=n.term - 1, kind=EntryKind.FUTURE, origin=2,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n.handle_future_replicate(2, FutureReplicateRequest(
             term=n.term, generation=5, data_leader_id=2, future_entries=[fe]))
-        assert n.log.get(17) is fe
+        got = n.log.get(17)
+        assert (got.index, got.kind, got.origin, got.generation, got.request_id,
+                got.payload) == (17, EntryKind.FUTURE, 2, 5, "c9.1.nt", b"I k 1")
+        # logged under the sequencing leader's term; the staged copy is untouched
+        assert got.term == n.term and fe.term == n.term - 1
         resp = [m for to, m in ctx.sent
                 if isinstance(m, FutureReplicateResponse)][0]
         assert resp.reason == "ok" and resp.indices == [17] and resp.from_leader
