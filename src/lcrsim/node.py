@@ -544,7 +544,6 @@ class Node:
         self._refresh_windows()
         for idx, p in own:
             self.pending_futures.pop(idx, None)
-            self.pending_by_rid.pop(p.entry.request_id, None)
             self._stage_own_future(reallocate_index(idx, old_gen, new_gen, self.id),
                                    p.entry.request_id, p.entry.payload,
                                    p.client_id, acked=p.acked)
@@ -646,7 +645,8 @@ class Node:
             p.next_index = report + 1
             p.opt_next = max(p.opt_next, report + 1)
         else:
-            p.next_index = p.opt_next = report + 1
+            p.next_index = report + 1
+            p.opt_next = report + 1
             p.inflight.clear()
             nxt = self.log.get(report + 1)
             if nxt is not None and nxt.kind == EntryKind.FUTURE:

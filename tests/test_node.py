@@ -19,7 +19,7 @@ class FakeCtx:
         self.now = 0
         self.rng = random.Random(0)
         self.sent = []          # (to, msg)
-        self.retransmitted = [] # (to, msg) sent with the retransmit flag
+        self.retransmitted = []  # (to, msg) sent with the retransmit flag
         self.client_sent = []   # (client_id, resp)
         self.timers = {}
         self.traced = []
