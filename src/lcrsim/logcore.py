@@ -21,11 +21,6 @@ class EntryKind(enum.IntEnum):
     CONFIG = 4
 
 
-class WindowState(enum.IntEnum):
-    OPEN = 0
-    CLOSED = 1
-
-
 class StageOutcome(enum.IntEnum):
     STAGED = 0
     DUPLICATE = 1
@@ -58,10 +53,6 @@ class Window:
     generation: int
     start: int
     end: int
-    state: WindowState = WindowState.OPEN
-
-    def contains(self, index: int) -> bool:
-        return self.start <= index <= self.end
 
 
 def owner_of(index: int, generation: int) -> int:
@@ -76,25 +67,22 @@ def allocate_future_index(self_id: int, generation: int, future_last_index: int,
     """Allocate the next future index for a data-leader.
 
     Starts from ``self_id + generation + L - L % generation`` (with L the
-    highest future index the node has seen) and advances in generation-sized
-    steps until the candidate lands in an open window, so the residue is
-    preserved while closed ranges are skipped.
+    highest future index the node has seen). ``windows`` are the open windows,
+    consecutive and in order, so a candidate below the first one steps up by
+    whole generations to its start, which preserves the residue.
 
-    Raises NoOpenWindow when no open window can host any candidate.
+    Raises NoOpenWindow when the candidate lies past the last open window.
     """
     if generation <= self_id:
         raise ValueError("generation must exceed every server id")
     lam = self_id + generation + future_last_index - (future_last_index % generation)
-    open_windows = [w for w in windows if w.state == WindowState.OPEN]
-    if not open_windows:
+    if not windows:
         raise NoOpenWindow(f"no open window for candidate {lam}")
-    limit = max(w.end for w in open_windows)
-    while lam <= limit:
-        for w in open_windows:
-            if w.contains(lam):
-                return lam
-        lam += generation
-    raise NoOpenWindow(f"candidate ran past last open window end {limit}")
+    if lam < windows[0].start:
+        lam += (windows[0].start - lam + generation - 1) // generation * generation
+    if lam > windows[-1].end:
+        raise NoOpenWindow(f"candidate ran past last open window end {windows[-1].end}")
+    return lam
 
 
 def reallocate_index(lam: int, old_gen: int, new_gen: int, self_id: int) -> int:
@@ -113,30 +101,29 @@ def reallocate_index(lam: int, old_gen: int, new_gen: int, self_id: int) -> int:
 
 def maintain_windows(normal_last_index: int, windows: list[Window], *,
                      window_size: int, open_window_count: int = 2,
-                     generation: int = 0) -> list[Window]:
-    """Close windows the normal log has reached and top up open ones ahead.
+                     generation: int = 0) -> tuple[list[Window], list[Window]]:
+    """Close the open windows the normal log has reached and top up ahead.
 
-    A window closes permanently once the normal-log last index reaches its
-    start; afterwards at least ``open_window_count`` open windows exist ahead
-    of the normal log. Windows are aligned so starts are ``1 mod window_size``.
+    ``windows`` are the open windows, consecutive and in order. A window
+    closes for good once the normal-log last index reaches its start, so the
+    closed ones are a prefix. Returns ``(closed, still_open)`` with at least
+    ``open_window_count`` windows still open; each new one starts right after
+    the last window, or at the first start above the normal log when there is
+    none. Windows are aligned so starts are ``1 mod window_size``.
     """
-    out = list(windows)
-    for w in out:
-        if w.state == WindowState.OPEN and w.start <= normal_last_index:
-            w.state = WindowState.CLOSED
-    open_count = sum(1 for w in out if w.state == WindowState.OPEN)
-    if out:
-        next_start = out[-1].end + 1
+    closed = [w for w in windows if w.start <= normal_last_index]
+    still_open = windows[len(closed):]
+    if windows:
+        next_start = windows[-1].end + 1
     else:
         next_start = (normal_last_index // window_size) * window_size + 1
         if next_start <= normal_last_index:
             next_start += window_size
-    while open_count < open_window_count:
-        out.append(Window(generation=generation, start=next_start,
-                          end=next_start + window_size - 1))
+    while len(still_open) < open_window_count:
+        still_open.append(Window(generation=generation, start=next_start,
+                                 end=next_start + window_size - 1))
         next_start += window_size
-        open_count += 1
-    return out
+    return closed, still_open
 
 
 @dataclass

@@ -27,7 +27,6 @@ class AppendEntriesRequest:
 @dataclass(slots=True)
 class AppendEntriesResponse:
     term: int
-    generation: int
     success: bool
     # How far the responder's contiguous log extends after processing; also
     # the rollback carrier when a signal could not be resolved locally.
@@ -43,7 +42,6 @@ class AppendEntriesResponse:
 class FutureReplicateRequest:
     term: int
     generation: int
-    data_leader_id: int
     future_entries: list[Entry]
 
 
@@ -83,7 +81,6 @@ class ClientRequest:
 class ClientResponse:
     request_id: str
     outcome: str                # Ok | Rejected
-    leader_hint: int | None = None
 
 
 @dataclass(slots=True)
@@ -103,13 +100,11 @@ class ForwardedResponse:
 class ReconcileRequest:
     """New-leader pull of staged future entries it may lack."""
     term: int
-    generation: int
 
 
 @dataclass(slots=True)
 class ReconcileResponse:
     term: int
-    generation: int
     entries: list[Entry]
 
 

@@ -1,7 +1,8 @@
 """Run measurement: response times, throughput windows, traffic and lag.
 
-The collector is attached as a trace hook, so everything reported here is
-derivable from the run trace plus the client-side completion records.
+The simulation feeds every trace event to its collector, so everything
+reported here is derivable from the run trace plus the client-side
+completion records.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def predict_t_response_us(dc_us: float, dn_us: float, via_leader: bool,
 
 
 class TraceCollector:
-    """Hook fed by the simulation's trace recorder."""
+    """Fed every event by the simulation's trace recorder."""
 
     def __init__(self) -> None:
         self.ack_time: dict[str, tuple[int, int]] = {}   # rid -> (us, origin)

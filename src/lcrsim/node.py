@@ -14,7 +14,7 @@ from typing import Optional
 
 from .kv import KvStateMachine
 from .logcore import (Entry, EntryKind, FutureStage, NoOpenWindow, StageOutcome,
-                      UnifiedLog, Window, WindowState, allocate_future_index,
+                      UnifiedLog, Window, allocate_future_index,
                       maintain_windows, owner_of, reallocate_index)
 from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientRequest,
                        ClientResponse, ForwardedRequest, ForwardedResponse,
@@ -107,7 +107,6 @@ class Node:
         # leader volatile state
         self.peers: dict[int, Peer] = {}
         self.integrated_at: dict[int, int] = {}   # future idx -> integration time
-        self.normal_cursor = 1
         self._seq = 0
 
         # data-leader state
@@ -116,7 +115,7 @@ class Node:
         self.parked_futures: list[PendingFuture] = []
 
         self.pending_client: dict[str, tuple[str, Optional[int]]] = {}
-        self.windows: list[Window] = []
+        self.windows: list[Window] = []   # open windows, consecutive, in order
         self.staged_bytes_peak = 0
 
         if self.cfg.protocol == "lcr":
@@ -161,21 +160,14 @@ class Node:
 
     def _refresh_windows(self) -> None:
         # windows close against leader-sequenced progress only
-        horizon = self.log.last_contiguous_index
-        was_open = {w.start for w in self.windows if w.state == WindowState.OPEN}
-        self.windows = maintain_windows(
-            horizon, self.windows,
+        closed, self.windows = maintain_windows(
+            self.log.last_contiguous_index, self.windows,
             window_size=self.cfg.window_size,
             open_window_count=self.cfg.open_window_count,
             generation=self.generation)
-        for w in self.windows:
-            if w.state == WindowState.CLOSED and w.start in was_open:
-                self.ctx.trace("window_close",
-                               detail=f"start={w.start}|end={w.end}|gen={w.generation}")
-        # closed windows behind the contiguous log can never matter again
-        if self.windows and self.windows[0].end < horizon:
-            self.windows = [w for w in self.windows
-                            if w.end >= horizon or w.state == WindowState.OPEN]
+        for w in closed:
+            self.ctx.trace("window_close",
+                           detail=f"start={w.start}|end={w.end}|gen={w.generation}")
 
     def _note_staged_bytes(self) -> None:
         b = self.stage.bytes_held(self.ctx.entry_header_bytes)
@@ -272,12 +264,11 @@ class Node:
         self.peers = {f: self._new_peer(start) for f in self._others()}
         self.integrated_at = {i: self.ctx.now for i in self.log.entries
                               if i > self.log.last_contiguous_index}
-        self.normal_cursor = 1
         if self.cfg.protocol == "lcr":
             for e in list(self.stage.pending.values()):
                 self._integrate_future(e)
             for m in self._others():
-                self.ctx.send(m, ReconcileRequest(self.term, self.generation))
+                self.ctx.send(m, ReconcileRequest(self.term))
         # term barrier so older entries can commit
         self._append_normal(Entry(index=0, term=self.term, kind=EntryKind.NOOP_FILL))
         for f in self._others():
@@ -327,8 +318,7 @@ class Node:
             self.ctx.send(self.leader_id, ForwardedRequest(request=req, via=self.id))
         else:
             self._respond_client(req.client_id, via,
-                                 ClientResponse(req.request_id, "Rejected",
-                                                leader_hint=self.leader_id))
+                                 ClientResponse(req.request_id, "Rejected"))
 
     def _leader_accept(self, req: ClientRequest, via: Optional[int]) -> None:
         if req.request_id in self.pending_client:
@@ -341,11 +331,8 @@ class Node:
             self._try_replicate(f)
 
     def _append_normal(self, entry: Entry) -> None:
-        while self.log.occupied(self.normal_cursor):
-            self.normal_cursor += 1
-        entry.index = self.normal_cursor
+        entry.index = self.log.last_contiguous_index + 1
         self.log.append(entry, self.commit_index)
-        self.normal_cursor += 1
         self._refresh_windows()
         self._advance_commit()
 
@@ -392,8 +379,7 @@ class Node:
         for m in msg_targets:
             self.ctx.send(m, FutureReplicateRequest(
                 term=self.term, generation=self.generation,
-                data_leader_id=self.id, future_entries=[p.entry]),
-                retransmit=retransmit)
+                future_entries=[p.entry]), retransmit=retransmit)
 
     def _respond_client(self, client_id: str, via: Optional[int],
                         resp: ClientResponse) -> None:
@@ -706,7 +692,6 @@ class Node:
                     self.log.append(Entry(index=j, term=self.term,
                                           kind=EntryKind.NOOP_FILL),
                                     self.commit_index)
-            self.normal_cursor = max(self.normal_cursor, target + 1)
             filled = True
             if self.log.last_contiguous_index <= contig:
                 break
@@ -721,7 +706,7 @@ class Node:
     def handle_append_entries(self, frm: int, req: AppendEntriesRequest) -> None:
         if req.term < self.term:
             self.ctx.send(frm, AppendEntriesResponse(
-                term=self.term, generation=self.generation, success=False,
+                term=self.term, success=False,
                 last_applied_index_report=self.log.last_contiguous_index,
                 last_future_index=self.stage.max_index_seen,
                 seq=req.seq, prefix_ok=False))
@@ -737,7 +722,7 @@ class Node:
         if prev > 0 and (prev > self.log.last_contiguous_index
                          or self._term_at(prev) != req.prev_log_term):
             self.ctx.send(frm, AppendEntriesResponse(
-                term=self.term, generation=self.generation, success=False,
+                term=self.term, success=False,
                 last_applied_index_report=min(self.log.last_contiguous_index,
                                               prev - 1),
                 last_future_index=self.stage.max_index_seen,
@@ -760,7 +745,6 @@ class Node:
                     continue
             if existing is not None:
                 self.log.truncate_from(e.index, self.commit_index)
-                self.normal_cursor = min(self.normal_cursor, e.index)
             if e.kind == EntryKind.SIGNAL:
                 staged = self.stage.peek(e.index)
                 if staged is None:
@@ -784,7 +768,7 @@ class Node:
         self._refresh_windows()
         self._commit_to(min(req.leader_commit, self.log.last_contiguous_index))
         self.ctx.send(frm, AppendEntriesResponse(
-            term=self.term, generation=self.generation, success=success,
+            term=self.term, success=success,
             last_applied_index_report=self.log.last_contiguous_index,
             last_future_index=self.stage.max_index_seen,
             seq=req.seq, prefix_ok=True))
@@ -817,8 +801,7 @@ class Node:
         if req.term > self.term:
             self._step_down(req.term, leader=frm)
         self.ctx.send(frm, ReconcileResponse(
-            term=self.term, generation=self.generation,
-            entries=list(self.stage.pending.values())))
+            term=self.term, entries=list(self.stage.pending.values())))
 
     def handle_reconcile_response(self, frm: int, resp: ReconcileResponse) -> None:
         if resp.term > self.term:

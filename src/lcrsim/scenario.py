@@ -20,10 +20,16 @@ class ScenarioError(ValueError):
     pass
 
 
-def _take(section: dict, name: str, allowed: set[str]) -> dict:
+def _take(section: dict, name: str, allowed: set[str],
+          all_required: bool = False) -> dict:
+    if not isinstance(section, dict):
+        raise ScenarioError(f"'{name}' must be a mapping")
     unknown = set(section) - allowed
     if unknown:
         raise ScenarioError(f"unknown keys in '{name}': {sorted(unknown)}")
+    missing = allowed - set(section)
+    if all_required and missing:
+        raise ScenarioError(f"missing keys in '{name}': {sorted(missing)}")
     return section
 
 
@@ -73,7 +79,9 @@ def _latency(section: dict, name: str) -> LatencyModel:
 
 
 def load_scenario(source) -> Scenario:
-    """Parse a scenario from a YAML string, path, or open file."""
+    """Parse a scenario from a YAML string, path, or open file.
+
+    Anything that is not a valid scenario raises ScenarioError."""
     if hasattr(source, "read"):
         raw = yaml.safe_load(source)
     elif isinstance(source, str) and "\n" not in source and source.endswith((".yaml", ".yml")):
@@ -81,8 +89,15 @@ def load_scenario(source) -> Scenario:
             raw = yaml.safe_load(fh)
     else:
         raw = yaml.safe_load(source)
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a mapping")
+    try:
+        return _build(raw)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"malformed value: {exc}") from exc
+
+
+def _build(raw) -> Scenario:
     top = {"name", "protocol", "seed", "duration_s", "nodes", "clients",
            "bootstrap_leader", "initial_members", "metrics_window_s",
            "workload", "network", "processing", "timers", "replication",
@@ -162,14 +177,19 @@ def load_scenario(source) -> Scenario:
         step_grace_us=_ms(fl.get("step_grace_ms", 50)))
 
     for f in raw.get("faults", []) or []:
-        _take(f, "faults[]", {"time_s", "action", "node"})
+        _take(f, "faults[]", {"time_s", "action", "node"}, all_required=True)
         if f["action"] not in ("crash", "restart", "disconnect", "reconnect"):
             raise ScenarioError(f"unknown fault action '{f['action']}'")
-        sc.faults.append(FaultEvent(float(f["time_s"]), f["action"], int(f["node"])))
+        node = int(f["node"])
+        if not 0 <= node < sc.nodes:
+            raise ScenarioError(f"fault node {node} is not one of the {sc.nodes} nodes")
+        sc.faults.append(FaultEvent(float(f["time_s"]), f["action"], node))
     for m in raw.get("membership_changes", []) or []:
-        _take(m, "membership_changes[]", {"time_s", "new_size"})
-        sc.membership_changes.append(
-            MembershipChange(float(m["time_s"]), int(m["new_size"])))
+        _take(m, "membership_changes[]", {"time_s", "new_size"}, all_required=True)
+        size = int(m["new_size"])
+        if size > sc.nodes:
+            raise ScenarioError(f"membership change to {size} exceeds {sc.nodes} nodes")
+        sc.membership_changes.append(MembershipChange(float(m["time_s"]), size))
 
     members = sc.initial_members if sc.initial_members is not None else sc.nodes
     if members > sc.nodes:

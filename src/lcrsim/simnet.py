@@ -21,6 +21,7 @@ from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientReques
                        ClientResponse, ForwardedRequest, ForwardedResponse,
                        FutureReplicateRequest, FutureReplicateResponse,
                        ReconcileRequest, VoteRequest, message_bytes)
+from .metrics import TraceCollector
 from .node import Node, NodeConfig, PersistentState
 
 
@@ -64,9 +65,7 @@ class CostModel:
 class NodeStats:
     sent_msgs: int = 0
     sent_bytes: int = 0
-    recv_msgs: int = 0
     recv_bytes: int = 0
-    retrans_msgs: int = 0
     retrans_bytes: int = 0
     dropped_msgs: int = 0
     dropped_bytes: int = 0
@@ -143,7 +142,7 @@ class Simulation:
         self.client_ctx: dict[str, _ClientCtx] = {}
         self.client_timers: dict[tuple[str, str], int] = {}
 
-        self.hooks: list = []   # callables(kind, time, frm, detail_str) for metrics
+        self.collector = TraceCollector()   # sees every recorded event
 
     # -- construction ------------------------------------------------------
 
@@ -178,8 +177,7 @@ class Simulation:
     def record(self, time: int, kind: str, frm="-", to="-", msg_kind="-",
                nbytes: int = 0, detail: str = "") -> None:
         self.trace.append(f"{time},{kind},{frm},{to},{msg_kind},{nbytes},{detail}")
-        for hook in self.hooks:
-            hook(kind, time, frm, detail)
+        self.collector(kind, time, frm, detail)
 
     @staticmethod
     def _msg_kind(msg) -> str:
@@ -192,7 +190,6 @@ class Simulation:
         st.sent_msgs += 1
         st.sent_bytes += nbytes
         if retransmit:
-            st.retrans_msgs += 1
             st.retrans_bytes += nbytes
         if frm in self.isolated or to in self.isolated:
             st.dropped_msgs += 1
@@ -282,7 +279,6 @@ class Simulation:
                         nbytes, "partitioned_at_delivery")
             return
         st = self.stats[node_id]
-        st.recv_msgs += 1
         st.recv_bytes += nbytes
         self.record(self.now, "deliver", frm, node_id, self._msg_kind(msg), nbytes)
         cost = self.cost.cost_of(msg)

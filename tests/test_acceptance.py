@@ -95,7 +95,7 @@ def test_01_safety_suite(capsys):
 def test_02_allocation_is_collision_free(capsys):
     checked = 0
     for gen in (3, 5, 7, 9):
-        windows = maintain_windows(0, [], window_size=1000)
+        _, windows = maintain_windows(0, [], window_size=1000)
         for a in range(gen):
             for b in range(a + 1, gen):
                 taken: set[int] = set()
@@ -106,7 +106,7 @@ def test_02_allocation_is_collision_free(capsys):
                 for _ in range(10_000):
                     node = a if rng.random() < 0.7 else b
                     while last[node] >= windows[-1].end - gen:
-                        windows = maintain_windows(
+                        _, windows = maintain_windows(
                             windows[-1].end, windows, window_size=1000)
                     idx = allocate_future_index(node, gen, last[node], windows)
                     assert idx not in taken, (gen, a, b, idx)

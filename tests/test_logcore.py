@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from lcrsim.logcore import (CommittedMutation, Entry, EntryKind, FutureStage,
                             NoOpenWindow, StageOutcome, UnifiedLog, Window,
-                            WindowState, allocate_future_index, maintain_windows,
-                            owner_of, reallocate_index)
+                            allocate_future_index, maintain_windows, owner_of,
+                            reallocate_index)
 
 
 def fe(index, gen=5, origin=None, rid="r", term=1):
@@ -27,8 +27,8 @@ class TestAllocate:
         assert allocate_future_index(1, 3, 0, w) == 4
 
     def test_skips_closed_window(self):
-        w = [Window(5, 6, 10, WindowState.CLOSED), Window(5, 11, 15)]
-        assert allocate_future_index(4, 5, 9, w) == 14
+        # the first candidate, 9, lies in the closed range 6..10
+        assert allocate_future_index(4, 5, 0, [Window(5, 11, 15)]) == 14
 
     def test_result_keeps_residue(self):
         w = [Window(5, 1, 1000)]
@@ -39,7 +39,7 @@ class TestAllocate:
 
     def test_no_open_window(self):
         with pytest.raises(NoOpenWindow):
-            allocate_future_index(2, 5, 13, [Window(5, 1, 10, WindowState.CLOSED)])
+            allocate_future_index(2, 5, 13, [])
         with pytest.raises(NoOpenWindow):
             # open window entirely below the first candidate
             allocate_future_index(2, 5, 200, [Window(5, 1, 100)])
@@ -47,6 +47,28 @@ class TestAllocate:
     def test_generation_must_cover_id(self):
         with pytest.raises(ValueError):
             allocate_future_index(5, 5, 0, [Window(5, 1, 100)])
+
+    @given(st.integers(2, 12), st.data(), st.integers(0, 3000),
+           st.integers(1, 2000), st.integers(1, 300), st.integers(1, 5))
+    def test_matches_scan_by_generation(self, gen, data, last, first, size,
+                                        count):
+        self_id = data.draw(st.integers(0, gen - 1))
+        windows = [Window(gen, first + k * size, first + (k + 1) * size - 1)
+                   for k in range(count)]
+        # the candidate advances one generation at a time until it lands in
+        # an open window or runs past the last one
+        lam = self_id + gen + last - last % gen
+        expected = None
+        while lam <= windows[-1].end:
+            if any(w.start <= lam <= w.end for w in windows):
+                expected = lam
+                break
+            lam += gen
+        if expected is None:
+            with pytest.raises(NoOpenWindow):
+                allocate_future_index(self_id, gen, last, windows)
+        else:
+            assert allocate_future_index(self_id, gen, last, windows) == expected
 
 
 class TestReallocate:
@@ -91,43 +113,67 @@ class TestOwner:
 
 class TestMaintainWindows:
     def test_close_and_top_up(self):
-        out = maintain_windows(6, [Window(5, 1, 5), Window(5, 6, 10)],
-                               window_size=5)
-        assert [(w.start, w.end, w.state) for w in out] == [
-            (1, 5, WindowState.CLOSED), (6, 10, WindowState.CLOSED),
-            (11, 15, WindowState.OPEN), (16, 20, WindowState.OPEN)]
+        closed, still_open = maintain_windows(
+            6, [Window(5, 1, 5), Window(5, 6, 10)], window_size=5)
+        assert [(w.start, w.end) for w in closed] == [(1, 5), (6, 10)]
+        assert [(w.start, w.end) for w in still_open] == [(11, 15), (16, 20)]
 
     def test_bootstrap(self):
-        out = maintain_windows(0, [], window_size=100)
-        assert [(w.start, w.end) for w in out] == [(1, 100), (101, 200)]
-        assert all(w.state == WindowState.OPEN for w in out)
+        closed, still_open = maintain_windows(0, [], window_size=100)
+        assert closed == []
+        assert [(w.start, w.end) for w in still_open] == [(1, 100), (101, 200)]
 
     def test_partial_close(self):
-        out = maintain_windows(850, [Window(0, 801, 900), Window(0, 901, 1000)],
-                               window_size=100)
-        assert [(w.start, w.state) for w in out] == [
-            (801, WindowState.CLOSED), (901, WindowState.OPEN),
-            (1001, WindowState.OPEN)]
+        closed, still_open = maintain_windows(
+            850, [Window(0, 801, 900), Window(0, 901, 1000)], window_size=100)
+        assert [w.start for w in closed] == [801]
+        assert [w.start for w in still_open] == [901, 1001]
 
-    @given(st.integers(0, 5000), st.integers(1, 6))
+    def test_jump_past_every_window(self):
+        # new windows continue the numbering even at or below the horizon;
+        # they stay open until the next refresh closes them
+        closed, still_open = maintain_windows(
+            350, [Window(0, 1, 100), Window(0, 101, 200)], window_size=100)
+        assert [w.start for w in closed] == [1, 101]
+        assert [w.start for w in still_open] == [201, 301]
+        closed, still_open = maintain_windows(350, still_open, window_size=100)
+        assert [w.start for w in closed] == [201, 301]
+        assert [w.start for w in still_open] == [401, 501]
+
+    @given(st.integers(0, 5000), st.integers(1, 4),
+           st.lists(st.integers(0, 400), min_size=1, max_size=6))
     @settings(max_examples=200)
-    def test_invariants(self, normal_last, rounds):
-        windows = []
-        for step in range(rounds):
-            progress = normal_last + step * 37
-            closed_before = {w.start for w in windows
-                             if w.state == WindowState.CLOSED}
-            windows = maintain_windows(progress, windows, window_size=50)
-            opens = [w for w in windows if w.state == WindowState.OPEN]
-            assert len(opens) >= 2
-            assert all(w.start > progress for w in opens)
-            assert all(w.start % 50 == 1 for w in windows)
-            # closed is absorbing
-            now_closed = {w.start for w in windows
-                          if w.state == WindowState.CLOSED}
-            assert closed_before <= now_closed
-            starts = [w.start for w in windows]
-            assert starts == sorted(starts)
+    def test_invariants(self, normal_last, count, advances):
+        windows, reported = [], []
+        progress = normal_last
+        for advance in advances:
+            progress += advance
+            opened = list(windows)
+            closed, windows = maintain_windows(progress, windows, window_size=50,
+                                               open_window_count=count)
+            # the closed ones are a prefix of what was open
+            assert closed == opened[:len(closed)]
+            assert all(w.start <= progress for w in closed)
+            assert all(w.start > progress for w in opened[len(closed):])
+            reported += closed
+            assert len(windows) >= count
+            assert all(w.start % 50 == 1 and w.end == w.start + 49
+                       for w in windows)
+            # open windows stay consecutive
+            assert all(b.start == a.end + 1 for a, b in zip(windows, windows[1:]))
+            # ahead of the log, unless it jumped past every open window
+            if not opened or progress <= opened[-1].end:
+                assert windows[0].start > progress
+        # every window is reported closed at most once, in order
+        starts = [w.start for w in reported]
+        assert starts == sorted(set(starts))
+        closed, windows = maintain_windows(windows[-1].end, windows,
+                                           window_size=50,
+                                           open_window_count=count)
+        reported += closed
+        # once the log passes them, every window ever opened was closed once
+        assert [w.start for w in reported] == list(
+            range(reported[0].start, reported[-1].end + 1, 50))
 
 
 class TestFutureStage:

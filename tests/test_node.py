@@ -71,7 +71,7 @@ def ack_everything(leader, ctx, followers=(1, 2, 3, 4)):
         for to, msg in ctx.take_sent():
             if isinstance(msg, AppendEntriesRequest) and to in followers:
                 leader.handle_append_response(to, AppendEntriesResponse(
-                    term=msg.term, generation=msg.generation, success=True,
+                    term=msg.term, success=True,
                     last_applied_index_report=(msg.prev_log_index
                                                + len(msg.entries)),
                     last_future_index=0, seq=msg.seq))
@@ -101,7 +101,7 @@ class TestLeaderClientPath:
         n.handle_client_request(creq())
         assert n.log.last_index == before
 
-    def test_normal_cursor_fills_smallest_gap(self):
+    def test_normal_entries_fill_below_held_future(self):
         n, ctx = make_leader()
         n._integrate_future(Entry(index=7, term=1, kind=EntryKind.FUTURE,
                                   origin=2, generation=5, request_id="x.1.nt"))
@@ -109,10 +109,9 @@ class TestLeaderClientPath:
         n.handle_client_request(creq())
         assert n.log.last_contiguous_index == start + 1
         n.handle_client_request(creq("c0.2.t"))
-        # new entries fill below the held future slot first
-        occupied = sorted(n.log.entries)
-        assert occupied == list(range(1, 7)) + [7][:1] if len(occupied) == 7 \
-            else occupied
+        # new entries go to the end of the contiguous log, below the future
+        assert sorted(n.log.entries) == [1, 2, 3, 7]
+        assert [n.log.get(i).request_id for i in (2, 3)] == ["c0.1.t", "c0.2.t"]
 
 
 class TestFutureReplication:
@@ -144,7 +143,7 @@ class TestFutureReplication:
         fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE, origin=2,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n.handle_future_replicate(2, FutureReplicateRequest(
-            term=n.term, generation=5, data_leader_id=2, future_entries=[fe]))
+            term=n.term, generation=5, future_entries=[fe]))
         ((to, resp),) = ctx.take_sent()
         assert to == 2 and resp.reason == "ok" and not resp.from_leader
         assert resp.indices == [17]
@@ -155,7 +154,7 @@ class TestFutureReplication:
         fe = Entry(index=17, term=n.term - 1, kind=EntryKind.FUTURE, origin=2,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n.handle_future_replicate(2, FutureReplicateRequest(
-            term=n.term, generation=5, data_leader_id=2, future_entries=[fe]))
+            term=n.term, generation=5, future_entries=[fe]))
         got = n.log.get(17)
         assert (got.index, got.kind, got.origin, got.generation, got.request_id,
                 got.payload) == (17, EntryKind.FUTURE, 2, 5, "c9.1.nt", b"I k 1")
@@ -177,7 +176,7 @@ class TestFutureReplication:
         fe = Entry(index=8, term=n.term, kind=EntryKind.FUTURE, origin=2,
                    generation=3, request_id="c9.1.nt")
         n.handle_future_replicate(2, FutureReplicateRequest(
-            term=n.term, generation=5, data_leader_id=2, future_entries=[fe]))
+            term=n.term, generation=5, future_entries=[fe]))
         ((_, resp),) = ctx.take_sent()
         assert resp.reason == "stale_gen" and resp.indices == []
 
@@ -237,7 +236,7 @@ class TestSignalFlow:
         peer.future_ack = fe.index
         peer.inflight.append(999)
         n.handle_append_response(1, AppendEntriesResponse(
-            term=n.term, generation=5, success=False,
+            term=n.term, success=False,
             last_applied_index_report=fe.index - 1,
             last_future_index=0, seq=999, prefix_ok=True))
         assert fe.index in peer.force_full
@@ -256,7 +255,7 @@ class TestLeaderStream:
 
         def failure(seq):
             return AppendEntriesResponse(
-                term=n.term, generation=5, success=False,
+                term=n.term, success=False,
                 last_applied_index_report=0, last_future_index=0, seq=seq,
                 prefix_ok=False)
         # older than the newest in-flight request: a reset already covered it
@@ -281,7 +280,7 @@ class TestReconcile:
         old_gen = Entry(index=22, term=n.term, kind=EntryKind.FUTURE, origin=1,
                         generation=3, request_id="c9.2.nt", payload=b"I k 2")
         n.handle_reconcile_response(2, ReconcileResponse(
-            term=n.term, generation=5, entries=[fe, old_gen]))
+            term=n.term, entries=[fe, old_gen]))
         got = n.log.get(17)
         assert got is not None and got.kind == EntryKind.FUTURE
         assert (got.origin, got.request_id, got.payload) == (2, "c9.1.nt", b"I k 1")

@@ -54,6 +54,20 @@ class TestLoader:
             load_scenario(
                 "name: x\nfaults:\n- {time_s: 1, action: explode, node: 0}\n")
 
+    @pytest.mark.parametrize("text, match", [
+        ("faults:\n- {time_s: 1, node: 0}\n", "action"),
+        ("nodes: 3\nfaults:\n- {time_s: 1, action: crash, node: 3}\n",
+         "fault node 3"),
+        ("nodes: 3\nmembership_changes:\n- {time_s: 1, new_size: 4}\n",
+         "membership change"),
+        ("nodes: abc\n", "abc"),
+        ("faults: [3]\n", "faults"),
+    ], ids=["fault-no-action", "fault-node-out-of-range",
+            "membership-above-nodes", "nodes-not-int", "fault-not-mapping"])
+    def test_malformed_input(self, text, match):
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario("name: x\n" + text)
+
     def test_members_exceed_nodes(self):
         with pytest.raises(ScenarioError, match="initial_members"):
             load_scenario("name: x\nnodes: 3\ninitial_members: 5\n")
@@ -83,6 +97,12 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("name: x\nwat: 1\n")
         assert main(["run", str(bad)]) == 2
+
+    def test_malformed_scenario_file_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(SMALL + "faults:\n- {time_s: 0.1, action: crash, node: 7}\n")
+        assert main(["run", str(bad)]) == 2
+        assert "fault node 7" in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         scen = tmp_path / "small.yaml"

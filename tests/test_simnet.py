@@ -52,8 +52,7 @@ class TestSizeModel:
 
     def test_future_request_carries_payload(self):
         fe = Entry(index=7, term=1, kind=EntryKind.FUTURE, payload=b"y" * 10)
-        req = FutureReplicateRequest(term=1, generation=5, data_leader_id=2,
-                                     future_entries=[fe])
+        req = FutureReplicateRequest(term=1, generation=5, future_entries=[fe])
         assert message_bytes(req, message_header=48, entry_header=24) == 48 + 34
 
     def test_client_request_payload(self):
