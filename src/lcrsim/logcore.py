@@ -202,10 +202,3 @@ class UnifiedLog:
 
     def occupied(self, index: int) -> bool:
         return index in self.entries
-
-    def dump_lines(self):
-        """Debug dump: index,term,generation,kind,origin,requestId,payloadHex."""
-        for i in sorted(self.entries):
-            e = self.entries[i]
-            yield (f"{e.index},{e.term},{e.generation},{e.kind.name},"
-                   f"{e.origin},{e.request_id},{e.payload.hex()}")

@@ -1,8 +1,8 @@
 """Wire records exchanged between nodes and clients.
 
-Sizes on the simulated network are derived from these via the size model:
-a fixed per-message header plus a per-entry header plus exact payload bytes
-(signal and no-op-fill entries are header-only).
+Sizes on the simulated network are derived from these: a fixed per-message
+header plus a per-entry header plus exact payload bytes (signal and
+no-op-fill entries are header-only).
 """
 
 from __future__ import annotations
@@ -10,6 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .logcore import Entry, EntryKind
+
+MESSAGE_HEADER_BYTES = 48
+ENTRY_HEADER_BYTES = 24
 
 
 @dataclass(slots=True)
@@ -108,14 +111,14 @@ class ReconcileResponse:
     entries: list[Entry]
 
 
-def message_bytes(msg, *, message_header: int, entry_header: int) -> int:
-    """Byte cost of a message under the size model."""
-    size = message_header
+def message_bytes(msg) -> int:
+    """Byte cost of a message on the simulated network."""
+    size = MESSAGE_HEADER_BYTES
 
     def entry_cost(e: Entry) -> int:
         if e.kind in (EntryKind.SIGNAL, EntryKind.NOOP_FILL):
-            return entry_header
-        return entry_header + len(e.payload)
+            return ENTRY_HEADER_BYTES
+        return ENTRY_HEADER_BYTES + len(e.payload)
 
     if isinstance(msg, AppendEntriesRequest):
         size += sum(entry_cost(e) for e in msg.entries)

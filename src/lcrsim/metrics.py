@@ -13,21 +13,6 @@ from dataclasses import dataclass, field
 from .workload import Completion
 
 
-def predict_nt_response_us(dc_us: float, dn_us: float, proc_us: float = 0.0,
-                           disk_us: float = 0.0) -> float:
-    """Latency floor for a follower-acknowledged request: one client hop each
-    way plus one replication round at the follower."""
-    return 2 * dc_us + 2 * dn_us + proc_us + disk_us
-
-def predict_t_response_us(dc_us: float, dn_us: float, via_leader: bool,
-                          proc_us: float = 0.0, disk_us: float = 0.0) -> float:
-    """Latency floor for a leader-committed request: one client hop each way,
-    a replication round at the leader, and a relay round trip when the client
-    is attached to a follower."""
-    hops = 2 if via_leader else 4
-    return 2 * dc_us + hops * dn_us + proc_us + disk_us
-
-
 class TraceCollector:
     """Fed every event by the simulation's trace recorder."""
 
@@ -61,7 +46,6 @@ class RunReport:
     completions: list[Completion]
     node_stats: dict
     collector: TraceCollector
-    window_s: float = 1.0
     committed_requests: int = 0
     rt_mean_us: dict[str, float] = field(default_factory=dict)
     counts: dict[str, int] = field(default_factory=dict)
@@ -71,24 +55,23 @@ class RunReport:
 
     @classmethod
     def build(cls, duration_s: float, completions: list[Completion],
-              node_stats: dict, collector: TraceCollector,
-              window_s: float = 1.0) -> "RunReport":
-        r = cls(duration_s, completions, node_stats, collector, window_s)
+              node_stats: dict, collector: TraceCollector) -> "RunReport":
+        r = cls(duration_s, completions, node_stats, collector)
         sums: dict[str, float] = {"t": 0.0, "nt": 0.0, "all": 0.0}
         counts = {"t": 0, "nt": 0, "all": 0}
-        windows: dict[float, int] = {}
+        windows: dict[float, int] = {}   # 1 s window start -> completions
         for c in completions:
             rt = c.end_us - c.start_us
             sums[c.kind] += rt
             counts[c.kind] += 1
             sums["all"] += rt
             counts["all"] += 1
-            w = (c.end_us // int(window_s * 1_000_000)) * window_s
+            w = float(c.end_us // 1_000_000)
             windows[w] = windows.get(w, 0) + 1
         r.counts = counts
         r.rt_mean_us = {k: (sums[k] / counts[k] if counts[k] else 0.0)
                         for k in sums}
-        r.tps_windows = {w: n / window_s for w, n in sorted(windows.items())}
+        r.tps_windows = {w: float(n) for w, n in sorted(windows.items())}
         r.committed_requests = len(collector.applies)
         lags = []
         for rid, (ack_us, origin) in collector.ack_time.items():

@@ -20,22 +20,24 @@ from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientReques
                        ClientResponse, ForwardedRequest, ForwardedResponse,
                        FutureReplicateRequest, FutureReplicateResponse,
                        ReconcileRequest, ReconcileResponse, VoteRequest,
-                       VoteResponse)
+                       VoteResponse, ENTRY_HEADER_BYTES)
 
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
 LEADER = "leader"
+
+ELECTION_JITTER = 0.2        # election timeout drawn from [T, (1+jitter)T]
+HOUSEKEEPING_US = 100_000
+MAX_FLYING = 16              # unanswered append requests per follower
+MAX_ENTRIES = 5000           # entries per append request
 
 
 @dataclass
 class NodeConfig:
     protocol: str = "lcr"              # "lcr" | "raft"
     election_timeout_us: int = 5_000_000
-    election_jitter: float = 0.2       # timeout drawn from [T, (1+jitter)T]
     heartbeat_us: int = 500_000
     max_await_us: int = 1_000_000
-    max_flying: int = 16
-    max_entries: int = 5000
     window_size: int = 100
     open_window_count: int = 2
     step_threshold: int = 400          # future-index lead before gap filling
@@ -43,7 +45,6 @@ class NodeConfig:
     # never fill around futures integrated more recently than this: their
     # neighbours' replication may still be in flight from slower peers
     step_grace_us: int = 50_000
-    housekeeping_us: int = 100_000
 
 
 @dataclass
@@ -100,7 +101,6 @@ class Node:
 
         self.role = FOLLOWER
         self.leader_id: Optional[int] = None
-        self.commit_index = p.last_applied
         self.votes: set[int] = set()
         self.election_deadline = 0
 
@@ -125,7 +125,7 @@ class Node:
             self._become_leader()
         else:
             self._reset_election_timer()
-        self.ctx.set_timer("housekeeping", cfg.housekeeping_us)
+        self.ctx.set_timer("housekeeping", HOUSEKEEPING_US)
 
     # -- small helpers -----------------------------------------------------
 
@@ -140,6 +140,11 @@ class Node:
     @property
     def membership(self) -> list[int]:
         return self.persist.membership
+
+    @property
+    def commit_index(self) -> int:
+        # a node applies every entry up to its commit point as it learns it
+        return self.persist.last_applied
 
     def _majority(self) -> int:
         return len(self.membership) // 2 + 1
@@ -170,7 +175,7 @@ class Node:
                            detail=f"start={w.start}|end={w.end}|gen={w.generation}")
 
     def _note_staged_bytes(self) -> None:
-        b = self.stage.bytes_held(self.ctx.entry_header_bytes)
+        b = self.stage.bytes_held(ENTRY_HEADER_BYTES)
         if b > self.staged_bytes_peak:
             self.staged_bytes_peak = b
 
@@ -178,7 +183,7 @@ class Node:
 
     def _reset_election_timer(self) -> None:
         base = self.cfg.election_timeout_us
-        span = int(base * self.cfg.election_jitter)
+        span = int(base * ELECTION_JITTER)
         self.election_deadline = self.ctx.now + base + self.ctx.rng.randrange(span + 1)
         self.ctx.set_timer("election", self.election_deadline - self.ctx.now)
 
@@ -201,16 +206,14 @@ class Node:
                         p.last_resp = self.ctx.now
                         self._try_replicate(f)
                     if self.ctx.now - p.last_sent >= self.cfg.heartbeat_us:
-                        self._send_append(f, heartbeat=True)
+                        self._send_append(f)
                 self._step_fill()
                 self.ctx.set_timer("heartbeat", self.cfg.heartbeat_us)
         elif name == "housekeeping":
             self._housekeeping()
-            self.ctx.set_timer("housekeeping", self.cfg.housekeeping_us)
+            self.ctx.set_timer("housekeeping", HOUSEKEEPING_US)
 
     def _housekeeping(self) -> None:
-        if self.cfg.protocol != "lcr":
-            return
         now = self.ctx.now
         for idx, p in list(self.pending_futures.items()):
             if p.acked or idx not in self.stage.pending:
@@ -272,7 +275,7 @@ class Node:
         # term barrier so older entries can commit
         self._append_normal(Entry(index=0, term=self.term, kind=EntryKind.NOOP_FILL))
         for f in self._others():
-            self._send_append(f, heartbeat=True)
+            self._send_append(f)
         self.ctx.set_timer("heartbeat", self.cfg.heartbeat_us)
 
     def handle_vote_request(self, frm: int, req: VoteRequest) -> None:
@@ -391,24 +394,17 @@ class Node:
     # -- future replication ------------------------------------------------
 
     def handle_future_replicate(self, frm: int, req: FutureReplicateRequest) -> None:
-        if req.term < self.term:
-            self.ctx.send(frm, FutureReplicateResponse(
-                term=self.term, generation=self.generation,
-                last_future_index=self.stage.max_index_seen,
-                from_leader=self.role == LEADER, reason="stale_term"))
-            return
-        if req.term > self.term:
-            self._step_down(req.term)
-        if req.generation < self.generation:
-            self.ctx.send(frm, FutureReplicateResponse(
-                term=self.term, generation=self.generation,
-                last_future_index=self.stage.max_index_seen,
-                from_leader=self.role == LEADER, reason="stale_gen"))
-            return
-        if req.generation > self.generation:
-            self._change_generation(req.generation, None)
         accepted_idx, reason = [], "ok"
-        for fe in req.future_entries:
+        if req.term < self.term:
+            reason = "stale_term"
+        else:
+            if req.term > self.term:
+                self._step_down(req.term)
+            if req.generation < self.generation:
+                reason = "stale_gen"
+            elif req.generation > self.generation:
+                self._change_generation(req.generation, None)
+        for fe in (req.future_entries if reason == "ok" else []):
             if self.role == LEADER:
                 out = self._integrate_future(fe)
             else:
@@ -478,11 +474,13 @@ class Node:
         if p.acked or not p.leader_ack:
             return
         if len([a for a in p.acks if a in self.membership]) >= self._majority():
-            p.acked = True
-            self.ctx.trace("ack", detail=(
-                f"rid={p.entry.request_id}|kind=nt|idx={p.entry.index}|origin={self.id}"))
-            self.ctx.send_client(p.client_id,
-                                 ClientResponse(p.entry.request_id, "Ok"))
+            self._ack_future(p, p.entry.index)
+
+    def _ack_future(self, p: PendingFuture, idx: int) -> None:
+        p.acked = True
+        self.ctx.trace("ack", detail=(
+            f"rid={p.entry.request_id}|kind=nt|idx={idx}|origin={self.id}"))
+        self.ctx.send_client(p.client_id, ClientResponse(p.entry.request_id, "Ok"))
 
     def _reallocate_pending(self, old_idx: int) -> None:
         p = self.pending_futures.pop(old_idx, None)
@@ -564,13 +562,8 @@ class Node:
         p = self.peers.get(f)
         if self.role != LEADER or p is None:
             return
-        while len(p.inflight) < self.cfg.max_flying:
-            start = p.opt_next
-            end = min(self.log.last_contiguous_index,
-                      start + self.cfg.max_entries - 1)
-            if start > end:
-                break
-            self._send_append(f, start=start, end=end)
+        while len(p.inflight) < MAX_FLYING and p.opt_next <= self.log.last_contiguous_index:
+            self._send_append(f)
 
     def _package(self, p: Peer, start: int, end: int) -> list[Entry]:
         out = []
@@ -584,14 +577,13 @@ class Node:
             out.append(e)
         return out
 
-    def _send_append(self, f: int, start: int = 0, end: int = -1,
-                     heartbeat: bool = False) -> None:
+    def _send_append(self, f: int) -> None:
+        """Send ``f`` the next slice of the log from ``opt_next``; an empty
+        slice is a heartbeat."""
         p = self.peers[f]
-        if heartbeat:
-            start = p.opt_next
-            end = min(self.log.last_contiguous_index,
-                      start + self.cfg.max_entries - 1)
-        entries = self._package(p, start, end) if end >= start else []
+        start = p.opt_next
+        end = min(self.log.last_contiguous_index, start + MAX_ENTRIES - 1)
+        entries = self._package(p, start, end)
         self._seq += 1
         req = AppendEntriesRequest(
             term=self.term, generation=self.generation, leader_id=self.id,
@@ -599,7 +591,7 @@ class Node:
             entries=entries, leader_commit=self.commit_index, seq=self._seq)
         retransmit = end >= start and start <= p.max_sent
         self.ctx.send(f, req, retransmit=retransmit)
-        if len(p.inflight) < self.cfg.max_flying:
+        if len(p.inflight) < MAX_FLYING:
             p.inflight.append(self._seq)
         if end >= start:
             p.opt_next = end + 1
@@ -657,49 +649,35 @@ class Node:
                 self._commit_to(cand)
                 break
 
-    def _commit_to(self, n: int) -> None:
-        if n <= self.commit_index:
-            return
-        self.commit_index = n
-        self._apply_committed()
-
     # -- step filling ------------------------------------------------------
 
     def _step_fill(self) -> None:
-        if self.role != LEADER or self.cfg.protocol != "lcr":
+        """Fill the gaps below the newest integrated future that is past its
+        grace period, once futures lead too far or have waited too long.
+        Every future above that one is younger, so one pass suffices."""
+        if self.role != LEADER:
             return
-        filled = False
-        while True:
-            contig = self.log.last_contiguous_index
-            ahead = sorted(i for i in self.integrated_at if i > contig)
-            for i in [i for i in self.integrated_at if i <= contig]:
-                del self.integrated_at[i]
-            if not ahead:
-                break
-            lead = ahead[-1] - contig
-            oldest = min(self.integrated_at[i] for i in ahead)
-            if lead <= self.cfg.step_threshold and \
-                    self.ctx.now - oldest <= self.cfg.step_timeout_us:
-                break
-            eligible = [i for i in ahead
-                        if self.ctx.now - self.integrated_at[i]
-                        >= self.cfg.step_grace_us]
-            if not eligible:
-                break
-            target = max(eligible)
-            for j in range(contig + 1, target):
-                if not self.log.occupied(j):
-                    self.log.append(Entry(index=j, term=self.term,
-                                          kind=EntryKind.NOOP_FILL),
-                                    self.commit_index)
-            filled = True
-            if self.log.last_contiguous_index <= contig:
-                break
-        if filled:
-            self._refresh_windows()
-            self._advance_commit()
-            for f in self._others():
-                self._try_replicate(f)
+        contig = self.log.last_contiguous_index
+        for i in [i for i in self.integrated_at if i <= contig]:
+            del self.integrated_at[i]
+        if not self.integrated_at:
+            return
+        now = self.ctx.now
+        if max(self.integrated_at) - contig <= self.cfg.step_threshold and \
+                now - min(self.integrated_at.values()) <= self.cfg.step_timeout_us:
+            return
+        eligible = [i for i, t in self.integrated_at.items()
+                    if now - t >= self.cfg.step_grace_us]
+        if not eligible:
+            return
+        for j in range(contig + 1, max(eligible)):
+            if not self.log.occupied(j):
+                self.log.append(Entry(index=j, term=self.term,
+                                      kind=EntryKind.NOOP_FILL), self.commit_index)
+        self._refresh_windows()
+        self._advance_commit()
+        for f in self._others():
+            self._try_replicate(f)
 
     # -- append-entries: follower side ------------------------------------
 
@@ -745,26 +723,19 @@ class Node:
                     continue
             if existing is not None:
                 self.log.truncate_from(e.index, self.commit_index)
+            staged = self.stage.peek(e.index)
             if e.kind == EntryKind.SIGNAL:
-                staged = self.stage.peek(e.index)
                 if staged is None:
                     success = False  # ask the leader for the raw content
                     break
-                resolved = Entry(index=e.index, term=e.term, kind=EntryKind.FUTURE,
-                                 origin=staged.origin, generation=staged.generation,
-                                 request_id=staged.request_id, payload=staged.payload)
-                self.log.append(resolved, self.commit_index)
-                self.stage.drop(e.index)
-                self._confirm_own_future(e.index)
-            else:
-                staged = self.stage.peek(e.index)
-                if staged is not None and not staged.same_record(e):
-                    self._resolve_stage_conflict(staged)
-                self.log.append(e, self.commit_index)
-                self.stage.drop(e.index)
-                self._confirm_own_future(e.index)
-                if e.kind == EntryKind.CONFIG:
-                    self._apply_config(int(e.payload.decode()))
+                e = replace(staged, term=e.term)   # the staged entry it names
+            elif staged is not None and not staged.same_record(e):
+                self._resolve_stage_conflict(staged)
+            self.log.append(e, self.commit_index)
+            self.stage.drop(e.index)
+            self._confirm_own_future(e.index)
+            if e.kind == EntryKind.CONFIG:
+                self._apply_config(int(e.payload.decode()))
         self._refresh_windows()
         self._commit_to(min(req.leader_commit, self.log.last_contiguous_index))
         self.ctx.send(frm, AppendEntriesResponse(
@@ -816,8 +787,9 @@ class Node:
 
     # -- apply -------------------------------------------------------------
 
-    def _apply_committed(self) -> None:
-        while self.persist.last_applied < self.commit_index:
+    def _commit_to(self, n: int) -> None:
+        """Commit and apply every entry up to ``n``."""
+        while self.persist.last_applied < n:
             i = self.persist.last_applied + 1
             e = self.log.entries[i]
             self.persist.last_applied = i
@@ -842,11 +814,7 @@ class Node:
             if pidx is not None:
                 p = self.pending_futures.pop(pidx, None)
                 if p is not None and not p.acked:
-                    p.acked = True
-                    self.ctx.trace("ack", detail=(
-                        f"rid={e.request_id}|kind=nt|idx={i}|origin={self.id}"))
-                    self.ctx.send_client(p.client_id,
-                                         ClientResponse(e.request_id, "Ok"))
+                    self._ack_future(p, i)
 
     # -- dispatch ----------------------------------------------------------
 

@@ -31,7 +31,7 @@ def run_scenario(sc: Scenario, seed: int | None = None,
     if protocol is not None:
         node_cfg.protocol = protocol
 
-    sim = Simulation(seed, sc.node_latency, sc.client_latency, sc.size, sc.cost)
+    sim = Simulation(seed, sc.node_latency, sc.client_latency, sc.cost)
 
     n_members = sc.initial_members if sc.initial_members is not None else sc.nodes
     members = list(range(n_members))
@@ -74,8 +74,7 @@ def run_scenario(sc: Scenario, seed: int | None = None,
     sim.finalize_trace()
 
     measured = [c for c in completions if c.end_us <= duration_us]
-    report = RunReport.build(sc.duration_s, measured, sim.stats, sim.collector,
-                             window_s=sc.metrics_window_s)
+    report = RunReport.build(sc.duration_s, measured, sim.stats, sim.collector)
     verdict = verify_trace(sim.trace)
     return RunResult(scenario=sc, seed=seed, sim=sim, report=report,
                      verdict=verdict, completions=completions)

@@ -12,7 +12,7 @@ from importlib import resources
 import yaml
 
 from .node import NodeConfig
-from .simnet import CostModel, LatencyModel, SizeModel
+from .simnet import CostModel, LatencyModel
 from .workload import ClientConfig
 
 
@@ -37,6 +37,22 @@ def _ms(v) -> int:
     return int(round(float(v) * 1000))
 
 
+def _in_range(v, name: str, low, high=None, above: bool = False):
+    """``v`` if it is at least ``low`` (above it with ``above``) and at most
+    ``high``; values outside would crash or stall a run part-way through."""
+    if not ((v > low if above else v >= low) and (high is None or v <= high)):
+        bound = f"{'>' if above else '>='} {low}"
+        if high is not None:
+            bound += f" and <= {high}"
+        raise ScenarioError(f"'{name}' must be {bound}")
+    return v
+
+
+def _positive_us(section: dict, name: str, key: str, default) -> int:
+    """A duration given in ms, as µs; it must be above zero."""
+    return _in_range(_ms(section.get(key, default)), f"{name}.{key}", 0, above=True)
+
+
 @dataclass
 class FaultEvent:
     time_s: float
@@ -59,11 +75,9 @@ class Scenario:
     nodes: int = 5
     clients: int = 8
     bootstrap_leader: int | None = 0
-    metrics_window_s: float = 1.0
     client_cfg: ClientConfig = field(default_factory=ClientConfig)
     node_latency: LatencyModel = field(default_factory=LatencyModel)
     client_latency: LatencyModel = field(default_factory=lambda: LatencyModel(0, 0, 0))
-    size: SizeModel = field(default_factory=SizeModel)
     cost: CostModel = field(default_factory=CostModel)
     node_cfg: NodeConfig = field(default_factory=NodeConfig)
     faults: list[FaultEvent] = field(default_factory=list)
@@ -73,9 +87,12 @@ class Scenario:
 
 def _latency(section: dict, name: str) -> LatencyModel:
     _take(section, name, {"mean_ms", "fluct_prob", "fluct_magnitude_ms"})
-    return LatencyModel(mean_us=_ms(section.get("mean_ms", 0)),
-                        fluct_prob=float(section.get("fluct_prob", 0.0)),
-                        fluct_magnitude_us=_ms(section.get("fluct_magnitude_ms", 0)))
+    return LatencyModel(
+        mean_us=_in_range(_ms(section.get("mean_ms", 0)), f"{name}.mean_ms", 0),
+        fluct_prob=_in_range(float(section.get("fluct_prob", 0.0)),
+                             f"{name}.fluct_prob", 0, 1),
+        fluct_magnitude_us=_in_range(_ms(section.get("fluct_magnitude_ms", 0)),
+                                     f"{name}.fluct_magnitude_ms", 0))
 
 
 def load_scenario(source) -> Scenario:
@@ -99,9 +116,9 @@ def load_scenario(source) -> Scenario:
 
 def _build(raw) -> Scenario:
     top = {"name", "protocol", "seed", "duration_s", "nodes", "clients",
-           "bootstrap_leader", "initial_members", "metrics_window_s",
-           "workload", "network", "processing", "timers", "replication",
-           "future_log", "faults", "membership_changes"}
+           "bootstrap_leader", "initial_members", "workload", "network",
+           "processing", "timers", "future_log", "faults",
+           "membership_changes"}
     _take(raw, "scenario", top)
 
     sc = Scenario(name=str(raw.get("name", "unnamed")))
@@ -109,42 +126,30 @@ def _build(raw) -> Scenario:
     if sc.protocol not in ("lcr", "raft"):
         raise ScenarioError(f"unknown protocol '{sc.protocol}'")
     sc.seed = int(raw.get("seed", 1))
-    sc.duration_s = float(raw.get("duration_s", 10.0))
+    sc.duration_s = _in_range(float(raw.get("duration_s", 10.0)), "duration_s",
+                              0, above=True)
     sc.nodes = int(raw.get("nodes", 5))
-    sc.clients = int(raw.get("clients", 8))
+    sc.clients = _in_range(int(raw.get("clients", 8)), "clients", 0)
     if "bootstrap_leader" in raw:
         b = raw["bootstrap_leader"]
         sc.bootstrap_leader = None if b is None else int(b)
-    sc.metrics_window_s = float(raw.get("metrics_window_s", 1.0))
     if raw.get("initial_members") is not None:
         sc.initial_members = int(raw["initial_members"])
 
     w = _take(raw.get("workload", {}) or {}, "workload",
-              {"nt_ratio", "payload_bytes", "request_timeout_ms",
-               "blacklist_ms", "reject_blacklist_ms", "backoff_min_ms",
-               "backoff_max_ms", "start_spread_ms", "max_requests_per_client"})
+              {"nt_ratio", "payload_bytes", "request_timeout_ms", "blacklist_ms"})
     sc.client_cfg = ClientConfig(
-        nt_ratio=float(w.get("nt_ratio", 0.0)),
+        nt_ratio=_in_range(float(w.get("nt_ratio", 0.0)), "workload.nt_ratio", 0, 1),
         payload_bytes=int(w.get("payload_bytes", 80)),
-        request_timeout_us=_ms(w.get("request_timeout_ms", 1000)),
-        blacklist_us=_ms(w.get("blacklist_ms", 2000)),
-        reject_blacklist_us=_ms(w.get("reject_blacklist_ms", 500)),
-        backoff_min_us=_ms(w.get("backoff_min_ms", 50)),
-        backoff_max_us=_ms(w.get("backoff_max_ms", 100)),
-        start_spread_us=_ms(w.get("start_spread_ms", 10)),
-        max_requests=(int(w["max_requests_per_client"])
-                      if w.get("max_requests_per_client") is not None else None))
+        request_timeout_us=_positive_us(w, "workload", "request_timeout_ms", 1000),
+        blacklist_us=_ms(w.get("blacklist_ms", 2000)))
 
     net = _take(raw.get("network", {}) or {}, "network",
-                {"node_latency", "client_latency",
-                 "message_header_bytes", "entry_header_bytes"})
+                {"node_latency", "client_latency"})
     if "node_latency" in net:
         sc.node_latency = _latency(net["node_latency"] or {}, "node_latency")
     if "client_latency" in net:
         sc.client_latency = _latency(net["client_latency"] or {}, "client_latency")
-    sc.size = SizeModel(
-        message_header_bytes=int(net.get("message_header_bytes", 48)),
-        entry_header_bytes=int(net.get("entry_header_bytes", 24)))
 
     p = _take(raw.get("processing", {}) or {}, "processing",
               {"client_request_us", "repl_request_us", "repl_response_us"})
@@ -154,26 +159,20 @@ def _build(raw) -> Scenario:
         repl_response_us=int(p.get("repl_response_us", 50)))
 
     t = _take(raw.get("timers", {}) or {}, "timers",
-              {"election_timeout_ms", "election_jitter", "heartbeat_ms",
-               "max_await_ms", "housekeeping_ms"})
-    r = _take(raw.get("replication", {}) or {}, "replication",
-              {"max_flying_requests", "max_entries_per_request"})
+              {"election_timeout_ms", "heartbeat_ms", "max_await_ms"})
     fl = _take(raw.get("future_log", {}) or {}, "future_log",
                {"window_size", "open_window_count", "step_threshold",
                 "step_timeout_ms", "step_grace_ms"})
     sc.node_cfg = NodeConfig(
         protocol=sc.protocol,
-        election_timeout_us=_ms(t.get("election_timeout_ms", 5000)),
-        election_jitter=float(t.get("election_jitter", 0.2)),
-        heartbeat_us=_ms(t.get("heartbeat_ms", 500)),
-        max_await_us=_ms(t.get("max_await_ms", 1000)),
-        housekeeping_us=_ms(t.get("housekeeping_ms", 100)),
-        max_flying=int(r.get("max_flying_requests", 16)),
-        max_entries=int(r.get("max_entries_per_request", 5000)),
-        window_size=int(fl.get("window_size", 100)),
+        election_timeout_us=_positive_us(t, "timers", "election_timeout_ms", 5000),
+        heartbeat_us=_positive_us(t, "timers", "heartbeat_ms", 500),
+        max_await_us=_positive_us(t, "timers", "max_await_ms", 1000),
+        window_size=_in_range(int(fl.get("window_size", 100)),
+                              "future_log.window_size", 1),
         open_window_count=int(fl.get("open_window_count", 2)),
         step_threshold=int(fl.get("step_threshold", 400)),
-        step_timeout_us=_ms(fl.get("step_timeout_ms", 1000)),
+        step_timeout_us=_positive_us(fl, "future_log", "step_timeout_ms", 1000),
         step_grace_us=_ms(fl.get("step_grace_ms", 50)))
 
     for f in raw.get("faults", []) or []:

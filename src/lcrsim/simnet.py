@@ -39,12 +39,6 @@ class LatencyModel:
 
 
 @dataclass(slots=True)
-class SizeModel:
-    message_header_bytes: int = 48
-    entry_header_bytes: int = 24
-
-
-@dataclass(slots=True)
 class CostModel:
     client_request_us: int = 50
     repl_request_us: int = 0
@@ -67,7 +61,6 @@ class NodeStats:
     sent_bytes: int = 0
     recv_bytes: int = 0
     retrans_bytes: int = 0
-    dropped_msgs: int = 0
     dropped_bytes: int = 0
     busy_us: int = 0
     staged_bytes_peak: int = 0
@@ -82,7 +75,6 @@ class _NodeCtx:
         self.incarnation = incarnation
         self.now = sim.now
         self.rng = random.Random(f"{sim.seed}:node:{node_id}:{incarnation}")
-        self.entry_header_bytes = sim.size.entry_header_bytes
 
     def send(self, to: int, msg, retransmit: bool = False) -> None:
         self.sim.node_send(self.node_id, to, msg, retransmit)
@@ -115,13 +107,11 @@ class _ClientCtx:
 
 class Simulation:
     def __init__(self, seed: int, node_latency: LatencyModel,
-                 client_latency: LatencyModel, size: SizeModel | None = None,
-                 cost: CostModel | None = None):
+                 client_latency: LatencyModel, cost: CostModel | None = None):
         self.seed = seed
         self.rng = random.Random(f"{seed}:net")
         self.node_latency = node_latency
         self.client_latency = client_latency
-        self.size = size or SizeModel()
         self.cost = cost or CostModel()
 
         self.now = 0
@@ -184,15 +174,13 @@ class Simulation:
         return type(msg).__name__
 
     def node_send(self, frm: int, to: int, msg, retransmit: bool) -> None:
-        nbytes = message_bytes(msg, message_header=self.size.message_header_bytes,
-                               entry_header=self.size.entry_header_bytes)
+        nbytes = message_bytes(msg)
         st = self.stats[frm]
         st.sent_msgs += 1
         st.sent_bytes += nbytes
         if retransmit:
             st.retrans_bytes += nbytes
         if frm in self.isolated or to in self.isolated:
-            st.dropped_msgs += 1
             st.dropped_bytes += nbytes
             self.record(self.now, "drop", frm, to, self._msg_kind(msg), nbytes,
                         "partitioned_at_send")
@@ -202,21 +190,18 @@ class Simulation:
         self._push(self.now + delay, self._handle_at_node, to, frm, msg, nbytes)
 
     def node_send_client(self, frm: int, client_id: str, resp) -> None:
-        nbytes = message_bytes(resp, message_header=self.size.message_header_bytes,
-                               entry_header=self.size.entry_header_bytes)
+        nbytes = message_bytes(resp)
         st = self.stats[frm]
         st.sent_msgs += 1
         st.sent_bytes += nbytes
         if frm in self.isolated:
-            st.dropped_msgs += 1
             st.dropped_bytes += nbytes
             return
         delay = self.client_latency.sample(self.rng)
         self._push(self.now + delay, self._deliver_to_client, client_id, resp)
 
     def client_send(self, client_id: str, to: int, msg) -> None:
-        nbytes = message_bytes(msg, message_header=self.size.message_header_bytes,
-                               entry_header=self.size.entry_header_bytes)
+        nbytes = message_bytes(msg)
         delay = self.client_latency.sample(self.rng)
         self._push(self.now + delay, self._handle_at_node, to, client_id, msg, nbytes)
 
@@ -266,14 +251,12 @@ class Simulation:
 
     def _handle_at_node(self, node_id: int, frm, msg, nbytes: int) -> None:
         if not self.alive.get(node_id):
-            self.stats[node_id].dropped_msgs += 1
             self.stats[node_id].dropped_bytes += nbytes
             self.record(self.now, "drop", frm, node_id, self._msg_kind(msg),
                         nbytes, "target_down")
             return
         if node_id in self.isolated or \
                 (isinstance(frm, int) and frm in self.isolated):
-            self.stats[node_id].dropped_msgs += 1
             self.stats[node_id].dropped_bytes += nbytes
             self.record(self.now, "drop", frm, node_id, self._msg_kind(msg),
                         nbytes, "partitioned_at_delivery")
@@ -288,10 +271,7 @@ class Simulation:
         node = self.nodes[node_id]
         ctx = self.node_ctx[node_id]
         ctx.now = done
-        if isinstance(frm, str):
-            node.handle_client_request(msg)
-        else:
-            node.on_message(frm, msg)
+        node.on_message(frm, msg)
         st.staged_bytes_peak = max(st.staged_bytes_peak, node.staged_bytes_peak)
 
     def _fire_node_timer(self, node_id: int, incarnation: int, name: str,

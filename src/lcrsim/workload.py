@@ -15,6 +15,10 @@ from .kv import encode_insert, encode_transfer
 from .messages import ClientRequest
 
 ACCOUNT_POOL = 64
+REJECT_BLACKLIST_US = 500_000
+BACKOFF_MIN_US = 50_000
+BACKOFF_MAX_US = 100_000
+START_SPREAD_US = 10_000
 
 
 def kind_of_rid(rid: str) -> str:
@@ -48,11 +52,6 @@ class ClientConfig:
     payload_bytes: int = 80
     request_timeout_us: int = 1_000_000
     blacklist_us: int = 2_000_000
-    reject_blacklist_us: int = 500_000
-    backoff_min_us: int = 50_000
-    backoff_max_us: int = 100_000
-    start_spread_us: int = 10_000
-    max_requests: int | None = None
     stop_at_us: int | None = None   # quiesce point; set by the runner
 
 
@@ -74,7 +73,7 @@ class ClosedLoopClient:
 
     def on_start(self, ctx) -> None:
         ctx.rng.shuffle(self.targets)
-        delay = ctx.rng.randrange(self.cfg.start_spread_us + 1)
+        delay = ctx.rng.randrange(START_SPREAD_US + 1)
         ctx.set_timer("begin", delay)
 
     def _pick_target(self, ctx) -> int:
@@ -84,9 +83,6 @@ class ClosedLoopClient:
         return pool[(self.seq + self.attempts) % len(pool)]
 
     def _next_request(self, ctx) -> None:
-        if self.cfg.max_requests is not None and self.seq >= self.cfg.max_requests:
-            self.current_rid = None
-            return
         if self.cfg.stop_at_us is not None and ctx.now >= self.cfg.stop_at_us:
             self.current_rid = None
             return
@@ -131,10 +127,9 @@ class ClosedLoopClient:
             # only briefly — unlike a timeout, which suggests it is dead.
             self.blacklist[self.current_target] = max(
                 self.blacklist.get(self.current_target, 0),
-                ctx.now + self.cfg.reject_blacklist_us)
+                ctx.now + REJECT_BLACKLIST_US)
             self.timeout_at = -1
-            back = ctx.rng.randrange(self.cfg.backoff_min_us,
-                                     self.cfg.backoff_max_us + 1)
+            back = ctx.rng.randrange(BACKOFF_MIN_US, BACKOFF_MAX_US + 1)
             ctx.set_timer("retry", back)
 
     def on_timer(self, ctx, name: str) -> None:

@@ -238,11 +238,3 @@ class TestUnifiedLog:
                        commit_index=2)
         with pytest.raises(CommittedMutation):
             log.truncate_from(2, commit_index=2)
-
-    def test_dump_round_trip_fields(self):
-        log = UnifiedLog()
-        e = fe(7)
-        e.payload = b"\x01\x02"
-        log.append(e)
-        (line,) = log.dump_lines()
-        assert line == "7,1,5,FUTURE,2,r,0102"

@@ -13,8 +13,6 @@ from lcrsim.node import FOLLOWER, LEADER, Node, NodeConfig
 
 
 class FakeCtx:
-    entry_header_bytes = 24
-
     def __init__(self):
         self.now = 0
         self.rng = random.Random(0)
@@ -404,6 +402,27 @@ class TestStepFill:
         before = n.log.last_contiguous_index
         n._step_fill()
         assert n.log.last_contiguous_index == before
+
+    def test_fills_only_below_newest_eligible_future(self):
+        cfg = NodeConfig(step_threshold=4, step_grace_us=1000)
+        n, ctx = make_leader(cfg)
+        n.ctx.now = 10_000
+        n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
+                                  origin=4, generation=5, request_id="c9.1.nt"))
+        n.ctx.now = 19_500
+        n._integrate_future(Entry(index=15, term=n.term, kind=EntryKind.FUTURE,
+                                  origin=0, generation=5, request_id="c9.2.nt"))
+        # 9 was past its grace and got filled up to; 15 is not yet
+        assert n.log.last_contiguous_index == 9
+        assert not any(n.log.occupied(j) for j in range(10, 15))
+        n.ctx.now = 19_900
+        before = dict(n.log.entries)
+        n._step_fill()
+        assert n.log.entries == before
+        n.ctx.now = 20_600
+        n._step_fill()
+        assert n.log.last_contiguous_index == 15
+        assert all(n.log.get(j).kind == EntryKind.NOOP_FILL for j in range(10, 15))
 
 
 class TestElections:

@@ -40,6 +40,9 @@ class TestLoader:
         ("workload", "typo_ratio"),
         ("processing", "contention_window_us"),
         ("future_log", "reconcile_on_election"),
+        ("timers", "election_jitter"),
+        ("network", "entry_header_bytes"),
+        ("workload", "max_requests_per_client"),
     ])
     def test_unknown_section_key(self, section, key):
         with pytest.raises(ScenarioError, match=key):
@@ -62,8 +65,33 @@ class TestLoader:
          "membership change"),
         ("nodes: abc\n", "abc"),
         ("faults: [3]\n", "faults"),
+        # values that would stall virtual time or crash a run part-way through
+        ("future_log: {window_size: 0}\n", "window_size"),
+        ("timers: {heartbeat_ms: 0}\n", "heartbeat_ms"),
+        ("timers: {heartbeat_ms: -1}\n", "heartbeat_ms"),
+        ("timers: {election_timeout_ms: 0}\n", "election_timeout_ms"),
+        ("timers: {election_timeout_ms: -1}\n", "election_timeout_ms"),
+        ("timers: {max_await_ms: 0}\n", "max_await_ms"),
+        ("future_log: {step_timeout_ms: 0}\n", "step_timeout_ms"),
+        ("workload: {request_timeout_ms: 0}\n", "request_timeout_ms"),
+        ("workload: {request_timeout_ms: -1}\n", "request_timeout_ms"),
+        ("network:\n  node_latency: {mean_ms: -1}\n", "mean_ms"),
+        ("network:\n  client_latency: {mean_ms: 1, fluct_magnitude_ms: -1}\n",
+         "fluct_magnitude_ms"),
+        ("network:\n  node_latency: {mean_ms: 1, fluct_prob: 1.5}\n", "fluct_prob"),
+        ("workload: {nt_ratio: -0.1}\n", "nt_ratio"),
+        ("workload: {nt_ratio: .nan}\n", "nt_ratio"),
+        ("clients: -1\n", "clients"),
+        ("duration_s: 0\n", "duration_s"),
     ], ids=["fault-no-action", "fault-node-out-of-range",
-            "membership-above-nodes", "nodes-not-int", "fault-not-mapping"])
+            "membership-above-nodes", "nodes-not-int", "fault-not-mapping",
+            "window-size-zero", "heartbeat-zero", "heartbeat-negative",
+            "election-timeout-zero", "election-timeout-negative",
+            "max-await-zero", "step-timeout-zero", "request-timeout-zero",
+            "request-timeout-negative", "latency-negative",
+            "fluct-magnitude-negative", "fluct-prob-above-one",
+            "nt-ratio-negative", "nt-ratio-nan", "clients-negative",
+            "duration-zero"])
     def test_malformed_input(self, text, match):
         with pytest.raises(ScenarioError, match=match):
             load_scenario("name: x\n" + text)

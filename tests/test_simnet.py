@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from lcrsim.logcore import Entry, EntryKind
 from lcrsim.messages import (AppendEntriesRequest, ClientRequest,
                              FutureReplicateRequest, message_bytes)
@@ -47,18 +49,18 @@ class TestSizeModel:
                                    prev_log_index=0, prev_log_term=0,
                                    entries=[e_full, e_sig, e_noop],
                                    leader_commit=0, seq=1)
-        assert message_bytes(req, message_header=48, entry_header=24) == \
+        assert message_bytes(req) == \
             48 + (24 + 80) + 24 + 24
 
     def test_future_request_carries_payload(self):
         fe = Entry(index=7, term=1, kind=EntryKind.FUTURE, payload=b"y" * 10)
         req = FutureReplicateRequest(term=1, generation=5, future_entries=[fe])
-        assert message_bytes(req, message_header=48, entry_header=24) == 48 + 34
+        assert message_bytes(req) == 48 + 34
 
     def test_client_request_payload(self):
         req = ClientRequest(request_id="r", kind="t", payload=b"z" * 30,
                             client_id="c")
-        assert message_bytes(req, message_header=48, entry_header=24) == 78
+        assert message_bytes(req) == 78
 
 
 class TestCostModel:
@@ -76,6 +78,19 @@ class TestCostModel:
         sc.cost = CostModel(client_request_us=200, repl_response_us=200)
         r = run_scenario(sc, drain_s=0.5)
         assert all(st.busy_us > 0 for st in r.sim.stats.values())
+
+
+class TestNodeClock:
+    @pytest.mark.xfail(strict=True, reason=(
+        "a node handles a delivery at max(arrival, busy_until) + cost, but its "
+        "sends are stamped and scheduled at the arrival time, so queueing and "
+        "processing shift its timers and apply/ack stamps but never delay a "
+        "message: 296 of 6741 trace lines on TINY are earlier than the line "
+        "before them"))
+    def test_trace_times_never_decrease(self):
+        r = run_scenario(load_scenario(TINY))
+        times = [int(line.split(",", 1)[0]) for line in r.sim.trace]
+        assert all(a <= b for a, b in zip(times, times[1:]))
 
 
 class TestDeterminism:
@@ -102,7 +117,7 @@ class TestFaults:
         faults = [l for l in r.sim.trace if ",fault," in l]
         assert any("crash" in f for f in faults)
         assert any("restart" in f for f in faults)
-        assert r.sim.stats[2].dropped_msgs > 0
+        assert r.sim.stats[2].dropped_bytes > 0
         # restarted node caught up with the rest
         assert r.sim.nodes[2].persist.last_applied > 0
 

@@ -5,8 +5,7 @@ import tracemalloc
 import pytest
 
 from lcrsim.kv import KvStateMachine, encode_insert, encode_transfer
-from lcrsim.metrics import (RunReport, TraceCollector, predict_nt_response_us,
-                            predict_t_response_us)
+from lcrsim.metrics import RunReport, TraceCollector
 from lcrsim.simnet import NodeStats
 from lcrsim.verify import parse_trace, verify_trace
 from lcrsim.workload import Completion, kind_of_rid, payload_for_rid
@@ -65,18 +64,6 @@ class TestRequestIdentity:
 
     def test_padding_to_size(self):
         assert len(payload_for_rid("c1.5.nt", 200)) == 200
-
-
-class TestPredictors:
-    def test_follower_acknowledged_floor(self):
-        assert predict_nt_response_us(0, 5000) == 10_000
-
-    def test_leader_committed_floor(self):
-        assert predict_t_response_us(0, 5000, via_leader=False) == 20_000
-        assert predict_t_response_us(0, 5000, via_leader=True) == 10_000
-
-    def test_overhead_terms(self):
-        assert predict_nt_response_us(100, 5000, proc_us=50, disk_us=20) == 10_270
 
 
 def _completion(rid, kind, start, end):
