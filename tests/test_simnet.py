@@ -7,8 +7,9 @@ import pytest
 from lcrsim.logcore import Entry, EntryKind
 from lcrsim.messages import (AppendEntriesRequest, ClientRequest,
                              FutureReplicateRequest, message_bytes)
-from lcrsim.scenario import load_scenario
-from lcrsim.simnet import CostModel, LatencyModel, NodeStats, Simulation
+from lcrsim.node import Node
+from lcrsim.scenario import FaultEvent, load_scenario
+from lcrsim.simnet import CostModel, LatencyModel, NodeStats, Simulation, _NodeCtx
 from lcrsim.runner import run_scenario
 
 TINY = """
@@ -110,7 +111,6 @@ class TestFaults:
     def test_crash_drops_deliveries_then_restart_recovers(self):
         sc = load_scenario(TINY)
         sc.duration_s = 3.0
-        from lcrsim.scenario import FaultEvent
         sc.faults = [FaultEvent(0.5, "crash", 2), FaultEvent(1.5, "restart", 2)]
         r = run_scenario(sc)
         assert r.verdict.ok, r.verdict.errors[:3]
@@ -124,7 +124,6 @@ class TestFaults:
     def test_partition_drops_both_directions(self):
         sc = load_scenario(TINY)
         sc.duration_s = 2.0
-        from lcrsim.scenario import FaultEvent
         sc.faults = [FaultEvent(0.5, "disconnect", 1),
                      FaultEvent(1.2, "reconnect", 1)]
         r = run_scenario(sc)
@@ -136,7 +135,6 @@ class TestFaults:
         sc = load_scenario(TINY)
         sc.duration_s = 9.0
         sc.client_cfg.request_timeout_us = 300_000
-        from lcrsim.scenario import FaultEvent
         sc.faults = [FaultEvent(1.0, "crash", 0)]
         r = run_scenario(sc)
         assert r.verdict.ok, r.verdict.errors[:3]
@@ -144,3 +142,31 @@ class TestFaults:
         assert leader is not None and leader.id != 0
         late = [c for c in r.completions if c.end_us > 8_000_000]
         assert late, "cluster should make progress under the new leader"
+
+    def test_restarted_node_runs_only_its_own_timers(self, monkeypatch):
+        # node 1 restarts while it is up, so timers its old incarnation set
+        # are still pending; node 2 restarts after a crash
+        sc = load_scenario(TINY)
+        sc.duration_s = 2.0
+        sc.faults = [FaultEvent(0.3, "restart", 1), FaultEvent(0.5, "crash", 2),
+                     FaultEvent(0.9, "restart", 2)]
+        set_by = set()
+        fired = []
+        set_timer, on_timer = _NodeCtx.set_timer, Node.on_timer
+
+        def logged_set_timer(ctx, name, delay_us):
+            set_by.add((ctx, name, ctx.now + max(0, int(delay_us))))
+            set_timer(ctx, name, delay_us)
+
+        def logged_on_timer(node, name):
+            fired.append((node.ctx, name, node.ctx.sim.now))
+            on_timer(node, name)
+
+        monkeypatch.setattr(_NodeCtx, "set_timer", logged_set_timer)
+        monkeypatch.setattr(Node, "on_timer", logged_on_timer)
+        r = run_scenario(sc)
+        assert r.verdict.ok, r.verdict.errors[:3]
+        assert fired
+        stray = [(ctx.node_id, name, t) for ctx, name, t in fired
+                 if (ctx, name, t) not in set_by]
+        assert not stray
