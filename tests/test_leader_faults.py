@@ -4,7 +4,12 @@ Each case runs in both protocol modes and must pass the trace verifier. Before
 integrated future entries were stamped with the sequencing leader's term, two
 leaders could log different entries at the same (index, term), and the LCR
 runs below failed ``applied_prefix`` or ``ack_durability``.
+
+``fuzz_case`` is the leader-biased fault generator the pinned cases came from;
+a slice of its seeds runs here too.
 """
+
+import random
 
 import pytest
 
@@ -50,9 +55,34 @@ ACKED_ABOVE_GAP = pytest.mark.xfail(strict=True, reason=(
     "the term-1 future at 1163 stays above them on all five nodes, so this "
     "acked entry never commits once the clients stop"))
 
+# The only fuzz seeds in 1..400 that fail, all in LCR mode on ack_durability.
+FUZZ_ACKED_NEVER_COMMITS = pytest.mark.xfail(strict=True, reason=(
+    "an acked older-term future above the new leader's barrier never "
+    "commits once the clients stop, as in case 116"))
 
-def _scenario(seed: int):
-    lat, nt, faults = CASES[seed]
+
+def fuzz_case(seed: int):
+    """(node latency ms, nt ratio, faults) for one fuzz seed.
+
+    The draws come in this order, so that a seed names the same scenario
+    wherever it is quoted: latency, nt ratio, the number of faults, then per
+    fault its node (the leader, node 0, twice as likely), start, length and
+    kind. Each fault is a crash/restart or disconnect/reconnect pair."""
+    r = random.Random(seed * 7919)
+    lat = round(r.uniform(2, 9), 2)
+    nt = round(r.uniform(0.2, 0.7), 2)
+    faults = []
+    for _ in range(r.randint(1, 4)):
+        node = r.choice([0, 0, 1, 2, 3, 4])
+        start = round(r.uniform(0.3, 3.0), 2)
+        length = round(r.uniform(0.3, 1.0), 2)
+        down, up = r.choice([("crash", "restart"), ("disconnect", "reconnect")])
+        faults += [(start, down, node), (round(start + length, 2), up, node)]
+    return lat, nt, faults
+
+
+def _scenario(seed: int, case=None):
+    lat, nt, faults = case or CASES[seed]
     lines = [f"  - {{time_s: {t}, action: {a}, node: {n}}}" for t, a, n in faults]
     return load_scenario(TMPL.format(seed=seed, lat=lat, nt=nt,
                                      faults="\n".join(lines)))
@@ -69,4 +99,21 @@ def test_verifier_passes(seed, protocol):
                                       "raft"])
 def test_acked_future_above_filled_gap(protocol):
     result = run_scenario(_scenario(116), protocol=protocol, drain_s=1.2)
+    assert result.verdict.ok, result.verdict.errors[:2]
+
+
+@pytest.mark.parametrize("protocol", ["lcr", "raft"])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_fuzz_verifier_passes(seed, protocol):
+    result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
+                          drain_s=1.2)
+    assert result.verdict.ok, result.verdict.errors[:2]
+
+
+@pytest.mark.parametrize("protocol", [
+    pytest.param("lcr", marks=FUZZ_ACKED_NEVER_COMMITS), "raft"])
+@pytest.mark.parametrize("seed", [25, 108, 299])
+def test_fuzz_acked_future_above_barrier(seed, protocol):
+    result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
+                          drain_s=1.2)
     assert result.verdict.ok, result.verdict.errors[:2]
