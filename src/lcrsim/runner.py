@@ -40,35 +40,24 @@ def run_scenario(sc: Scenario, seed: int | None = None,
                      bootstrap_leader=(nid == sc.bootstrap_leader))
 
     duration_us = int(sc.duration_s * 1_000_000)
-    client_cfg = dataclasses.replace(sc.client_cfg, stop_at_us=duration_us)
     completions: list[Completion] = []
     for i in range(sc.clients):
-        sim.add_client(ClosedLoopClient(f"c{i}", client_cfg, members, completions))
+        sim.add_client(ClosedLoopClient(f"c{i}", sc.client_cfg, members,
+                                        completions, duration_us))
 
     for f in sc.faults:
-        t = int(f.time_s * 1_000_000)
-        if f.action == "crash":
-            sim.schedule(t, lambda n=f.node: sim.crash(n))
-        elif f.action == "restart":
-            sim.schedule(t, lambda n=f.node: sim.restart(n, node_cfg))
-        elif f.action == "disconnect":
-            sim.schedule(t, lambda n=f.node: sim.disconnect(n))
-        elif f.action == "reconnect":
-            sim.schedule(t, lambda n=f.node: sim.reconnect(n))
+        sim.schedule(int(f.time_s * 1_000_000), getattr(sim, f.action), f.node)
 
     def _membership_change(new_size: int) -> None:
         leader = sim.current_leader()
-        if leader is None or len(leader.membership) >= new_size:
-            if leader is None:  # no leader yet; try again shortly
-                sim.schedule(sim.now + 100_000,
-                             lambda: _membership_change(new_size))
-            return
-        sim.record(sim.now, "admin", detail=f"grow_to={new_size}")
-        leader.request_membership_change(new_size)
+        if leader is None:  # no leader yet; try again shortly
+            sim.schedule(sim.now + 100_000, _membership_change, new_size)
+        elif len(leader.membership) < new_size:
+            sim.record(sim.now, "admin", detail=f"grow_to={new_size}")
+            leader.request_membership_change(new_size)
 
     for m in sc.membership_changes:
-        sim.schedule(int(m.time_s * 1_000_000),
-                     lambda s=m.new_size: _membership_change(s))
+        sim.schedule(int(m.time_s * 1_000_000), _membership_change, m.new_size)
 
     sim.run(duration_us + int(drain_s * 1_000_000))
     sim.finalize_trace()

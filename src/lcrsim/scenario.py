@@ -69,7 +69,6 @@ class MembershipChange:
 @dataclass
 class Scenario:
     name: str
-    protocol: str = "lcr"
     seed: int = 1
     duration_s: float = 10.0
     nodes: int = 5
@@ -122,9 +121,9 @@ def _build(raw) -> Scenario:
     _take(raw, "scenario", top)
 
     sc = Scenario(name=str(raw.get("name", "unnamed")))
-    sc.protocol = str(raw.get("protocol", "lcr"))
-    if sc.protocol not in ("lcr", "raft"):
-        raise ScenarioError(f"unknown protocol '{sc.protocol}'")
+    protocol = str(raw.get("protocol", "lcr"))
+    if protocol not in ("lcr", "raft"):
+        raise ScenarioError(f"unknown protocol '{protocol}'")
     sc.seed = int(raw.get("seed", 1))
     sc.duration_s = _in_range(float(raw.get("duration_s", 10.0)), "duration_s",
                               0, above=True)
@@ -164,7 +163,7 @@ def _build(raw) -> Scenario:
                {"window_size", "open_window_count", "step_threshold",
                 "step_timeout_ms", "step_grace_ms"})
     sc.node_cfg = NodeConfig(
-        protocol=sc.protocol,
+        protocol=protocol,
         election_timeout_us=_positive_us(t, "timers", "election_timeout_ms", 5000),
         heartbeat_us=_positive_us(t, "timers", "heartbeat_ms", 500),
         max_await_us=_positive_us(t, "timers", "max_await_ms", 1000),

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientRequest,
                        ClientResponse, ForwardedRequest, ForwardedResponse,
@@ -67,13 +67,18 @@ class NodeStats:
 
 
 class _NodeCtx:
-    """Per-node adapter through which the protocol code touches the world."""
+    """One incarnation of a node: the harness's record of it, and the adapter
+    through which the protocol code touches the world. A restart replaces
+    the record, so timers and clock of the old incarnation die with it."""
 
     def __init__(self, sim: "Simulation", node_id: int, incarnation: int):
         self.sim = sim
         self.node_id = node_id
         self.incarnation = incarnation
+        self.alive = True
+        self.busy_until = sim.now
         self.now = sim.now
+        self.timers: dict[str, int] = {}    # name -> latest fire time
         self.rng = random.Random(f"{sim.seed}:node:{node_id}:{incarnation}")
 
     def send(self, to: int, msg, retransmit: bool = False) -> None:
@@ -83,26 +88,34 @@ class _NodeCtx:
         self.sim.node_send_client(self.node_id, client_id, resp)
 
     def set_timer(self, name: str, delay_us: int) -> None:
-        self.sim.set_node_timer(self.node_id, self.incarnation, name,
-                                self.now + max(0, int(delay_us)))
+        fire_at = self.now + max(0, int(delay_us))
+        self.timers[name] = fire_at
+        self.sim.schedule(fire_at, self.sim._fire_node_timer, self, name, fire_at)
 
     def trace(self, kind: str, detail: str = "") -> None:
         self.sim.record(self.now, kind, frm=self.node_id, detail=detail)
 
 
 class _ClientCtx:
-    def __init__(self, sim: "Simulation", client_id: str):
+    """The harness's record of one client, and its adapter to the world."""
+
+    def __init__(self, sim: "Simulation", client):
         self.sim = sim
-        self.client_id = client_id
-        self.now = sim.now
-        self.rng = random.Random(f"{sim.seed}:client:{client_id}")
+        self.client = client
+        self.timers: dict[str, int] = {}    # name -> latest fire time
+        self.rng = random.Random(f"{sim.seed}:client:{client.client_id}")
+
+    @property
+    def now(self) -> int:
+        return self.sim.now
 
     def send(self, node_id: int, msg) -> None:
-        self.sim.client_send(self.client_id, node_id, msg)
+        self.sim.client_send(self.client.client_id, node_id, msg)
 
     def set_timer(self, name: str, delay_us: int) -> None:
-        self.sim.set_client_timer(self.client_id, name,
-                                  self.now + max(0, int(delay_us)))
+        fire_at = self.now + max(0, int(delay_us))
+        self.timers[name] = fire_at
+        self.sim.schedule(fire_at, self.sim._fire_client_timer, self, name, fire_at)
 
 
 class Simulation:
@@ -119,18 +132,12 @@ class Simulation:
         self._heap: list = []
         self.trace: list[str] = []
 
-        self.nodes: dict[int, Node] = {}
-        self.node_ctx: dict[int, _NodeCtx] = {}
-        self.incarnation: dict[int, int] = {}
-        self.alive: dict[int, bool] = {}
+        self.nodes: dict[int, Node] = {}      # node.ctx: its current incarnation
         self.isolated: set[int] = set()
-        self.busy_until: dict[int, int] = {}
-        self.stats: dict[int, NodeStats] = {}
-        self.node_timers: dict[tuple[int, str], int] = {}
+        self.stats: dict[int, NodeStats] = {}   # over all incarnations
 
         self.clients: dict[str, object] = {}
         self.client_ctx: dict[str, _ClientCtx] = {}
-        self.client_timers: dict[tuple[str, str], int] = {}
 
         self.collector = TraceCollector()   # sees every recorded event
 
@@ -139,12 +146,8 @@ class Simulation:
     def add_node(self, node_id: int, membership: list[int], cfg: NodeConfig,
                  bootstrap_leader: bool = False,
                  persist: PersistentState | None = None) -> Node:
-        inc = self.incarnation.get(node_id, -1) + 1
-        self.incarnation[node_id] = inc
-        ctx = _NodeCtx(self, node_id, inc)
-        self.node_ctx[node_id] = ctx
-        self.alive[node_id] = True
-        self.busy_until.setdefault(node_id, self.now)
+        old = self.nodes.get(node_id)
+        ctx = _NodeCtx(self, node_id, old.ctx.incarnation + 1 if old else 0)
         self.stats.setdefault(node_id, NodeStats())
         node = Node(node_id, membership, cfg, ctx, persist=persist,
                     bootstrap_leader=bootstrap_leader)
@@ -153,14 +156,14 @@ class Simulation:
 
     def add_client(self, client) -> None:
         self.clients[client.client_id] = client
-        ctx = _ClientCtx(self, client.client_id)
+        ctx = _ClientCtx(self, client)
         self.client_ctx[client.client_id] = ctx
-        self._push(self.now, self._start_client, client.client_id)
+        self.schedule(self.now, client.on_start, ctx)
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: int, handler, *args) -> None:
-        """Schedule ``handler(*args)`` at ``time``."""
+    def schedule(self, time: int, handler, *args) -> None:
+        """Run ``handler(*args)`` at ``time``."""
         self._seq += 1
         heapq.heappush(self._heap, (time, self._seq, handler, args))
 
@@ -168,10 +171,6 @@ class Simulation:
                nbytes: int = 0, detail: str = "") -> None:
         self.trace.append(f"{time},{kind},{frm},{to},{msg_kind},{nbytes},{detail}")
         self.collector(kind, time, frm, detail)
-
-    @staticmethod
-    def _msg_kind(msg) -> str:
-        return type(msg).__name__
 
     def node_send(self, frm: int, to: int, msg, retransmit: bool) -> None:
         nbytes = message_bytes(msg)
@@ -182,12 +181,12 @@ class Simulation:
             st.retrans_bytes += nbytes
         if frm in self.isolated or to in self.isolated:
             st.dropped_bytes += nbytes
-            self.record(self.now, "drop", frm, to, self._msg_kind(msg), nbytes,
+            self.record(self.now, "drop", frm, to, type(msg).__name__, nbytes,
                         "partitioned_at_send")
             return
-        self.record(self.now, "send", frm, to, self._msg_kind(msg), nbytes)
+        self.record(self.now, "send", frm, to, type(msg).__name__, nbytes)
         delay = self.node_latency.sample(self.rng)
-        self._push(self.now + delay, self._handle_at_node, to, frm, msg, nbytes)
+        self.schedule(self.now + delay, self._handle_at_node, to, frm, msg, nbytes)
 
     def node_send_client(self, frm: int, client_id: str, resp) -> None:
         nbytes = message_bytes(resp)
@@ -198,37 +197,25 @@ class Simulation:
             st.dropped_bytes += nbytes
             return
         delay = self.client_latency.sample(self.rng)
-        self._push(self.now + delay, self._deliver_to_client, client_id, resp)
+        ctx = self.client_ctx[client_id]
+        self.schedule(self.now + delay, ctx.client.on_response, ctx, resp)
 
     def client_send(self, client_id: str, to: int, msg) -> None:
         nbytes = message_bytes(msg)
         delay = self.client_latency.sample(self.rng)
-        self._push(self.now + delay, self._handle_at_node, to, client_id, msg, nbytes)
-
-    def set_node_timer(self, node_id: int, incarnation: int, name: str,
-                       fire_at: int) -> None:
-        self.node_timers[(node_id, name)] = fire_at
-        self._push(fire_at, self._fire_node_timer, node_id, incarnation, name, fire_at)
-
-    def set_client_timer(self, client_id: str, name: str, fire_at: int) -> None:
-        self.client_timers[(client_id, name)] = fire_at
-        self._push(fire_at, self._fire_client_timer, client_id, name, fire_at)
+        self.schedule(self.now + delay, self._handle_at_node, to, client_id, msg, nbytes)
 
     # -- faults and admin --------------------------------------------------
 
-    def schedule(self, time_us: int, fn) -> None:
-        """Run an arbitrary callable at a point in virtual time."""
-        self._push(time_us, fn)
-
     def crash(self, node_id: int) -> None:
-        self.alive[node_id] = False
+        self.nodes[node_id].ctx.alive = False
         self.record(self.now, "fault", frm=node_id, detail="crash")
 
-    def restart(self, node_id: int, cfg: NodeConfig) -> None:
+    def restart(self, node_id: int) -> None:
         old = self.nodes[node_id]
+        old.ctx.alive = False
         self.record(self.now, "fault", frm=node_id, detail="restart")
-        self.busy_until[node_id] = self.now
-        self.add_node(node_id, old.persist.membership, cfg,
+        self.add_node(node_id, old.persist.membership, old.cfg,
                       persist=old.persist)
 
     def disconnect(self, node_id: int) -> None:
@@ -242,7 +229,7 @@ class Simulation:
     def current_leader(self):
         best = None
         for n in self.nodes.values():
-            if self.alive.get(n.id) and n.role == "leader":
+            if n.ctx.alive and n.role == "leader":
                 if best is None or n.term > best.term:
                     best = n
         return best
@@ -250,54 +237,33 @@ class Simulation:
     # -- execution ---------------------------------------------------------
 
     def _handle_at_node(self, node_id: int, frm, msg, nbytes: int) -> None:
-        if not self.alive.get(node_id):
-            self.stats[node_id].dropped_bytes += nbytes
-            self.record(self.now, "drop", frm, node_id, self._msg_kind(msg),
-                        nbytes, "target_down")
-            return
-        if node_id in self.isolated or \
-                (isinstance(frm, int) and frm in self.isolated):
-            self.stats[node_id].dropped_bytes += nbytes
-            self.record(self.now, "drop", frm, node_id, self._msg_kind(msg),
-                        nbytes, "partitioned_at_delivery")
-            return
-        st = self.stats[node_id]
-        st.recv_bytes += nbytes
-        self.record(self.now, "deliver", frm, node_id, self._msg_kind(msg), nbytes)
-        cost = self.cost.cost_of(msg)
-        done = max(self.now, self.busy_until[node_id]) + cost
-        self.busy_until[node_id] = done
-        st.busy_us += cost
         node = self.nodes[node_id]
-        ctx = self.node_ctx[node_id]
-        ctx.now = done
+        ctx = node.ctx
+        st = self.stats[node_id]
+        reason = ("target_down" if not ctx.alive else
+                  "partitioned_at_delivery"
+                  if node_id in self.isolated or frm in self.isolated else None)
+        if reason:
+            st.dropped_bytes += nbytes
+            self.record(self.now, "drop", frm, node_id, type(msg).__name__,
+                        nbytes, reason)
+            return
+        st.recv_bytes += nbytes
+        self.record(self.now, "deliver", frm, node_id, type(msg).__name__, nbytes)
+        cost = self.cost.cost_of(msg)
+        ctx.now = ctx.busy_until = max(self.now, ctx.busy_until) + cost
+        st.busy_us += cost
         node.on_message(frm, msg)
         st.staged_bytes_peak = max(st.staged_bytes_peak, node.staged_bytes_peak)
 
-    def _fire_node_timer(self, node_id: int, incarnation: int, name: str,
-                         fire_at: int) -> None:
-        if (self.alive.get(node_id) and self.incarnation.get(node_id) == incarnation
-                and self.node_timers.get((node_id, name)) == fire_at):
-            self.node_ctx[node_id].now = self.now
-            self.nodes[node_id].on_timer(name)
+    def _fire_node_timer(self, ctx: _NodeCtx, name: str, fire_at: int) -> None:
+        if ctx.alive and ctx.timers.get(name) == fire_at:
+            ctx.now = self.now
+            self.nodes[ctx.node_id].on_timer(name)
 
-    def _client(self, client_id: str):
-        ctx = self.client_ctx[client_id]
-        ctx.now = self.now
-        return self.clients[client_id], ctx
-
-    def _start_client(self, client_id: str) -> None:
-        client, ctx = self._client(client_id)
-        client.on_start(ctx)
-
-    def _deliver_to_client(self, client_id: str, resp) -> None:
-        client, ctx = self._client(client_id)
-        client.on_response(ctx, resp)
-
-    def _fire_client_timer(self, client_id: str, name: str, fire_at: int) -> None:
-        if self.client_timers.get((client_id, name)) == fire_at:
-            client, ctx = self._client(client_id)
-            client.on_timer(ctx, name)
+    def _fire_client_timer(self, ctx: _ClientCtx, name: str, fire_at: int) -> None:
+        if ctx.timers.get(name) == fire_at:
+            ctx.client.on_timer(ctx, name)
 
     def run(self, until_us: int) -> None:
         heap = self._heap
@@ -310,7 +276,7 @@ class Simulation:
         for node_id in sorted(self.nodes):
             n = self.nodes[node_id]
             self.record(self.now, "final_state", frm=node_id, detail=(
-                f"alive={int(bool(self.alive.get(node_id)))}"
+                f"alive={int(n.ctx.alive)}"
                 f"|term={n.term}|gen={n.generation}"
                 f"|commit={n.commit_index}|applied={n.persist.last_applied}"
                 f"|contig={n.log.last_contiguous_index}"

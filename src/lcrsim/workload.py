@@ -52,14 +52,14 @@ class ClientConfig:
     payload_bytes: int = 80
     request_timeout_us: int = 1_000_000
     blacklist_us: int = 2_000_000
-    stop_at_us: int | None = None   # quiesce point; set by the runner
 
 
 class ClosedLoopClient:
     def __init__(self, client_id: str, cfg: ClientConfig, targets: list[int],
-                 completions: list[Completion]):
+                 completions: list[Completion], stop_at_us: int):
         self.client_id = client_id
         self.cfg = cfg
+        self.stop_at_us = stop_at_us   # quiesce point: no new request from here
         self.targets = list(targets)
         self.completions = completions
         self.seq = 0
@@ -83,7 +83,7 @@ class ClosedLoopClient:
         return pool[(self.seq + self.attempts) % len(pool)]
 
     def _next_request(self, ctx) -> None:
-        if self.cfg.stop_at_us is not None and ctx.now >= self.cfg.stop_at_us:
+        if ctx.now >= self.stop_at_us:
             self.current_rid = None
             return
         self.seq += 1
@@ -95,8 +95,7 @@ class ClosedLoopClient:
         self._send(ctx)
 
     def _send(self, ctx) -> None:
-        if self.cfg.stop_at_us is not None and ctx.now >= self.cfg.stop_at_us \
-                and self.attempts > 0:
+        if ctx.now >= self.stop_at_us and self.attempts > 0:
             self.current_rid = None
             return
         self.attempts += 1

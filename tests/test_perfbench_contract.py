@@ -8,7 +8,9 @@ import importlib.util
 from pathlib import Path
 
 from lcrsim.metrics import TraceCollector
-from lcrsim.simnet import LatencyModel, Simulation
+from lcrsim.node import NodeConfig
+from lcrsim.simnet import LatencyModel, NodeStats, Simulation
+from lcrsim.workload import ClientConfig, ClosedLoopClient
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -40,6 +42,14 @@ def test_worker_attributes_exist():
     sim = Simulation(1, LatencyModel(), LatencyModel())
     assert isinstance(sim._seq, int) and isinstance(sim._heap, list)
     assert isinstance(sim.trace, list)
+    client = ClosedLoopClient("c0", ClientConfig(), [0], [], 1_000_000)
+    sim.add_client(client)
+    assert sim.clients["c0"] is client and isinstance(client.seq, int)
+    sim.add_node(0, [0], NodeConfig())
+    assert sim.stats and all(isinstance(st, NodeStats) for st in sim.stats.values())
+    for attr in ("sent_bytes", "retrans_bytes", "sent_msgs", "busy_us",
+                 "staged_bytes_peak"):
+        assert isinstance(getattr(sim.stats[0], attr), int)
     collector = TraceCollector()
     for attr in ("elections", "conflicts", "window_closes"):
         assert isinstance(getattr(collector, attr), int)
