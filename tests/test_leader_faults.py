@@ -5,8 +5,8 @@ integrated future entries were stamped with the sequencing leader's term, two
 leaders could log different entries at the same (index, term), and the LCR
 runs below failed ``applied_prefix`` or ``ack_durability``.
 
-``fuzz_case`` is the leader-biased fault generator the pinned cases came from;
-a slice of its seeds runs here too.
+``fuzz_case`` draws a leader-biased fault scenario from a seed. A slice of its
+seeds runs here too, and the seeds it fails on are pinned next to case 116.
 """
 
 import random
@@ -57,8 +57,9 @@ ACKED_ABOVE_GAP = pytest.mark.xfail(strict=True, reason=(
 
 # The only fuzz seeds in 1..400 that fail, all in LCR mode on ack_durability.
 FUZZ_ACKED_NEVER_COMMITS = pytest.mark.xfail(strict=True, reason=(
-    "an acked older-term future above the new leader's barrier never "
-    "commits once the clients stop, as in case 116"))
+    "ack_durability: an acked future is never applied once the clients "
+    "stop; appending the new leader's barrier above the log, which fixes "
+    "case 116, fixes these seeds too"))
 
 
 def fuzz_case(seed: int):
