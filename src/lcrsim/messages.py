@@ -2,7 +2,8 @@
 
 Sizes on the simulated network are derived from these: a fixed per-message
 header plus a per-entry header plus exact payload bytes (signal and
-no-op-fill entries are header-only).
+no-op-fill entries are header-only), plus a fixed width per index listed in
+a response.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from .logcore import Entry, EntryKind
 
 MESSAGE_HEADER_BYTES = 48
 ENTRY_HEADER_BYTES = 24
+INDEX_BYTES = 8
 
 
 @dataclass(slots=True)
@@ -39,6 +41,8 @@ class AppendEntriesResponse:
     # True when the prefix check passed, so the reported extent was verified
     # against the leader's stream and may advance the match point.
     prefix_ok: bool = True
+    # every signal in the request the responder could not resolve
+    missing: list[int] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -126,6 +130,10 @@ def message_bytes(msg) -> int:
         size += sum(entry_cost(e) for e in msg.future_entries)
     elif isinstance(msg, ReconcileResponse):
         size += sum(entry_cost(e) for e in msg.entries)
+    elif isinstance(msg, AppendEntriesResponse):
+        size += INDEX_BYTES * len(msg.missing)
+    elif isinstance(msg, FutureReplicateResponse):
+        size += INDEX_BYTES * len(msg.indices)
     elif isinstance(msg, ClientRequest):
         size += len(msg.payload)
     elif isinstance(msg, ForwardedRequest):

@@ -67,7 +67,8 @@ class Peer:
     future_ack: int = 0        # highest future index the follower has staged
     last_sent: int = -10**12
     max_sent: int = 0          # highest index ever sent, to flag retransmits
-    inflight: list[int] = field(default_factory=list)   # unanswered seqs
+    # unanswered requests: seq -> prev_log_index
+    inflight: dict[int, int] = field(default_factory=dict)
     force_full: set[int] = field(default_factory=set)   # no signal for these
 
 
@@ -115,6 +116,8 @@ class Node:
         self.parked_futures: list[PendingFuture] = []
 
         self.pending_client: dict[str, tuple[str, Optional[int]]] = {}
+        # follower: appends that overtook an earlier one, keyed by prev index
+        self.held: dict[int, AppendEntriesRequest] = {}
         self.windows: list[Window] = []   # open windows, consecutive, in order
         self.staged_bytes_peak = 0
 
@@ -233,6 +236,7 @@ class Node:
     def _start_election(self) -> None:
         self.role = CANDIDATE
         self.persist.current_term += 1
+        self.held.clear()
         self.persist.voted_for = self.id
         self.votes = {self.id}
         self.leader_id = None
@@ -251,6 +255,7 @@ class Node:
         if term > self.term:
             self.persist.current_term = term
             self.persist.voted_for = None
+            self.held.clear()
         if self.role == LEADER:
             self.integrated_at.clear()
         self.role = FOLLOWER
@@ -592,7 +597,7 @@ class Node:
         retransmit = end >= start and start <= p.max_sent
         self.ctx.send(f, req, retransmit=retransmit)
         if len(p.inflight) < MAX_FLYING:
-            p.inflight.append(self._seq)
+            p.inflight[self._seq] = start - 1
         if end >= start:
             p.opt_next = end + 1
             p.max_sent = max(p.max_sent, end)
@@ -605,30 +610,34 @@ class Node:
         p = self.peers.get(frm)
         if self.role != LEADER or resp.term < self.term or p is None:
             return
-        p.last_resp = self.ctx.now
-        try:
-            p.inflight.remove(resp.seq)
-        except ValueError:
-            if not resp.success:
-                if p.inflight and resp.seq > max(p.inflight):
-                    # a probe sent while the pipe was full got answered: the
-                    # follower is reachable again, so restart its stream now
-                    p.inflight.clear()
-                else:
-                    return  # stale failure from a stream that was already reset
-        p.future_ack = max(p.future_ack, resp.last_future_index)
+        tracked = p.inflight.pop(resp.seq, None) is not None
         report = resp.last_applied_index_report
+        if not resp.success and not resp.prefix_ok and (
+                report < p.match_index
+                or any(prev <= report for prev in p.inflight.values())):
+            # covered: an unanswered request starts at or below the
+            # follower's log end + 1, and once it arrives the follower applies
+            # the held rejected one and answers it again; or the report is
+            # stale, below the match point. Neither rewinds the stream.
+            return
+        p.last_resp = self.ctx.now
+        if not tracked and not resp.success:
+            if p.inflight and resp.seq > max(p.inflight):
+                # a probe sent while the pipe was full got answered: the
+                # follower is reachable again, so restart its stream now
+                p.inflight.clear()
+            else:
+                return  # stale failure from a stream that was already reset
+        p.future_ack = max(p.future_ack, resp.last_future_index)
         if resp.success:
             p.match_index = max(p.match_index, report)
             p.next_index = report + 1
             p.opt_next = max(p.opt_next, report + 1)
         else:
+            p.force_full.update(resp.missing)
             p.next_index = report + 1
             p.opt_next = report + 1
             p.inflight.clear()
-            nxt = self.log.get(report + 1)
-            if nxt is not None and nxt.kind == EntryKind.FUTURE:
-                p.force_full.add(report + 1)
             if resp.prefix_ok:
                 p.match_index = max(p.match_index, report)
         p.force_full = {i for i in p.force_full if i > p.match_index}
@@ -695,10 +704,26 @@ class Node:
         self._reset_election_timer()
         if req.generation > self.generation:
             self._change_generation(req.generation, None)
+        self._append_slice(frm, req)
+        # apply, in order, the held requests the contiguous log has reached
+        for prev in sorted(self.held):
+            if prev > self.log.last_contiguous_index:
+                break
+            self._append_slice(frm, self.held.pop(prev))
 
+    def _append_slice(self, frm: int, req: AppendEntriesRequest) -> None:
+        """Check the prefix ``req`` extends, log its entries and answer it."""
         prev = req.prev_log_index
         if prev > 0 and (prev > self.log.last_contiguous_index
                          or self._term_at(prev) != req.prev_log_term):
+            if prev > self.log.last_contiguous_index:
+                # it may have overtaken the request that reaches ``prev``:
+                # hold it (the newest MAX_FLYING by seq, one per prev), but
+                # still answer, since that request may have been lost
+                held = self.held
+                held[prev] = req
+                if len(held) > MAX_FLYING:
+                    del held[min(held, key=lambda i: held[i].seq)]
             self.ctx.send(frm, AppendEntriesResponse(
                 term=self.term, success=False,
                 last_applied_index_report=min(self.log.last_contiguous_index,
@@ -707,7 +732,7 @@ class Node:
                 seq=req.seq, prefix_ok=False))
             return
 
-        success = True
+        missing = []
         for e in req.entries:
             if e.index <= self.commit_index:
                 continue
@@ -721,13 +746,14 @@ class Node:
                         continue
                 elif existing.request_id == e.request_id:
                     continue
+            staged = self.stage.peek(e.index)
+            if e.kind == EntryKind.SIGNAL and staged is None:
+                missing.append(e.index)   # ask the leader for the raw content
+            if missing:
+                continue   # nothing is logged above the first miss
             if existing is not None:
                 self.log.truncate_from(e.index, self.commit_index)
-            staged = self.stage.peek(e.index)
             if e.kind == EntryKind.SIGNAL:
-                if staged is None:
-                    success = False  # ask the leader for the raw content
-                    break
                 e = replace(staged, term=e.term)   # the staged entry it names
             elif staged is not None and not staged.same_record(e):
                 self._resolve_stage_conflict(staged)
@@ -739,10 +765,10 @@ class Node:
         self._refresh_windows()
         self._commit_to(min(req.leader_commit, self.log.last_contiguous_index))
         self.ctx.send(frm, AppendEntriesResponse(
-            term=self.term, success=success,
+            term=self.term, success=not missing,
             last_applied_index_report=self.log.last_contiguous_index,
             last_future_index=self.stage.max_index_seen,
-            seq=req.seq, prefix_ok=True))
+            seq=req.seq, prefix_ok=True, missing=missing))
 
     def _confirm_own_future(self, index: int) -> None:
         """The leader has sequenced this index; any matching pending record of

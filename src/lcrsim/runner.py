@@ -71,11 +71,9 @@ def run_scenario(sc: Scenario, seed: int | None = None,
 
 def write_outputs(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    trace = result.sim.trace
     with open(os.path.join(outdir, "trace.txt"), "w") as fh:
-        # a slice of lines at a time, so the whole text is never held at once
-        for i in range(0, len(trace), 4096):
-            fh.write("\n".join(trace[i:i + 4096]))
+        for block in result.sim.trace.blocks():
+            fh.write(block)
             fh.write("\n")
     result.report.write_csv(os.path.join(outdir, "metrics.csv"))
     with open(os.path.join(outdir, "verdict.json"), "w") as fh:

@@ -66,6 +66,39 @@ class NodeStats:
     staged_bytes_peak: int = 0
 
 
+class TraceLines:
+    """The run's trace lines, stored as newline-joined blocks of ``BLOCK``
+    lines plus an open tail: one ``str`` per block costs far less memory
+    than one per line. Iterating yields the lines in order."""
+
+    BLOCK = 4096
+
+    def __init__(self):
+        self._blocks: list[str] = []
+        self._tail: list[str] = []
+
+    def append(self, line: str) -> None:
+        self._tail.append(line)
+        if len(self._tail) == self.BLOCK:
+            self._blocks.append("\n".join(self._tail))
+            self._tail = []
+
+    def __len__(self) -> int:
+        return len(self._blocks) * self.BLOCK + len(self._tail)
+
+    def __iter__(self):
+        for block in self._blocks:
+            yield from block.split("\n")
+        yield from self._tail
+
+    def blocks(self):
+        """The text of the trace, one block at a time, without the newline
+        that ends each block."""
+        yield from self._blocks
+        if self._tail:
+            yield "\n".join(self._tail)
+
+
 class _NodeCtx:
     """One incarnation of a node: the harness's record of it, and the adapter
     through which the protocol code touches the world. A restart replaces
@@ -130,7 +163,7 @@ class Simulation:
         self.now = 0
         self._seq = 0
         self._heap: list = []
-        self.trace: list[str] = []
+        self.trace = TraceLines()
 
         self.nodes: dict[int, Node] = {}      # node.ctx: its current incarnation
         self.isolated: set[int] = set()

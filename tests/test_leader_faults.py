@@ -55,11 +55,18 @@ ACKED_ABOVE_GAP = pytest.mark.xfail(strict=True, reason=(
     "the term-1 future at 1163 stays above them on all five nodes, so this "
     "acked entry never commits once the clients stop"))
 
-# The only fuzz seeds in 1..400 that fail, all in LCR mode on ack_durability.
+# The only fuzz seeds in 1..400 that fail, all in LCR mode on ack_durability:
+# 25, 108, 242 and 299 end like case 116, and 290 below.
 FUZZ_ACKED_NEVER_COMMITS = pytest.mark.xfail(strict=True, reason=(
-    "ack_durability: an acked future is never applied once the clients "
-    "stop; appending the new leader's barrier above the log, which fixes "
-    "case 116, fixes these seeds too"))
+    "ack_durability: every node ends at commit = contig - 1 under an "
+    "older-term future at contig, so an acked future is never applied once "
+    "the clients stop; appending the new leader's barrier above the log, "
+    "which fixes case 116, fixes these seeds too"))
+
+FUZZ_ELECTED_LATE = pytest.mark.xfail(strict=True, reason=(
+    "ack_durability: the term-7 leader is elected at 4.79 s with a gap below "
+    "its integrated futures, waits step_timeout_ms (400 ms) to fill it, and "
+    "the run ends at 5.2 s, as the fill goes out; it passes with a 2 s drain"))
 
 
 def fuzz_case(seed: int):
@@ -113,8 +120,16 @@ def test_fuzz_verifier_passes(seed, protocol):
 
 @pytest.mark.parametrize("protocol", [
     pytest.param("lcr", marks=FUZZ_ACKED_NEVER_COMMITS), "raft"])
-@pytest.mark.parametrize("seed", [25, 108, 299])
+@pytest.mark.parametrize("seed", [25, 108, 242, 299])
 def test_fuzz_acked_future_above_barrier(seed, protocol):
     result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
+                          drain_s=1.2)
+    assert result.verdict.ok, result.verdict.errors[:2]
+
+
+@pytest.mark.parametrize("protocol", [
+    pytest.param("lcr", marks=FUZZ_ELECTED_LATE), "raft"])
+def test_fuzz_leader_elected_late(protocol):
+    result = run_scenario(_scenario(290, fuzz_case(290)), protocol=protocol,
                           drain_s=1.2)
     assert result.verdict.ok, result.verdict.errors[:2]

@@ -9,7 +9,8 @@ from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
                              ClientRequest, FutureReplicateRequest,
                              FutureReplicateResponse, ReconcileResponse,
                              VoteRequest)
-from lcrsim.node import FOLLOWER, LEADER, Node, NodeConfig
+from lcrsim.node import (FOLLOWER, LEADER, MAX_FLYING, Node, NodeConfig,
+                         PersistentState)
 
 
 class FakeCtx:
@@ -51,11 +52,43 @@ def make_leader(cfg=None):
     return n, ctx
 
 
-def make_follower(node_id=2, cfg=None):
+def make_follower(node_id=2, cfg=None, persist=None):
     ctx = FakeCtx()
-    n = Node(node_id, MEMBERS, cfg or NodeConfig(), ctx)
+    n = Node(node_id, MEMBERS, cfg or NodeConfig(), ctx, persist=persist)
     n.leader_id = 0
     return n, ctx
+
+
+def noop_log(last, term=1):
+    """A persisted state whose log holds no-op fills 1..``last`` of ``term``."""
+    p = PersistentState(generation=len(MEMBERS), membership=list(MEMBERS))
+    p.current_term = term
+    for i in range(1, last + 1):
+        p.log.append(Entry(index=i, term=term, kind=EntryKind.NOOP_FILL))
+    return p
+
+
+def make_new_leader(last):
+    """A term-2 leader elected with a term-1 log of ``last`` entries; its
+    barrier sits at ``last + 1``."""
+    ctx = FakeCtx()
+    p = noop_log(last)
+    p.current_term = 2
+    n = Node(0, MEMBERS, NodeConfig(), ctx, persist=p, bootstrap_leader=True)
+    return n, ctx
+
+
+def append_req(prev, last, seq):
+    """A term-1 append of no-op fills ``prev + 1``..``last`` after ``prev``."""
+    return AppendEntriesRequest(
+        term=1, generation=5, leader_id=0, prev_log_index=prev,
+        prev_log_term=1 if prev else 0, leader_commit=0, seq=seq,
+        entries=[Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
+                 for i in range(prev + 1, last + 1)])
+
+
+def responses(ctx):
+    return [m for _, m in ctx.take_sent() if isinstance(m, AppendEntriesResponse)]
 
 
 def creq(rid="c0.1.t", kind="t", payload=b"T a b 1"):
@@ -232,29 +265,66 @@ class TestSignalFlow:
         n, ctx, fe = self._integrated_leader()
         peer = n.peers[1]
         peer.future_ack = fe.index
-        peer.inflight.append(999)
+        peer.inflight[999] = fe.index - 1
         n.handle_append_response(1, AppendEntriesResponse(
             term=n.term, success=False,
             last_applied_index_report=fe.index - 1,
-            last_future_index=0, seq=999, prefix_ok=True))
+            last_future_index=0, seq=999, prefix_ok=True, missing=[fe.index]))
         assert fe.index in peer.force_full
         entries = n._package(peer, fe.index, fe.index)
         assert entries[0].kind == EntryKind.FUTURE
 
+    def test_signal_miss_lists_every_missing_signal(self):
+        n, ctx = make_follower(node_id=3)
+        n.stage.stage(Entry(index=2, term=1, kind=EntryKind.FUTURE, origin=2,
+                            generation=5, request_id="c9.2.nt"), 5)
+        sigs = [Entry(index=i, term=1, kind=EntryKind.SIGNAL, origin=i,
+                      generation=5) for i in (1, 2, 3)]
+        n.handle_append_entries(0, AppendEntriesRequest(
+            term=1, generation=5, leader_id=0, prev_log_index=0,
+            prev_log_term=0, entries=sigs, leader_commit=0, seq=1))
+        (resp,) = responses(ctx)
+        assert not resp.success and resp.prefix_ok
+        assert resp.missing == [1, 3] and resp.last_applied_index_report == 0
+        # nothing is logged above the first miss; the staged entry stays
+        assert not n.log.entries and n.stage.peek(2) is not None
+
+    def test_leader_sends_every_missed_index_in_full(self):
+        n, ctx = make_leader()
+        for i in (2, 3, 4):
+            n._integrate_future(Entry(index=i, term=n.term, kind=EntryKind.FUTURE,
+                                      origin=i, generation=5,
+                                      request_id=f"c9.{i}.nt", payload=b"I k 1"))
+        peer = n.peers[1]
+        peer.future_ack = 4
+        ctx.take_sent()
+        seq = max(peer.inflight)
+        n.handle_append_response(1, AppendEntriesResponse(
+            term=n.term, success=False, last_applied_index_report=1,
+            last_future_index=4, seq=seq, prefix_ok=True, missing=[2, 4]))
+        assert peer.force_full == {2, 4}
+        (resend,) = [m for to, m in ctx.sent if to == 1]
+        assert resend.prev_log_index == 1
+        assert [e.kind for e in resend.entries] == [
+            EntryKind.FUTURE, EntryKind.SIGNAL, EntryKind.FUTURE]
+
 
 class TestLeaderStream:
     def test_newer_failure_resets_stream(self):
-        n, ctx = make_leader()
+        # a follower far behind the new leader: its rejections are not
+        # covered by any request in flight, whose prev indices are 5 and 6
+        n, ctx = make_new_leader(5)
         n.handle_client_request(creq())
         peer = n.peers[1]
-        old = list(peer.inflight)
-        assert peer.opt_next == n.log.last_index + 1 and old
+        old = dict(peer.inflight)
+        assert sorted(old.values()) == [5, 6]
+        assert peer.opt_next == n.log.last_index + 1
         ctx.take_sent()
 
         def failure(seq):
             return AppendEntriesResponse(
                 term=n.term, success=False,
-                last_applied_index_report=0, last_future_index=0, seq=seq,
+                last_applied_index_report=2, last_future_index=0, seq=seq,
                 prefix_ok=False)
         # older than the newest in-flight request: a reset already covered it
         n.handle_append_response(1, failure(min(old) - 1))
@@ -262,12 +332,103 @@ class TestLeaderStream:
         # newer than every in-flight request: the follower answered a probe
         # sent while the pipe was full, so its stream restarts at once
         n.handle_append_response(1, failure(max(old) + 100))
-        assert peer.next_index == 1
+        assert peer.next_index == 3
         assert peer.inflight and min(peer.inflight) > max(old)
         resent = [m for to, m in ctx.sent
                   if to == 1 and isinstance(m, AppendEntriesRequest)]
         assert [(m.prev_log_index, len(m.entries)) for m in resent] == \
-            [(0, n.log.last_index)]
+            [(2, n.log.last_index - 2)]
+
+    def test_covered_rejection_keeps_stream(self):
+        # B (prev 1) overtook A (prev 0) on the link to follower 1
+        n, ctx = make_leader()
+        n.handle_client_request(creq())
+        peer = n.peers[1]
+        (seq_a, seq_b), opt_next = sorted(peer.inflight), peer.opt_next
+        assert peer.inflight == {seq_a: 0, seq_b: 1}
+        ctx.take_sent()
+        ctx.now = 5_000
+        n.handle_append_response(1, AppendEntriesResponse(
+            term=n.term, success=False, last_applied_index_report=0,
+            last_future_index=0, seq=seq_b, prefix_ok=False))
+        # A, still unanswered, starts right above the follower's log end
+        assert peer.inflight == {seq_a: 0} and peer.opt_next == opt_next
+        assert peer.last_resp == 0 and not ctx.sent
+        # the follower answers B once A has arrived
+        for seq in (seq_a, seq_b):
+            n.handle_append_response(1, AppendEntriesResponse(
+                term=n.term, success=True, last_applied_index_report=2,
+                last_future_index=0, seq=seq))
+        assert peer.match_index == 2 and not peer.inflight and not ctx.sent
+
+    def test_rejection_below_match_is_ignored(self):
+        n, ctx = make_leader()
+        n.handle_client_request(creq())
+        peer = n.peers[1]
+        peer.match_index, opt_next = 2, peer.opt_next
+        ctx.take_sent()
+        n.handle_append_response(1, AppendEntriesResponse(
+            term=n.term, success=False, last_applied_index_report=1,
+            last_future_index=0, seq=max(peer.inflight), prefix_ok=False))
+        assert peer.opt_next == opt_next and not ctx.sent
+
+    def test_far_behind_follower_walks_back(self):
+        n, lctx = make_new_leader(5)
+        f, fctx = make_follower(node_id=1, persist=noop_log(2))
+        first = next(m for to, m in lctx.take_sent()
+                     if to == 1 and isinstance(m, AppendEntriesRequest))
+        assert first.prev_log_index == 5
+        f.handle_append_entries(0, first)
+        # the follower holds the request but still rejects it at once
+        (rej,) = responses(fctx)
+        assert (rej.success, rej.prefix_ok, rej.last_applied_index_report) == \
+            (False, False, 2)
+        assert list(f.held) == [5]
+        n.handle_append_response(1, rej)
+        assert n.peers[1].next_index == 3
+        (resend,) = [m for to, m in lctx.take_sent() if to == 1]
+        assert resend.prev_log_index == 2 and len(resend.entries) == 4
+        f.handle_append_entries(0, resend)
+        # the resend reaches the held request's prev, so it is answered too
+        assert [(r.seq, r.success, r.last_applied_index_report)
+                for r in responses(fctx)] == [(resend.seq, True, 6),
+                                              (first.seq, True, 6)]
+        assert f.log.last_contiguous_index == 6 and not f.held
+
+
+class TestFollowerHold:
+    def test_overtaken_slice_is_held_and_applied(self):
+        n, ctx = make_follower()
+        a, b = append_req(0, 2, seq=1), append_req(2, 4, seq=2)
+        n.handle_append_entries(0, b)
+        (rej,) = responses(ctx)
+        assert (rej.seq, rej.success, rej.prefix_ok,
+                rej.last_applied_index_report) == (2, False, False, 0)
+        assert not n.log.entries
+        n.handle_append_entries(0, a)
+        assert [(r.seq, r.success, r.last_applied_index_report)
+                for r in responses(ctx)] == [(1, True, 2), (2, True, 4)]
+        assert sorted(n.log.entries) == [1, 2, 3, 4] and not n.held
+
+    def test_newer_request_replaces_held_one(self):
+        n, ctx = make_follower()
+        n.handle_append_entries(0, append_req(2, 3, seq=2))
+        n.handle_append_entries(0, append_req(2, 4, seq=5))
+        assert [r.seq for r in n.held.values()] == [5]
+
+    def test_hold_keeps_the_newest_requests(self):
+        n, ctx = make_follower()
+        for seq, prev in enumerate(range(10, 10 + MAX_FLYING + 1), start=1):
+            n.handle_append_entries(0, append_req(prev, prev + 1, seq=seq))
+        assert len(n.held) == MAX_FLYING and 10 not in n.held
+
+    def test_newer_term_clears_hold(self):
+        n, ctx = make_follower()
+        n.handle_append_entries(0, append_req(2, 4, seq=2))
+        assert n.held
+        n.handle_vote_request(3, VoteRequest(term=2, candidate_id=3,
+                                             last_log_index=0, last_log_term=0))
+        assert not n.held
 
 
 class TestReconcile:

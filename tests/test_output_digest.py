@@ -20,21 +20,21 @@ from test_leader_faults import _scenario
 
 DIGESTS = {
     ("fig14_response_time", 2.0, "lcr"):
-        "62a5614b94b06ec9084183e4623b72d9e6eca1d6be74b3592b480adfed27baa0",
+        "50ab647e6e4e183a3ce5398aac999cb040577c4e1737bb36c54427ea61d07e76",
     ("fig14_response_time", 2.0, "raft"):
-        "a0a10b09bae1cae73ace96a2b1ec9446b2ac3585cefce5320e276b3876cd0462",
+        "79f93a4f196096f072e8cc80ade59e8654cfe22fcc48b36ca7e61ba9ce41fef1",
     ("gen_change", 3.0, "lcr"):
-        "11be8ab2fe6f74bd48bb14251e0de7a8d9d0d6eb76dedb6e3685201b42661713",
+        "bd57f1853013745e42f6cdd813c70267ed7bdb049e5a4c1cb9be989de845266e",
     ("gen_change", 3.0, "raft"):
-        "996b2504072b8376acdbe3ba87c9366430097cd4dfbbea3d6742ca6e5e34c5da",
+        "c6a9dd0d832c9efd8f4b27fe15b844038f9ea9dd4957079243c94517c6b4c825",
 }
 
 # leader-fault case -> protocol -> digest, each run with a 1.2 s drain
 LEADER_FAULT_DIGESTS = {
     (19, "lcr"):
-        "504410ef6dc4196e50fdb11601e90340bba3046463220d5b17eb6d8c77ecb1b4",
+        "8e6229af767087e52e9eb7860ea48bab135ec577defffe759c4b16a94f18a79c",
     (19, "raft"):
-        "513c5619dc69f0f6f8f34b109fb74ae4ba2d33ad3caf074e0ef8a52e03ef6558",
+        "88c411ede02c78f0bdf7c1cfe14d990d6b4b7a28a60a245358f4d3b7f24ba4c3",
 }
 
 

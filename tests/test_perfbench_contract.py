@@ -9,7 +9,7 @@ from pathlib import Path
 
 from lcrsim.metrics import TraceCollector
 from lcrsim.node import NodeConfig
-from lcrsim.simnet import LatencyModel, NodeStats, Simulation
+from lcrsim.simnet import LatencyModel, NodeStats, Simulation, TraceLines
 from lcrsim.workload import ClientConfig, ClosedLoopClient
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -41,7 +41,10 @@ def test_every_traced_boundary_resolves():
 def test_worker_attributes_exist():
     sim = Simulation(1, LatencyModel(), LatencyModel())
     assert isinstance(sim._seq, int) and isinstance(sim._heap, list)
-    assert isinstance(sim.trace, list)
+    # the worker compares len(sim.trace) with the lines of trace.txt
+    for i in range(TraceLines.BLOCK + 3):
+        sim.record(i, "x")
+    assert len(sim.trace) == sum(1 for _ in sim.trace) == TraceLines.BLOCK + 3
     client = ClosedLoopClient("c0", ClientConfig(), [0], [], 1_000_000)
     sim.add_client(client)
     assert sim.clients["c0"] is client and isinstance(client.seq, int)

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from lcrsim.logcore import Entry, EntryKind
-from lcrsim.messages import (AppendEntriesRequest, ClientRequest,
-                             FutureReplicateRequest, message_bytes)
+from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
+                             ClientRequest, FutureReplicateRequest,
+                             FutureReplicateResponse, message_bytes)
 from lcrsim.node import Node
-from lcrsim.scenario import FaultEvent, load_scenario
+from lcrsim.scenario import FaultEvent, builtin_scenario_path, load_scenario
 from lcrsim.simnet import CostModel, LatencyModel, NodeStats, Simulation, _NodeCtx
 from lcrsim.runner import run_scenario
 
@@ -63,6 +64,14 @@ class TestSizeModel:
                             client_id="c")
         assert message_bytes(req) == 78
 
+    def test_listed_indices_are_charged(self):
+        miss = AppendEntriesResponse(term=1, success=False,
+                                     last_applied_index_report=0,
+                                     last_future_index=0, missing=[1, 3])
+        ack = FutureReplicateResponse(term=1, generation=5, last_future_index=17,
+                                      from_leader=True, indices=[17])
+        assert (message_bytes(miss), message_bytes(ack)) == (48 + 16, 48 + 8)
+
 
 class TestCostModel:
     def test_classification(self):
@@ -86,7 +95,7 @@ class TestNodeClock:
         "a node handles a delivery at max(arrival, busy_until) + cost, but its "
         "sends are stamped and scheduled at the arrival time, so queueing and "
         "processing shift its timers and apply/ack stamps but never delay a "
-        "message: 296 of 6741 trace lines on TINY are earlier than the line "
+        "message: 294 of 6735 trace lines on TINY are earlier than the line "
         "before them"))
     def test_trace_times_never_decrease(self):
         r = run_scenario(load_scenario(TINY))
@@ -98,13 +107,29 @@ class TestDeterminism:
     def test_same_seed_identical_trace(self):
         a = run_scenario(load_scenario(TINY), drain_s=0.5)
         b = run_scenario(load_scenario(TINY), drain_s=0.5)
-        assert a.sim.trace == b.sim.trace
+        assert list(a.sim.trace) == list(b.sim.trace)
         assert list(a.report.csv_rows()) == list(b.report.csv_rows())
 
     def test_seed_changes_trace(self):
         a = run_scenario(load_scenario(TINY), drain_s=0.5)
         b = run_scenario(load_scenario(TINY), seed=8, drain_s=0.5)
-        assert a.sim.trace != b.sim.trace
+        assert list(a.sim.trace) != list(b.sim.trace)
+
+
+class TestRetransmission:
+    """Without faults, jitter that reorders two appends on a link must not
+    rewind the leader's stream (fig14 cut to 2 s, seed 1)."""
+
+    @pytest.mark.parametrize("protocol", ["lcr", "raft"])
+    def test_no_fault_run_barely_retransmits(self, protocol):
+        sc = load_scenario(builtin_scenario_path("fig14_response_time").read_text())
+        sc.duration_s = 2.0
+        stats = run_scenario(sc, seed=1, protocol=protocol).sim.stats.values()
+        retrans = [st.retrans_bytes for st in stats]
+        if protocol == "raft":
+            assert retrans == [0] * len(retrans)
+        else:
+            assert sum(retrans) < 0.02 * sum(st.sent_bytes for st in stats)
 
 
 class TestFaults:
