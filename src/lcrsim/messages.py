@@ -32,7 +32,6 @@ class AppendEntriesRequest:
 @dataclass(slots=True)
 class AppendEntriesResponse:
     term: int
-    success: bool
     # How far the responder's contiguous log extends after processing; also
     # the rollback carrier when a signal could not be resolved locally.
     last_applied_index_report: int
@@ -43,6 +42,11 @@ class AppendEntriesResponse:
     prefix_ok: bool = True
     # every signal in the request the responder could not resolve
     missing: list[int] = field(default_factory=list)
+
+    @property
+    def success(self) -> bool:
+        """The prefix check passed and every signal was resolved."""
+        return self.prefix_ok and not self.missing
 
 
 @dataclass(slots=True)
@@ -56,7 +60,6 @@ class FutureReplicateRequest:
 class FutureReplicateResponse:
     term: int
     generation: int
-    last_future_index: int
     from_leader: bool
     reason: str = "ok"          # ok | conflict | stale_gen | stale_term
     indices: list[int] = field(default_factory=list)

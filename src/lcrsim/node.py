@@ -426,7 +426,6 @@ class Node:
                 reason = "stale_gen"
         self.ctx.send(frm, FutureReplicateResponse(
             term=self.term, generation=self.generation,
-            last_future_index=self.stage.max_index_seen,
             from_leader=self.role == LEADER, reason=reason, indices=accepted_idx))
 
     def _integrate_future(self, fe: Entry) -> StageOutcome:
@@ -693,7 +692,7 @@ class Node:
     def handle_append_entries(self, frm: int, req: AppendEntriesRequest) -> None:
         if req.term < self.term:
             self.ctx.send(frm, AppendEntriesResponse(
-                term=self.term, success=False,
+                term=self.term,
                 last_applied_index_report=self.log.last_contiguous_index,
                 last_future_index=self.stage.max_index_seen,
                 seq=req.seq, prefix_ok=False))
@@ -725,7 +724,7 @@ class Node:
                 if len(held) > MAX_FLYING:
                     del held[min(held, key=lambda i: held[i].seq)]
             self.ctx.send(frm, AppendEntriesResponse(
-                term=self.term, success=False,
+                term=self.term,
                 last_applied_index_report=min(self.log.last_contiguous_index,
                                               prev - 1),
                 last_future_index=self.stage.max_index_seen,
@@ -765,7 +764,7 @@ class Node:
         self._refresh_windows()
         self._commit_to(min(req.leader_commit, self.log.last_contiguous_index))
         self.ctx.send(frm, AppendEntriesResponse(
-            term=self.term, success=not missing,
+            term=self.term,
             last_applied_index_report=self.log.last_contiguous_index,
             last_future_index=self.stage.max_index_seen,
             seq=req.seq, prefix_ok=True, missing=missing))

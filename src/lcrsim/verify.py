@@ -1,24 +1,30 @@
 """Independent safety checks over a finished run trace.
 
-The verifier only reads the trace text. It replays the committed sequence
-through its own state machine (payloads are reconstructable from request ids)
-and checks:
+The verifier only reads the trace text. Every node must apply the same entry
+at each index (Raft's State Machine Safety), so a correct run has one applied
+history. The verifier keeps that history once: at each index, the (request
+id, kind, payload digest) of the first node to apply it. It replays the
+history once through its own state machine (payloads are reconstructable
+from request ids) and checks:
 
-  applied_prefix      every node applied a gap-free prefix, and any two nodes
-                      agree on (request id, payload digest) at every index
-  at_most_once        no node mutated state twice for the same request id
-  digest_replay       each node's final state digest equals an independent
-                      replay of its applied prefix
-  ack_durability      every acknowledged request was applied by some node
-  commit_monotone     per-node applied/commit counters never regress
+  applied_prefix      every apply matches the history at its index, or
+                      extends the history by one index
+  at_most_once        no node mutates state for a request id above the
+                      lowest index at which any node mutated for it
+  digest_replay       each node's final state digest equals the replay of the
+                      history up to that node's applied count; a node that
+                      applied off the history fails without a replay
+  ack_durability      every acknowledged request is in the history
+  commit_monotone     each node applies its last index + 1, and its final
+                      applied count is the last index it applied
 
 The trace is streamed: ``parse_trace`` yields one event at a time, and
 ``verify_trace`` reads it in a single pass, so ``lcrsim verify FILE`` reads
 the file lazily. Every line is still split and checked, but only ``apply``,
 ``ack`` and ``final_state`` lines become events. What the verifier keeps grows
-with the number of applied indices (one shared record per distinct
-(request id, kind, digest), referenced from each node's book) and with the
-number of acknowledged requests, not with the length of the trace.
+with the number of applied indices (one history record and one mutation index
+each) and with the number of acknowledged requests, not with the number of
+nodes or the length of the trace.
 """
 
 from __future__ import annotations
@@ -100,90 +106,70 @@ def verify_trace(lines: Iterable[str]) -> VerifyResult:
                  "ack_durability", "commit_monotone"):
         res.passed(name)
 
-    # node -> index -> (rid, kind, digest); and per-node apply order
-    applied: dict[str, dict[int, tuple]] = {}
-    # every node that applies the same record points at this one tuple
-    records: dict[tuple, tuple] = {}
-    sm_applied: dict[str, set] = {}
+    history: list[tuple] = []        # index - 1 -> (rid, kind, digest)
+    last: dict[str, int] = {}        # node -> index it applied last
+    off_history: set[str] = set()    # nodes that applied something else
+    mutated_at: dict[str, int] = {}  # rid -> lowest index it mutated at
     acked: set[str] = set()
     finals: dict[str, dict] = {}
-    last_applied_seen: dict[str, int] = {}
 
     for ev in parse_trace(lines, VERIFIED_KINDS):
         if ev.kind == "apply":
-            node = ev.frm
-            idx = int(ev.detail["idx"])
-            rec = (ev.detail["rid"], ev.detail["kind"], ev.detail["digest"])
-            rec = records.setdefault(rec, rec)
-            rid = rec[0]
-            book = applied.setdefault(node, {})
-            if idx in book and book[idx] != rec:
-                res.fail("applied_prefix",
-                         f"node {node} re-applied index {idx} differently")
-            book[idx] = rec
-            prev = last_applied_seen.get(node, 0)
+            node, d = ev.frm, ev.detail
+            idx = int(d["idx"])
+            rec = (d["rid"], d["kind"], d["digest"])
+            prev = last.get(node, 0)
             if idx != prev + 1:
                 res.fail("commit_monotone",
                          f"node {node} applied {idx} after {prev}")
-            last_applied_seen[node] = idx
-            if rid and ev.detail["dup"] == "0":
-                seen = sm_applied.setdefault(node, set())
-                if rid in seen:
+            last[node] = idx
+            if idx == len(history) + 1:
+                history.append(rec)
+            else:
+                have = history[idx - 1] if 0 < idx <= len(history) else None
+                if have != rec:
+                    off_history.add(node)
+                    res.fail("applied_prefix",
+                             f"node {node} applied {rec} at index {idx}; the "
+                             f"history of {len(history)} has {have}")
+            rid = rec[0]
+            if rid and d["dup"] == "0":
+                low = mutated_at[rid] = min(idx, mutated_at.get(rid, idx))
+                if idx > low:
                     res.fail("at_most_once",
-                             f"node {node} mutated twice for {rid}")
-                seen.add(rid)
+                             f"node {node} mutated for {rid} at {idx}, "
+                             f"above its mutation at {low}")
         elif ev.kind == "ack":
             acked.add(ev.detail["rid"])
         elif ev.kind == "final_state":
             finals[ev.frm] = ev.detail
 
-    # cross-node agreement at each index
-    by_index: dict[int, tuple] = {}
-    owner: dict[int, str] = {}
-    for node, book in applied.items():
-        for idx, rec in book.items():
-            if idx in by_index:
-                if by_index[idx] != rec:
-                    res.fail("applied_prefix",
-                             f"nodes {owner[idx]} and {node} disagree at "
-                             f"index {idx}: {by_index[idx]} vs {rec}")
-            else:
-                by_index[idx] = rec
-                owner[idx] = node
-
-    # gap-free prefixes
-    for node, book in applied.items():
-        n = len(book)
-        if book and (min(book) != 1 or max(book) != n):
-            res.fail("applied_prefix", f"node {node} applied a gapped prefix")
-
-    # acknowledged requests must be durably applied somewhere
-    ever_applied = {rec[0] for rec in by_index.values() if rec[0]}
+    # acknowledged requests must be in the history
+    acked.difference_update(rec[0] for rec in history if rec[0])
     for rid in acked:
-        if rid not in ever_applied:
-            res.fail("ack_durability", f"acked {rid} never applied")
+        res.fail("ack_durability", f"acked {rid} never applied")
 
-    # final digests against an independent replay of the common history
-    for node, f in finals.items():
-        n_applied = int(f.get("applied", 0))
-        book = applied.get(node, {})
-        if len(book) != n_applied:
+    # final digests against one replay of the history, in order of length
+    sm = KvStateMachine()
+    replayed = 0
+    for n_applied, node in sorted((int(f.get("applied", 0)), node)
+                                  for node, f in finals.items()):
+        if n_applied != last.get(node, 0):
             res.fail("commit_monotone",
-                     f"node {node} final applied={n_applied} but "
-                     f"{len(book)} applies traced")
+                     f"node {node} final applied={n_applied} but its last "
+                     f"traced apply is {last.get(node, 0)}")
             continue
-        sm = KvStateMachine()
-        ok = True
-        for idx in range(1, n_applied + 1):
-            rec = book.get(idx)
-            if rec is None:
-                ok = False
-                break
-            rid = rec[0]
+        if node in off_history:
+            res.fail("digest_replay", f"node {node} applied off the history")
+            continue
+        while replayed < n_applied:
+            rid = history[replayed][0]
             if rid and not sm.applied(rid):
                 sm.apply(rid, payload_for_rid(rid))
-        if ok and sm.digest() != f.get("digest"):
+            replayed += 1
+        digest = finals[node].get("digest")
+        if sm.digest() != digest:
             res.fail("digest_replay",
-                     f"node {node} final digest {f.get('digest')} != "
-                     f"replayed {sm.digest()}")
+                     f"node {node} final digest {digest} != replayed "
+                     f"{sm.digest()} at {n_applied}")
     return res

@@ -110,8 +110,11 @@ def test_acked_future_above_filled_gap(protocol):
     assert result.verdict.ok, result.verdict.errors[:2]
 
 
+# Seed 381 passes. Moving the new leader's barrier above the log, which fixes
+# the acked-future seeds below, made it fail applied_prefix, so it guards any
+# later attempt at that fix.
 @pytest.mark.parametrize("protocol", ["lcr", "raft"])
-@pytest.mark.parametrize("seed", range(1, 11))
+@pytest.mark.parametrize("seed", [*range(1, 11), 381])
 def test_fuzz_verifier_passes(seed, protocol):
     result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
                           drain_s=1.2)

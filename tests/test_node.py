@@ -102,7 +102,7 @@ def ack_everything(leader, ctx, followers=(1, 2, 3, 4)):
         for to, msg in ctx.take_sent():
             if isinstance(msg, AppendEntriesRequest) and to in followers:
                 leader.handle_append_response(to, AppendEntriesResponse(
-                    term=msg.term, success=True,
+                    term=msg.term,
                     last_applied_index_report=(msg.prev_log_index
                                                + len(msg.entries)),
                     last_future_index=0, seq=msg.seq))
@@ -162,7 +162,7 @@ class TestFutureReplication:
         (idx,) = n.stage.pending
         def resp(from_leader):
             return FutureReplicateResponse(
-                term=n.term, generation=5, last_future_index=idx,
+                term=n.term, generation=5,
                 from_leader=from_leader, indices=[idx])
         n.handle_future_ack(1, resp(False))
         assert not ctx.client_sent            # majority but no leader ack
@@ -267,8 +267,7 @@ class TestSignalFlow:
         peer.future_ack = fe.index
         peer.inflight[999] = fe.index - 1
         n.handle_append_response(1, AppendEntriesResponse(
-            term=n.term, success=False,
-            last_applied_index_report=fe.index - 1,
+            term=n.term, last_applied_index_report=fe.index - 1,
             last_future_index=0, seq=999, prefix_ok=True, missing=[fe.index]))
         assert fe.index in peer.force_full
         entries = n._package(peer, fe.index, fe.index)
@@ -300,7 +299,7 @@ class TestSignalFlow:
         ctx.take_sent()
         seq = max(peer.inflight)
         n.handle_append_response(1, AppendEntriesResponse(
-            term=n.term, success=False, last_applied_index_report=1,
+            term=n.term, last_applied_index_report=1,
             last_future_index=4, seq=seq, prefix_ok=True, missing=[2, 4]))
         assert peer.force_full == {2, 4}
         (resend,) = [m for to, m in ctx.sent if to == 1]
@@ -323,9 +322,8 @@ class TestLeaderStream:
 
         def failure(seq):
             return AppendEntriesResponse(
-                term=n.term, success=False,
-                last_applied_index_report=2, last_future_index=0, seq=seq,
-                prefix_ok=False)
+                term=n.term, last_applied_index_report=2, last_future_index=0,
+                seq=seq, prefix_ok=False)
         # older than the newest in-flight request: a reset already covered it
         n.handle_append_response(1, failure(min(old) - 1))
         assert peer.inflight == old and not ctx.sent
@@ -349,7 +347,7 @@ class TestLeaderStream:
         ctx.take_sent()
         ctx.now = 5_000
         n.handle_append_response(1, AppendEntriesResponse(
-            term=n.term, success=False, last_applied_index_report=0,
+            term=n.term, last_applied_index_report=0,
             last_future_index=0, seq=seq_b, prefix_ok=False))
         # A, still unanswered, starts right above the follower's log end
         assert peer.inflight == {seq_a: 0} and peer.opt_next == opt_next
@@ -357,7 +355,7 @@ class TestLeaderStream:
         # the follower answers B once A has arrived
         for seq in (seq_a, seq_b):
             n.handle_append_response(1, AppendEntriesResponse(
-                term=n.term, success=True, last_applied_index_report=2,
+                term=n.term, last_applied_index_report=2,
                 last_future_index=0, seq=seq))
         assert peer.match_index == 2 and not peer.inflight and not ctx.sent
 
@@ -368,7 +366,7 @@ class TestLeaderStream:
         peer.match_index, opt_next = 2, peer.opt_next
         ctx.take_sent()
         n.handle_append_response(1, AppendEntriesResponse(
-            term=n.term, success=False, last_applied_index_report=1,
+            term=n.term, last_applied_index_report=1,
             last_future_index=0, seq=max(peer.inflight), prefix_ok=False))
         assert peer.opt_next == opt_next and not ctx.sent
 

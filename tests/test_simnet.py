@@ -65,10 +65,9 @@ class TestSizeModel:
         assert message_bytes(req) == 78
 
     def test_listed_indices_are_charged(self):
-        miss = AppendEntriesResponse(term=1, success=False,
-                                     last_applied_index_report=0,
+        miss = AppendEntriesResponse(term=1, last_applied_index_report=0,
                                      last_future_index=0, missing=[1, 3])
-        ack = FutureReplicateResponse(term=1, generation=5, last_future_index=17,
+        ack = FutureReplicateResponse(term=1, generation=5,
                                       from_leader=True, indices=[17])
         assert (message_bytes(miss), message_bytes(ack)) == (48 + 16, 48 + 8)
 

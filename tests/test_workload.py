@@ -127,6 +127,7 @@ class TestVerifier:
     def test_divergent_apply_fails(self):
         res = verify_trace(_variants()["divergent_apply"])
         assert not res.checks["applied_prefix"]
+        assert not res.checks["digest_replay"]
 
     def test_unapplied_ack_fails(self):
         res = verify_trace(_variants()["unapplied_ack"])
@@ -178,6 +179,36 @@ class TestVerifier:
             tracemalloc.stop()
         assert res.ok, res.errors
         assert peak < 1024 * 1024, peak
+
+    def test_memory_does_not_grow_with_node_count(self):
+        # 20,000 applied indices, applied by one node and then by five: the
+        # nodes share one history, so five need no more memory than one
+        n = 20_000
+        rids = [f"c{i % 40}.{i}.nt" for i in range(1, n + 1)]
+        sm = KvStateMachine()
+        for rid in rids:
+            sm.apply(rid, payload_for_rid(rid))
+        digest = sm.digest()
+
+        def lines(nodes):
+            for idx, rid in enumerate(rids, 1):
+                for node in range(nodes):
+                    yield (f"{idx},apply,{node},-,-,0,idx={idx}|rid={rid}"
+                           f"|kind=FUTURE|digest=abcdef012345|dup=0")
+            for node in range(nodes):
+                yield (f"{n + 1},final_state,{node},-,-,0,alive=1|term=1|gen=5"
+                       f"|commit={n}|applied={n}|contig={n}|digest={digest}")
+
+        peaks = []
+        for nodes in (1, 5):
+            tracemalloc.start()
+            try:
+                res = verify_trace(lines(nodes))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert res.ok, res.errors
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     @pytest.mark.parametrize("bad", [
         "13,send,0,1",                                   # too few fields
