@@ -118,27 +118,33 @@ class ReconcileResponse:
     entries: list[Entry]
 
 
+_HEADER_ONLY = frozenset({EntryKind.SIGNAL, EntryKind.NOOP_FILL})
+
+
+def _entries_bytes(entries: list[Entry]) -> int:
+    size = 0
+    for e in entries:
+        size += ENTRY_HEADER_BYTES if e.kind in _HEADER_ONLY \
+            else ENTRY_HEADER_BYTES + len(e.payload)
+    return size
+
+
 def message_bytes(msg) -> int:
     """Byte cost of a message on the simulated network."""
     size = MESSAGE_HEADER_BYTES
-
-    def entry_cost(e: Entry) -> int:
-        if e.kind in (EntryKind.SIGNAL, EntryKind.NOOP_FILL):
-            return ENTRY_HEADER_BYTES
-        return ENTRY_HEADER_BYTES + len(e.payload)
-
+    # the replication messages, which most sends are, come first
     if isinstance(msg, AppendEntriesRequest):
-        size += sum(entry_cost(e) for e in msg.entries)
-    elif isinstance(msg, FutureReplicateRequest):
-        size += sum(entry_cost(e) for e in msg.future_entries)
-    elif isinstance(msg, ReconcileResponse):
-        size += sum(entry_cost(e) for e in msg.entries)
+        size += _entries_bytes(msg.entries)
     elif isinstance(msg, AppendEntriesResponse):
         size += INDEX_BYTES * len(msg.missing)
+    elif isinstance(msg, FutureReplicateRequest):
+        size += _entries_bytes(msg.future_entries)
     elif isinstance(msg, FutureReplicateResponse):
         size += INDEX_BYTES * len(msg.indices)
     elif isinstance(msg, ClientRequest):
         size += len(msg.payload)
     elif isinstance(msg, ForwardedRequest):
         size += len(msg.request.payload)
+    elif isinstance(msg, ReconcileResponse):
+        size += _entries_bytes(msg.entries)
     return size

@@ -70,6 +70,9 @@ class Peer:
     # unanswered requests: seq -> prev_log_index
     inflight: dict[int, int] = field(default_factory=dict)
     force_full: set[int] = field(default_factory=set)   # no signal for these
+    # no answer within max_await: only empty probes at the log end go out
+    # until the follower answers
+    silent: bool = False
 
 
 @dataclass
@@ -203,12 +206,12 @@ class Node:
                     p = self.peers[f]
                     if p.inflight and self.ctx.now - p.last_resp >= self.cfg.max_await_us:
                         # follower went silent with requests outstanding:
-                        # restart its stream from the last confirmed point
+                        # probe it instead of resending its backlog
                         p.inflight.clear()
-                        p.opt_next = p.next_index
                         p.last_resp = self.ctx.now
-                        self._try_replicate(f)
-                    if self.ctx.now - p.last_sent >= self.cfg.heartbeat_us:
+                        p.silent = True
+                        self._send_append(f)
+                    elif self.ctx.now - p.last_sent >= self.cfg.heartbeat_us:
                         self._send_append(f)
                 self._step_fill()
                 self.ctx.set_timer("heartbeat", self.cfg.heartbeat_us)
@@ -564,7 +567,7 @@ class Node:
 
     def _try_replicate(self, f: int) -> None:
         p = self.peers.get(f)
-        if self.role != LEADER or p is None:
+        if self.role != LEADER or p is None or p.silent:
             return
         while len(p.inflight) < MAX_FLYING and p.opt_next <= self.log.last_contiguous_index:
             self._send_append(f)
@@ -583,9 +586,11 @@ class Node:
 
     def _send_append(self, f: int) -> None:
         """Send ``f`` the next slice of the log from ``opt_next``; an empty
-        slice is a heartbeat."""
+        slice is a heartbeat. A silent follower gets an empty probe at the log
+        end: a probe below it would let the follower commit its own stale
+        suffix, since it reports and commits its whole contiguous log."""
         p = self.peers[f]
-        start = p.opt_next
+        start = self.log.last_contiguous_index + 1 if p.silent else p.opt_next
         end = min(self.log.last_contiguous_index, start + MAX_ENTRIES - 1)
         entries = self._package(p, start, end)
         self._seq += 1
@@ -628,6 +633,19 @@ class Node:
             else:
                 return  # stale failure from a stream that was already reset
         p.future_ack = max(p.future_ack, resp.last_future_index)
+        if p.silent:
+            # the follower answered: resume its stream from the report, with
+            # futures in full, since those broadcast while it was silent never
+            # reached it. A rejected probe verified nothing, so resume no
+            # higher than the unconfirmed point: walking back from the log end
+            # would resend the suffix once per step, e.g. to a deposed leader.
+            p.silent = False
+            if not resp.success:
+                report = min(report, p.next_index - 1)
+            p.opt_next = report + 1
+            p.force_full.update(i for i in range(report + 1,
+                                                 self.log.last_contiguous_index + 1)
+                                if self.log.entries[i].kind == EntryKind.FUTURE)
         if resp.success:
             p.match_index = max(p.match_index, report)
             p.next_index = report + 1
@@ -762,10 +780,13 @@ class Node:
             if e.kind == EntryKind.CONFIG:
                 self._apply_config(int(e.payload.decode()))
         self._refresh_windows()
-        self._commit_to(min(req.leader_commit, self.log.last_contiguous_index))
+        report = self.log.last_contiguous_index
+        if missing:
+            # a stale entry kept at the first miss is not verified
+            report = min(report, missing[0] - 1)
+        self._commit_to(min(req.leader_commit, report))
         self.ctx.send(frm, AppendEntriesResponse(
-            term=self.term,
-            last_applied_index_report=self.log.last_contiguous_index,
+            term=self.term, last_applied_index_report=report,
             last_future_index=self.stage.max_index_seen,
             seq=req.seq, prefix_ok=True, missing=missing))
 

@@ -6,7 +6,8 @@ leaders could log different entries at the same (index, term), and the LCR
 runs below failed ``applied_prefix`` or ``ack_durability``.
 
 ``fuzz_case`` draws a leader-biased fault scenario from a seed. A slice of its
-seeds runs here too, and the seeds it fails on are pinned next to case 116.
+seeds runs here too, and the seeds it fails on are pinned below.
+``tests/fuzz_sweep.py`` runs it over a whole seed range.
 """
 
 import random
@@ -50,18 +51,15 @@ CASES = {
                        (2.91, "disconnect", 1), (3.69, "reconnect", 1)]),
 }
 
-ACKED_ABOVE_GAP = pytest.mark.xfail(strict=True, reason=(
-    "the term-5 leader's barrier and step fills go into the gap at 1161-1162; "
-    "the term-1 future at 1163 stays above them on all five nodes, so this "
-    "acked entry never commits once the clients stop"))
-
-# The only fuzz seeds in 1..400 that fail, all in LCR mode on ack_durability:
-# 25, 108, 242 and 299 end like case 116, and 290 below.
+# Every fuzz seed in 1..400 that fails does so in LCR mode on ack_durability.
+# 25, 103, 108, 231, 242 and 334 end in the barrier shape below, 290 in the
+# late fill further down.
 FUZZ_ACKED_NEVER_COMMITS = pytest.mark.xfail(strict=True, reason=(
-    "ack_durability: every node ends at commit = contig - 1 under an "
-    "older-term future at contig, so an acked future is never applied once "
-    "the clients stop; appending the new leader's barrier above the log, "
-    "which fixes case 116, fixes these seeds too"))
+    "ack_durability: every node ends with commit below contig under "
+    "older-term futures at the top of the contiguous log (contig - 1 at most "
+    "seeds, contig - 3 at seed 103): the new leader's barrier went into the "
+    "lowest gap below them and only own-term entries commit, so an acked "
+    "future is never applied once the clients stop"))
 
 FUZZ_ELECTED_LATE = pytest.mark.xfail(strict=True, reason=(
     "ack_durability: the term-7 leader is elected at 4.79 s with a gap below "
@@ -103,8 +101,11 @@ def test_verifier_passes(seed, protocol):
     assert result.verdict.ok, result.verdict.errors[:2]
 
 
-@pytest.mark.parametrize("protocol", [pytest.param("lcr", marks=ACKED_ABOVE_GAP),
-                                      "raft"])
+# Case 116 guards the barrier shape of the fuzz seeds below: its faults can
+# leave an acked older-term future at the top of a new leader's log. It
+# passes: node 2 wins term 4 at 4.36 s and every node ends at commit =
+# contig = 1158.
+@pytest.mark.parametrize("protocol", ["lcr", "raft"])
 def test_acked_future_above_filled_gap(protocol):
     result = run_scenario(_scenario(116), protocol=protocol, drain_s=1.2)
     assert result.verdict.ok, result.verdict.errors[:2]
@@ -112,9 +113,10 @@ def test_acked_future_above_filled_gap(protocol):
 
 # Seed 381 passes. Moving the new leader's barrier above the log, which fixes
 # the acked-future seeds below, made it fail applied_prefix, so it guards any
-# later attempt at that fix.
+# later attempt at that fix. Seed 299 guards the barrier shape below: it
+# ends in it when the leader resends a silent follower's whole backlog.
 @pytest.mark.parametrize("protocol", ["lcr", "raft"])
-@pytest.mark.parametrize("seed", [*range(1, 11), 381])
+@pytest.mark.parametrize("seed", [*range(1, 11), 299, 381])
 def test_fuzz_verifier_passes(seed, protocol):
     result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
                           drain_s=1.2)
@@ -123,7 +125,7 @@ def test_fuzz_verifier_passes(seed, protocol):
 
 @pytest.mark.parametrize("protocol", [
     pytest.param("lcr", marks=FUZZ_ACKED_NEVER_COMMITS), "raft"])
-@pytest.mark.parametrize("seed", [25, 108, 242, 299])
+@pytest.mark.parametrize("seed", [25, 103, 108, 231, 242, 334])
 def test_fuzz_acked_future_above_barrier(seed, protocol):
     result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
                           drain_s=1.2)

@@ -288,6 +288,20 @@ class TestSignalFlow:
         # nothing is logged above the first miss; the staged entry stays
         assert not n.log.entries and n.stage.peek(2) is not None
 
+    def test_stale_entry_at_first_miss_is_not_reported(self):
+        # the follower keeps a term-1 entry at 2; the term-2 leader's signal
+        # there cannot be resolved, so the stale entry is not part of the
+        # prefix this request verified, and it must not be applied
+        n, ctx = make_follower(node_id=3, persist=noop_log(2))
+        sig = Entry(index=2, term=2, kind=EntryKind.SIGNAL, origin=2, generation=5)
+        n.handle_append_entries(0, AppendEntriesRequest(
+            term=2, generation=5, leader_id=0, prev_log_index=1,
+            prev_log_term=1, entries=[sig], leader_commit=2, seq=1))
+        (resp,) = responses(ctx)
+        assert (resp.prefix_ok, resp.missing) == (True, [2])
+        assert resp.last_applied_index_report == 1
+        assert n.commit_index == 1
+
     def test_leader_sends_every_missed_index_in_full(self):
         n, ctx = make_leader()
         for i in (2, 3, 4):
@@ -392,6 +406,86 @@ class TestLeaderStream:
                 for r in responses(fctx)] == [(resend.seq, True, 6),
                                               (first.seq, True, 6)]
         assert f.log.last_contiguous_index == 6 and not f.held
+
+
+class TestSilentFollower:
+    """A follower that leaves requests unanswered for ``max_await`` gets only
+    empty probes at the leader's log end until it answers."""
+
+    def _silent_leader(self):
+        # every follower confirms 1-2; followers 2-4 confirm 3 as well, and
+        # follower 1 answers nothing from then on
+        n, ctx = make_leader()
+        n.handle_client_request(creq())
+        ctx.now = 1_000
+        ack_everything(n, ctx)
+        n.handle_client_request(creq("c0.2.t"))
+        ctx.now = 2_000
+        ack_everything(n, ctx, followers=(2, 3, 4))
+        assert (n.peers[1].next_index, n.peers[2].next_index) == (3, 4)
+        ctx.now = 1_000 + n.cfg.max_await_us
+        n.on_timer("heartbeat")
+        return n, ctx
+
+    @staticmethod
+    def _appends_to(ctx, f):
+        return [m for to, m in ctx.take_sent()
+                if to == f and isinstance(m, AppendEntriesRequest)]
+
+    def test_reset_sends_one_empty_append_at_the_log_end(self):
+        n, ctx = self._silent_leader()
+        assert n.peers[1].silent and not n.peers[2].silent
+        (probe,) = self._appends_to(ctx, 1)
+        assert probe.entries == []
+        assert probe.prev_log_index == n.log.last_contiguous_index == 3
+
+    def test_silent_follower_gets_no_slice(self):
+        n, ctx = self._silent_leader()
+        ctx.take_sent()
+        n.handle_client_request(creq("c0.3.t"))
+        assert self._appends_to(ctx, 1) == []
+        for _ in range(3):
+            ctx.now += n.cfg.heartbeat_us
+            n.on_timer("heartbeat")
+            (probe,) = self._appends_to(ctx, 1)
+            assert (probe.prev_log_index, probe.entries) == \
+                (n.log.last_contiguous_index, [])
+        assert n.peers[1].silent
+
+    def _answer_probe(self, report, confirmed=2):
+        """Follower 1, which confirmed 1..``confirmed``, rejects the probe at
+        3 with ``report``, after the leader integrated at 4 a future whose
+        staged copy it had acknowledged. Returns the leader and the appends
+        the answer sent to follower 1."""
+        n, ctx = self._silent_leader()
+        (probe,) = self._appends_to(ctx, 1)
+        n.peers[1].next_index = confirmed + 1
+        fe = Entry(index=4, term=n.term, kind=EntryKind.FUTURE, origin=2,
+                   generation=5, request_id="c9.1.nt", payload=b"I k 1")
+        n._integrate_future(fe)
+        n.peers[1].future_ack = fe.index
+        assert self._appends_to(ctx, 1) == []
+        n.handle_append_response(1, AppendEntriesResponse(
+            term=n.term, last_applied_index_report=report, last_future_index=4,
+            seq=probe.seq, prefix_ok=False))
+        assert not n.peers[1].silent
+        return n, self._appends_to(ctx, 1)
+
+    def test_answer_reopens_the_stream_from_the_report_in_full(self):
+        # the follower's log ends at 2, below the probe's prev
+        n, (resend,) = self._answer_probe(report=2)
+        assert resend.prev_log_index == 2 and n.peers[1].next_index == 3
+        assert [(e.index, e.kind) for e in resend.entries] == [
+            (3, EntryKind.NORMAL), (4, EntryKind.FUTURE)]
+        assert resend.entries[-1].payload == b"I k 1"
+
+    def test_rejection_resumes_no_higher_than_the_unconfirmed_point(self):
+        # report 2 on a probe at 3 says the follower's entry at 3 differs
+        # or is missing, nothing about 2: with only 1 confirmed, the stream
+        # goes on from 2
+        n, (resend,) = self._answer_probe(report=2, confirmed=1)
+        assert resend.prev_log_index == 1 and n.peers[1].next_index == 2
+        assert [e.index for e in resend.entries] == [2, 3, 4]
 
 
 class TestFollowerHold:

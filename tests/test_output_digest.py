@@ -29,12 +29,16 @@ DIGESTS = {
         "c6a9dd0d832c9efd8f4b27fe15b844038f9ea9dd4957079243c94517c6b4c825",
 }
 
-# leader-fault case -> protocol -> digest, each run with a 1.2 s drain
+# leader-fault case -> protocol -> digest, each run with a 1.2 s drain.
+# Case 19 crashes nodes, so its leaders go through max_await resets: these
+# digests are those of a leader that probes a silent follower and resyncs it
+# once it answers (retransmitted bytes: lcr 38,388 -> 26,088, raft 10,320 ->
+# 9,204 against resending the backlog at each reset).
 LEADER_FAULT_DIGESTS = {
     (19, "lcr"):
-        "8e6229af767087e52e9eb7860ea48bab135ec577defffe759c4b16a94f18a79c",
+        "fb47ce508ab92fa7d95a70da2f82c51f88e457da1bd9be6af4e64c728014ca86",
     (19, "raft"):
-        "88c411ede02c78f0bdf7c1cfe14d990d6b4b7a28a60a245358f4d3b7f24ba4c3",
+        "86918d316636384a9fc2bfb9bd5f87eee4e866f5d4b177d12f3a2a09d49162ff",
 }
 
 

@@ -145,6 +145,32 @@ class TestFaults:
         # restarted node caught up with the rest
         assert r.sim.nodes[2].persist.last_applied > 0
 
+    def test_crashed_follower_gets_only_probes(self, monkeypatch):
+        # node 2 is down from 0.5 s to 3.2 s; the leader's first max_await
+        # reset comes by 2.0 s (its last answer plus max_await, rounded up
+        # to a heartbeat), and after it only empty appends go to node 2
+        sc = load_scenario(TINY)
+        sc.duration_s = 4.5
+        sc.faults = [FaultEvent(0.5, "crash", 2), FaultEvent(3.2, "restart", 2)]
+        sends = []
+        node_send = Simulation.node_send
+
+        def logged_send(sim, frm, to, msg, retransmit):
+            if to == 2 and isinstance(msg, AppendEntriesRequest):
+                sends.append((sim.now, msg))
+            node_send(sim, frm, to, msg, retransmit)
+
+        monkeypatch.setattr(Simulation, "node_send", logged_send)
+        r = run_scenario(sc)
+        assert r.verdict.ok, r.verdict.errors[:3]
+        cfg = r.sim.nodes[0].cfg
+        silent_from = 500_000 + cfg.max_await_us + cfg.heartbeat_us
+        while_down = [m for t, m in sends if silent_from <= t < 3_200_000]
+        assert while_down and all(not m.entries for m in while_down)
+        # once it answers, the restarted node catches up
+        applied = [n.persist.last_applied for n in r.sim.nodes.values()]
+        assert applied[2] >= min(applied[:2] + applied[3:]) - 20
+
     def test_partition_drops_both_directions(self):
         sc = load_scenario(TINY)
         sc.duration_s = 2.0
