@@ -1,7 +1,7 @@
 """Run measurement: response times, throughput windows, traffic and lag.
 
-The simulation feeds every trace event to its collector, so everything
-reported here is derivable from the run trace plus the client-side
+The trace verifier's one pass over the run trace feeds the collector, so
+everything reported here is derived from the trace text plus the client-side
 completion records.
 """
 
@@ -14,7 +14,10 @@ from .workload import Completion
 
 
 class TraceCollector:
-    """Fed every event by the simulation's trace recorder."""
+    """The trace facts behind the metrics. ``verify.verify_trace`` feeds it
+    each parsed event of ``KINDS``."""
+
+    KINDS = frozenset({"ack", "apply", "window_close", "conflict", "elect"})
 
     def __init__(self) -> None:
         self.ack_time: dict[str, tuple[int, int]] = {}   # rid -> (us, origin)
@@ -23,20 +26,19 @@ class TraceCollector:
         self.conflicts = 0
         self.elections = 0
 
-    def __call__(self, kind: str, time: int, frm, detail: str) -> None:
+    def __call__(self, ev) -> None:
+        kind, d = ev.kind, ev.detail
         if kind == "ack":
-            f = dict(p.split("=", 1) for p in detail.split("|"))
-            self.ack_time.setdefault(f["rid"], (time, int(f["origin"])))
+            self.ack_time.setdefault(d["rid"], (ev.time, int(d["origin"])))
         elif kind == "apply":
-            f = dict(p.split("=", 1) for p in detail.split("|"))
-            rid = f["rid"]
-            if rid and f["dup"] == "0":
-                self.applies.setdefault(rid, {})[int(frm)] = time
+            rid = d["rid"]
+            if rid and d["dup"] == "0":
+                self.applies.setdefault(rid, {})[int(ev.frm)] = ev.time
         elif kind == "window_close":
             self.window_closes += 1
         elif kind == "conflict":
             self.conflicts += 1
-        elif kind == "elect" and detail.startswith("leader"):
+        elif kind == "elect" and d.get("_") == "leader":
             self.elections += 1
 
 

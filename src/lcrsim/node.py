@@ -87,7 +87,6 @@ class PersistentState:
     membership: list = field(default_factory=list)
     kv: KvStateMachine = field(default_factory=KvStateMachine)
     last_applied: int = 0
-    future_frontier: int = 0
 
 
 class Node:
@@ -163,11 +162,6 @@ class Node:
             return 0
         e = self.log.get(index)
         return e.term if e else 0
-
-    def _frontier_view(self) -> int:
-        """Highest future index this node has seen: its own allocations plus
-        everything staged on behalf of other data-leaders."""
-        return max(self.persist.future_frontier, self.stage.max_index_seen)
 
     def _refresh_windows(self) -> None:
         # windows close against leader-sequenced progress only
@@ -361,7 +355,7 @@ class Node:
     def _allocate(self) -> Optional[int]:
         try:
             return allocate_future_index(self.id, self.generation,
-                                         self._frontier_view(), self.windows)
+                                         self.stage.max_index_seen, self.windows)
         except NoOpenWindow:
             return None
 
@@ -373,7 +367,6 @@ class Node:
         entry = Entry(index=idx, term=self.term, kind=EntryKind.FUTURE,
                       origin=self.id, generation=self.generation,
                       request_id=request_id, payload=payload)
-        self.persist.future_frontier = max(self.persist.future_frontier, idx)
         self.stage.stage(entry, self.generation)
         self._note_staged_bytes()
         self.ctx.trace("alloc", detail=f"idx={idx}|gen={self.generation}|origin={self.id}")

@@ -7,7 +7,7 @@ import json
 import os
 from dataclasses import dataclass
 
-from .metrics import RunReport
+from .metrics import RunReport, TraceCollector
 from .scenario import Scenario
 from .simnet import Simulation
 from .verify import VerifyResult, verify_trace
@@ -62,9 +62,10 @@ def run_scenario(sc: Scenario, seed: int | None = None,
     sim.run(duration_us + int(drain_s * 1_000_000))
     sim.finalize_trace()
 
+    collector = TraceCollector()
+    verdict = verify_trace(sim.trace, collector)
     measured = [c for c in completions if c.end_us <= duration_us]
-    report = RunReport.build(sc.duration_s, measured, sim.stats, sim.collector)
-    verdict = verify_trace(sim.trace)
+    report = RunReport.build(sc.duration_s, measured, sim.stats, collector)
     return RunResult(scenario=sc, seed=seed, sim=sim, report=report,
                      verdict=verdict, completions=completions)
 

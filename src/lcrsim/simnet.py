@@ -21,7 +21,6 @@ from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientReques
                        ClientResponse, ForwardedRequest, ForwardedResponse,
                        FutureReplicateRequest, FutureReplicateResponse,
                        ReconcileRequest, VoteRequest, message_bytes)
-from .metrics import TraceCollector
 from .node import Node, NodeConfig, PersistentState
 
 
@@ -172,8 +171,6 @@ class Simulation:
         self.clients: dict[str, object] = {}
         self.client_ctx: dict[str, _ClientCtx] = {}
 
-        self.collector = TraceCollector()   # sees every recorded event
-
     # -- construction ------------------------------------------------------
 
     def add_node(self, node_id: int, membership: list[int], cfg: NodeConfig,
@@ -203,7 +200,6 @@ class Simulation:
     def record(self, time: int, kind: str, frm="-", to="-", msg_kind="-",
                nbytes: int = 0, detail: str = "") -> None:
         self.trace.append(f"{time},{kind},{frm},{to},{msg_kind},{nbytes},{detail}")
-        self.collector(kind, time, frm, detail)
 
     def node_send(self, frm: int, to: int, msg, retransmit: bool) -> None:
         nbytes = message_bytes(msg)

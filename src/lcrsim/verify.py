@@ -21,10 +21,12 @@ from request ids) and checks:
 The trace is streamed: ``parse_trace`` yields one event at a time, and
 ``verify_trace`` reads it in a single pass, so ``lcrsim verify FILE`` reads
 the file lazily. Every line is still split and checked, but only ``apply``,
-``ack`` and ``final_state`` lines become events. What the verifier keeps grows
-with the number of applied indices (one history record and one mutation index
-each) and with the number of acknowledged requests, not with the number of
-nodes or the length of the trace.
+``ack`` and ``final_state`` lines become events, plus those of
+``metrics.TraceCollector.KINDS`` when a collector is given: a run's verdict
+and its metrics come from one parse. What the verifier keeps grows with the
+number of applied indices (one history record and one mutation index each)
+and with the number of acknowledged requests, not with the number of nodes
+or the length of the trace.
 """
 
 from __future__ import annotations
@@ -98,9 +100,10 @@ class VerifyResult:
         self.checks.setdefault(check, True)
 
 
-def verify_trace(lines: Iterable[str]) -> VerifyResult:
+def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
     """Check a trace in one pass over ``lines``, which may be any iterable
-    of lines, an open file among them."""
+    of lines, an open file among them. A ``metrics.TraceCollector`` given as
+    ``collector`` is fed each event of its ``KINDS`` before the checks."""
     res = VerifyResult()
     for name in ("applied_prefix", "at_most_once", "digest_replay",
                  "ack_durability", "commit_monotone"):
@@ -113,7 +116,10 @@ def verify_trace(lines: Iterable[str]) -> VerifyResult:
     acked: set[str] = set()
     finals: dict[str, dict] = {}
 
-    for ev in parse_trace(lines, VERIFIED_KINDS):
+    collected = collector.KINDS if collector is not None else frozenset()
+    for ev in parse_trace(lines, VERIFIED_KINDS | collected):
+        if ev.kind in collected:
+            collector(ev)
         if ev.kind == "apply":
             node, d = ev.frm, ev.detail
             idx = int(d["idx"])

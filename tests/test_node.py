@@ -152,6 +152,8 @@ class TestFutureReplication:
         assert len(n.stage.pending) == 1
         (idx,) = n.stage.pending
         assert idx % 5 == 2
+        # the stage's high mark covers the node's own allocations too
+        assert n.stage.max_index_seen == idx
         frs = [(to, m) for to, m in ctx.sent
                if isinstance(m, FutureReplicateRequest)]
         assert {to for to, _ in frs} == {0, 1, 3, 4}

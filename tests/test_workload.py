@@ -6,6 +6,8 @@ import pytest
 
 from lcrsim.kv import KvStateMachine, encode_insert, encode_transfer
 from lcrsim.metrics import RunReport, TraceCollector
+from lcrsim.runner import run_scenario, write_outputs
+from lcrsim.scenario import builtin_scenario_path, load_scenario
 from lcrsim.simnet import NodeStats
 from lcrsim.verify import parse_trace, verify_trace
 from lcrsim.workload import Completion, kind_of_rid, payload_for_rid
@@ -85,6 +87,49 @@ class TestRunReport:
     def test_csv_stable(self):
         rep = RunReport.build(1.0, [], {0: NodeStats()}, TraceCollector())
         assert list(rep.csv_rows()) == list(rep.csv_rows())
+
+
+COLLECTED_TRACE = """\
+0,elect,2,-,-,0,candidate|term=2
+1,elect,2,-,-,0,leader|term=2
+2,send,2,0,AppendEntriesRequest,152,
+3,window_close,2,-,-,0,start=1|end=50|gen=5
+4,conflict,1,-,-,0,idx=7|origin=1|owner=2
+10,ack,1,-,-,0,rid=c0.1.nt|kind=nt|idx=1|origin=1
+12,ack,2,-,-,0,rid=c0.1.nt|kind=nt|idx=1|origin=2
+20,apply,0,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
+21,apply,1,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
+30,apply,0,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=1
+31,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=1
+32,apply,0,-,-,0,idx=3|rid=|kind=NOOP_FILL|digest=-|dup=0
+40,final_state,0,-,-,0,alive=1|term=2|gen=5|commit=3|applied=3|contig=3|digest={d}
+41,final_state,1,-,-,0,alive=1|term=2|gen=5|commit=2|applied=2|contig=2|digest={d}
+"""
+
+
+class TestTraceCollector:
+    def test_fed_by_the_verifier(self):
+        c = TraceCollector()
+        res = verify_trace(COLLECTED_TRACE.format(d=_expected_digest())
+                           .splitlines(), c)
+        assert res.ok, res.errors
+        assert c.ack_time == {"c0.1.nt": (10, 1)}        # the first ack
+        assert c.applies == {"c0.1.nt": {0: 20, 1: 21}}  # no dup, no NOOP
+        assert (c.elections, c.window_closes, c.conflicts) == (1, 1, 1)
+
+    def test_trace_file_gives_the_run_collector(self, tmp_path):
+        sc = load_scenario(builtin_scenario_path("fig14_response_time").read_text())
+        sc.duration_s = 1.0
+        result = run_scenario(sc, protocol="lcr")
+        write_outputs(result, str(tmp_path))
+        c = TraceCollector()
+        with open(tmp_path / "trace.txt") as fh:
+            assert verify_trace(fh, c).ok
+        run = result.report.collector
+        assert c.applies and c.window_closes
+        assert (c.ack_time, c.applies) == (run.ack_time, run.applies)
+        assert ((c.elections, c.window_closes, c.conflicts)
+                == (run.elections, run.window_closes, run.conflicts))
 
 
 GOOD_TRACE = """\
