@@ -129,10 +129,13 @@ def maintain_windows(normal_last_index: int, windows: list[Window], *,
 @dataclass
 class FutureStage:
     """Future entries received via future replication, not yet resolved into
-    the leader-sequenced log."""
+    the leader-sequenced log. ``stage`` and ``drop`` are the only writers of
+    ``pending``, and they keep ``payload_bytes``, the payload total of its
+    entries."""
 
     pending: dict[int, Entry] = field(default_factory=dict)
     max_index_seen: int = 0
+    payload_bytes: int = 0
 
     def stage(self, entry: Entry, local_generation: int) -> StageOutcome:
         if entry.kind != EntryKind.FUTURE:
@@ -145,6 +148,7 @@ class FutureStage:
                 return StageOutcome.DUPLICATE
             return StageOutcome.CONFLICT
         self.pending[entry.index] = entry
+        self.payload_bytes += len(entry.payload)
         if entry.index > self.max_index_seen:
             self.max_index_seen = entry.index
         return StageOutcome.STAGED
@@ -153,10 +157,12 @@ class FutureStage:
         return self.pending.get(index)
 
     def drop(self, index: int) -> None:
-        self.pending.pop(index, None)
+        entry = self.pending.pop(index, None)
+        if entry is not None:
+            self.payload_bytes -= len(entry.payload)
 
     def bytes_held(self, entry_header_bytes: int) -> int:
-        return sum(entry_header_bytes + len(e.payload) for e in self.pending.values())
+        return self.payload_bytes + entry_header_bytes * len(self.pending)
 
 
 class CommittedMutation(Exception):

@@ -2,7 +2,9 @@
 
 The trace verifier's one pass over the run trace feeds the collector, so
 everything reported here is derived from the trace text plus the client-side
-completion records.
+completion records. The collector keeps only what the report reads: counts,
+the set of committed rids, and the ack and apply times of nt rids, the only
+ones apply lag reads.
 """
 
 from __future__ import annotations
@@ -15,13 +17,16 @@ from .workload import Completion
 
 class TraceCollector:
     """The trace facts behind the metrics. ``verify.verify_trace`` feeds it
-    each parsed event of ``KINDS``."""
+    each parsed event of ``KINDS``. Every rid applied without ``dup`` goes
+    into ``committed``; ``ack_time`` and ``applies`` hold nt rids only, for
+    apply lag, so transactional requests cost one set entry each."""
 
     KINDS = frozenset({"ack", "apply", "window_close", "conflict", "elect"})
 
     def __init__(self) -> None:
-        self.ack_time: dict[str, tuple[int, int]] = {}   # rid -> (us, origin)
-        self.applies: dict[str, dict[int, int]] = {}     # rid -> node -> us
+        self.committed: set[str] = set()
+        self.ack_time: dict[str, tuple[int, int]] = {}   # nt rid -> (us, origin)
+        self.applies: dict[str, dict[int, int]] = {}     # nt rid -> node -> us
         self.window_closes = 0
         self.conflicts = 0
         self.elections = 0
@@ -29,11 +34,15 @@ class TraceCollector:
     def __call__(self, ev) -> None:
         kind, d = ev.kind, ev.detail
         if kind == "ack":
-            self.ack_time.setdefault(d["rid"], (ev.time, int(d["origin"])))
+            rid = d["rid"]
+            if rid.endswith(".nt"):
+                self.ack_time.setdefault(rid, (ev.time, int(d["origin"])))
         elif kind == "apply":
             rid = d["rid"]
             if rid and d["dup"] == "0":
-                self.applies.setdefault(rid, {})[int(ev.frm)] = ev.time
+                self.committed.add(rid)
+                if rid.endswith(".nt"):
+                    self.applies.setdefault(rid, {})[int(ev.frm)] = ev.time
         elif kind == "window_close":
             self.window_closes += 1
         elif kind == "conflict":
@@ -74,13 +83,12 @@ class RunReport:
         r.rt_mean_us = {k: (sums[k] / counts[k] if counts[k] else 0.0)
                         for k in sums}
         r.tps_windows = {w: float(n) for w, n in sorted(windows.items())}
-        r.committed_requests = len(collector.applies)
+        r.committed_requests = len(collector.committed)
         lags = []
         for rid, (ack_us, origin) in collector.ack_time.items():
-            if rid.endswith(".nt"):
-                t = collector.applies.get(rid, {}).get(origin)
-                if t is not None and t >= ack_us:
-                    lags.append(t - ack_us)
+            t = collector.applies.get(rid, {}).get(origin)
+            if t is not None and t >= ack_us:
+                lags.append(t - ack_us)
         r.apply_lag_mean_us = sum(lags) / len(lags) if lags else 0.0
         if completions:
             r.mean_attempts = sum(c.attempts for c in completions) / len(completions)

@@ -72,10 +72,8 @@ def run_scenario(sc: Scenario, seed: int | None = None,
 
 def write_outputs(result: RunResult, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "trace.txt"), "w") as fh:
-        for block in result.sim.trace.blocks():
-            fh.write(block)
-            fh.write("\n")
+    with open(os.path.join(outdir, "trace.txt"), "wb") as fh:
+        result.sim.trace.write_to(fh)
     result.report.write_csv(os.path.join(outdir, "metrics.csv"))
     with open(os.path.join(outdir, "verdict.json"), "w") as fh:
         json.dump({"ok": result.verdict.ok, "checks": result.verdict.checks,

@@ -13,8 +13,11 @@ per-kind processing cost; a node busy with earlier work queues later arrivals
 
 from __future__ import annotations
 
+import codecs
 import heapq
+import os
 import random
+import tempfile
 from dataclasses import dataclass
 
 from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientRequest,
@@ -66,36 +69,64 @@ class NodeStats:
 
 
 class TraceLines:
-    """The run's trace lines, stored as newline-joined blocks of ``BLOCK``
-    lines plus an open tail: one ``str`` per block costs far less memory
-    than one per line. Iterating yields the lines in order."""
+    """The run's trace lines. Each sealed block of ``BLOCK`` lines is written,
+    newline-terminated and UTF-8 encoded, to an anonymous temporary file
+    (the spool), so only the open tail stays in memory. The spool is opened
+    at the first sealed block and closed when this object is collected.
+    Iterating yields the lines in order, without their newlines."""
 
     BLOCK = 4096
+    READ_CHUNK = 1 << 16    # bytes read from the spool at a time
 
     def __init__(self):
-        self._blocks: list[str] = []
+        self._spool = None
+        self._spooled = 0            # lines in the spool
         self._tail: list[str] = []
 
     def append(self, line: str) -> None:
-        self._tail.append(line)
-        if len(self._tail) == self.BLOCK:
-            self._blocks.append("\n".join(self._tail))
+        tail = self._tail
+        tail.append(line)
+        if len(tail) == self.BLOCK:
+            if self._spool is None:
+                self._spool = tempfile.TemporaryFile()
+            tail.append("")          # the block's closing newline
+            self._spool.seek(0, os.SEEK_END)
+            self._spool.write("\n".join(tail).encode())
+            self._spooled += self.BLOCK
             self._tail = []
 
     def __len__(self) -> int:
-        return len(self._blocks) * self.BLOCK + len(self._tail)
+        return self._spooled + len(self._tail)
+
+    def _chunks(self):
+        """The spool's bytes, ``READ_CHUNK`` at a time."""
+        if self._spool is None:
+            return
+        offset = 0
+        while True:
+            self._spool.seek(offset)   # an append between reads moves it
+            chunk = self._spool.read(self.READ_CHUNK)
+            if not chunk:
+                return
+            offset += len(chunk)
+            yield chunk
 
     def __iter__(self):
-        for block in self._blocks:
-            yield from block.split("\n")
+        decode = codecs.getincrementaldecoder("utf-8")().decode
+        carry = ""
+        for chunk in self._chunks():
+            lines = (carry + decode(chunk)).split("\n")
+            carry = lines.pop()      # a line the chunk cut short, or ""
+            yield from lines
         yield from self._tail
 
-    def blocks(self):
-        """The text of the trace, one block at a time, without the newline
-        that ends each block."""
-        yield from self._blocks
+    def write_to(self, fh) -> None:
+        """Write the trace text, every line newline-terminated, to the binary
+        file ``fh``: the spool byte for byte, then the tail."""
+        for chunk in self._chunks():
+            fh.write(chunk)
         if self._tail:
-            yield "\n".join(self._tail)
+            fh.write(("\n".join(self._tail) + "\n").encode())
 
 
 class _NodeCtx:

@@ -1,6 +1,11 @@
-"""Harness determinism, latency/size/cost models, fault plumbing."""
+"""Harness determinism, latency/size/cost models, trace spool, fault plumbing."""
 
+import gc
+import io
+import os
 import random
+import tempfile
+import tracemalloc
 
 import pytest
 
@@ -10,8 +15,9 @@ from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
                              FutureReplicateResponse, message_bytes)
 from lcrsim.node import Node
 from lcrsim.scenario import FaultEvent, builtin_scenario_path, load_scenario
-from lcrsim.simnet import CostModel, LatencyModel, NodeStats, Simulation, _NodeCtx
-from lcrsim.runner import run_scenario
+from lcrsim.simnet import (CostModel, LatencyModel, NodeStats, Simulation, TraceLines,
+                           _NodeCtx)
+from lcrsim.runner import run_scenario, write_outputs
 
 TINY = """
 name: tiny
@@ -113,6 +119,92 @@ class TestDeterminism:
         a = run_scenario(load_scenario(TINY), drain_s=0.5)
         b = run_scenario(load_scenario(TINY), seed=8, drain_s=0.5)
         assert list(a.sim.trace) != list(b.sim.trace)
+
+
+def _fig14(duration_s: float):
+    sc = load_scenario(builtin_scenario_path("fig14_response_time").read_text())
+    sc.duration_s = duration_s
+    return sc
+
+
+class TestTraceSpool:
+    """Sealed blocks of the trace live in an anonymous file, not in memory."""
+
+    B = TraceLines.BLOCK
+
+    def test_len_and_iteration_span_blocks_and_tail(self):
+        lines = [f"{i},send,0,1,AppendEntriesRequest,{i % 97},"
+                 for i in range(self.B * 3 + 5)]
+        t = TraceLines()
+        for line in lines:
+            t.append(line)
+        assert len(t) == len(lines)
+        assert list(t) == lines
+        assert list(t) == lines      # the spool can be read again
+
+    def test_line_straddling_a_read_chunk(self):
+        # 7-byte chunks cut nearly every line, and the "é" lines
+        # (two bytes in UTF-8) at some chunk boundaries
+        lines = [f"{i},x,é{'y' * (i % 11)}" for i in range(self.B + 2)]
+        t = TraceLines()
+        t.READ_CHUNK = 7
+        for line in lines:
+            t.append(line)
+        assert list(t) == lines
+        out = io.BytesIO()
+        t.write_to(out)
+        assert out.getvalue() == ("\n".join(lines) + "\n").encode()
+
+    def test_write_outputs_copies_the_trace(self, tmp_path):
+        r = run_scenario(_fig14(0.2), seed=1)
+        lines = list(r.sim.trace)
+        assert len(lines) > 2 * self.B
+        write_outputs(r, str(tmp_path))
+        assert (tmp_path / "trace.txt").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_no_file_below_one_block(self, monkeypatch):
+        def no_file():
+            raise AssertionError("spool opened below one block")
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        t = TraceLines()
+        for i in range(self.B - 1):
+            t.append(str(i))
+        assert len(t) == self.B - 1 and list(t) == [str(i) for i in range(self.B - 1)]
+        out = io.BytesIO()
+        t.write_to(out)
+        assert out.getvalue().count(b"\n") == self.B - 1
+        with pytest.raises(AssertionError, match="spool opened"):
+            t.append("one block")
+
+    def test_memory_stays_below_one_block(self):
+        block_text = self.B * 101          # 100-byte lines and their newlines
+        tracemalloc.start()
+        try:
+            t = TraceLines()
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(20 * self.B):
+                t.append(f"{i:0100d}")
+            held, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(t) == 20 * self.B
+        assert held < block_text, held
+        assert peak < 5 * block_text, peak   # one block sealed at a time
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts descriptors through /proc")
+    def test_runs_leave_no_descriptor_or_file(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        gc.collect()
+        start = len(os.listdir("/proc/self/fd"))
+        results = [run_scenario(_fig14(0.2), seed=s, drain_s=0.1) for s in range(20)]
+        assert all(len(r.sim.trace) > self.B for r in results)
+        assert len(os.listdir("/proc/self/fd")) >= start + 20   # each spooled
+        del results
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == start
+        assert os.listdir(tmp_path) == []
 
 
 class TestRetransmission:

@@ -101,21 +101,27 @@ COLLECTED_TRACE = """\
 21,apply,1,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
 30,apply,0,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=1
 31,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=1
-32,apply,0,-,-,0,idx=3|rid=|kind=NOOP_FILL|digest=-|dup=0
-40,final_state,0,-,-,0,alive=1|term=2|gen=5|commit=3|applied=3|contig=3|digest={d}
-41,final_state,1,-,-,0,alive=1|term=2|gen=5|commit=2|applied=2|contig=2|digest={d}
+32,apply,0,-,-,0,idx=3|rid=c0.2.t|kind=NORMAL|digest=bbb|dup=0
+33,apply,1,-,-,0,idx=3|rid=c0.2.t|kind=NORMAL|digest=bbb|dup=0
+33,ack,1,-,-,0,rid=c0.2.t|kind=t|idx=3|origin=1
+34,apply,0,-,-,0,idx=4|rid=|kind=NOOP_FILL|digest=-|dup=0
+40,final_state,0,-,-,0,alive=1|term=2|gen=5|commit=4|applied=4|contig=4|digest={d}
+41,final_state,1,-,-,0,alive=1|term=2|gen=5|commit=3|applied=3|contig=3|digest={d}
 """
 
 
 class TestTraceCollector:
     def test_fed_by_the_verifier(self):
         c = TraceCollector()
-        res = verify_trace(COLLECTED_TRACE.format(d=_expected_digest())
-                           .splitlines(), c)
+        res = verify_trace(COLLECTED_TRACE.format(
+            d=_expected_digest("c0.1.nt", "c0.2.t")).splitlines(), c)
         assert res.ok, res.errors
+        assert c.committed == {"c0.1.nt", "c0.2.t"}      # no dup, no NOOP
+        # apply lag reads only nt rids: the t rid is counted, not timed
         assert c.ack_time == {"c0.1.nt": (10, 1)}        # the first ack
-        assert c.applies == {"c0.1.nt": {0: 20, 1: 21}}  # no dup, no NOOP
+        assert c.applies == {"c0.1.nt": {0: 20, 1: 21}}
         assert (c.elections, c.window_closes, c.conflicts) == (1, 1, 1)
+        assert RunReport.build(1.0, [], {}, c).committed_requests == 2
 
     def test_trace_file_gives_the_run_collector(self, tmp_path):
         sc = load_scenario(builtin_scenario_path("fig14_response_time").read_text())
@@ -127,7 +133,8 @@ class TestTraceCollector:
             assert verify_trace(fh, c).ok
         run = result.report.collector
         assert c.applies and c.window_closes
-        assert (c.ack_time, c.applies) == (run.ack_time, run.applies)
+        assert ((c.committed, c.ack_time, c.applies)
+                == (run.committed, run.ack_time, run.applies))
         assert ((c.elections, c.window_closes, c.conflicts)
                 == (run.elections, run.window_closes, run.conflicts))
 
@@ -141,9 +148,10 @@ GOOD_TRACE = """\
 """
 
 
-def _expected_digest():
+def _expected_digest(*rids):
     sm = KvStateMachine()
-    sm.apply("c0.1.nt", payload_for_rid("c0.1.nt"))
+    for rid in rids or ("c0.1.nt",):
+        sm.apply(rid, payload_for_rid(rid))
     return sm.digest()
 
 
