@@ -2,9 +2,10 @@
 
 The trace verifier's one pass over the run trace feeds the collector, so
 everything reported here is derived from the trace text plus the client-side
-completion records. The collector keeps only what the report reads: counts,
-the set of committed rids, and the ack and apply times of nt rids, the only
-ones apply lag reads.
+completion records. The collector keeps only what the report reads: event
+counts, the verifier's map of committed rids (shared, not copied), and a
+running sum of apply lags. An nt rid's ack or apply times are held only
+until its first ack meets the apply at that ack's origin.
 """
 
 from __future__ import annotations
@@ -17,32 +18,56 @@ from .workload import Completion
 
 class TraceCollector:
     """The trace facts behind the metrics. ``verify.verify_trace`` feeds it
-    each parsed event of ``KINDS``. Every rid applied without ``dup`` goes
-    into ``committed``; ``ack_time`` and ``applies`` hold nt rids only, for
-    apply lag, so transactional requests cost one set entry each."""
+    each parsed event of ``KINDS`` and keeps its mutation map in
+    ``committed`` (rid -> lowest index applied without ``dup``). Apply lag is
+    summed as each nt rid's first ack meets the apply at that ack's origin;
+    until then the rid waits in ``_acked`` or ``_applied``. A rid in
+    ``committed`` and in neither is timed, and its later acks and applies
+    are ignored."""
 
     KINDS = frozenset({"ack", "apply", "window_close", "conflict", "elect"})
 
     def __init__(self) -> None:
-        self.committed: set[str] = set()
-        self.ack_time: dict[str, tuple[int, int]] = {}   # nt rid -> (us, origin)
-        self.applies: dict[str, dict[int, int]] = {}     # nt rid -> node -> us
+        self.committed: dict[str, int] = {}
+        self._acked: dict[str, tuple[int, int]] = {}    # nt rid -> (us, origin)
+        self._applied: dict[str, dict[int, int]] = {}   # nt rid -> node -> us
+        self.lag_sum_us = 0
+        self.lag_count = 0
         self.window_closes = 0
         self.conflicts = 0
         self.elections = 0
+
+    def _timed(self, rid: str) -> bool:
+        return rid in self.committed and rid not in self._applied
+
+    def _add_lag(self, lag_us: int) -> None:
+        if lag_us >= 0:
+            self.lag_sum_us += lag_us
+            self.lag_count += 1
 
     def __call__(self, ev) -> None:
         kind, d = ev.kind, ev.detail
         if kind == "ack":
             rid = d["rid"]
-            if rid.endswith(".nt"):
-                self.ack_time.setdefault(rid, (ev.time, int(d["origin"])))
+            if (rid.endswith(".nt") and rid not in self._acked
+                    and not self._timed(rid)):
+                origin = int(d["origin"])
+                applied = self._applied.pop(rid, ())
+                if origin in applied:
+                    self._add_lag(applied[origin] - ev.time)
+                else:
+                    self._acked[rid] = (ev.time, origin)
         elif kind == "apply":
             rid = d["rid"]
-            if rid and d["dup"] == "0":
-                self.committed.add(rid)
-                if rid.endswith(".nt"):
-                    self.applies.setdefault(rid, {})[int(ev.frm)] = ev.time
+            if rid.endswith(".nt") and d["dup"] == "0":
+                node = int(ev.frm)
+                ack = self._acked.get(rid)
+                if ack is not None:
+                    if ack[1] == node:
+                        del self._acked[rid]
+                        self._add_lag(ev.time - ack[0])
+                elif not self._timed(rid):
+                    self._applied.setdefault(rid, {})[node] = ev.time
         elif kind == "window_close":
             self.window_closes += 1
         elif kind == "conflict":
@@ -84,12 +109,8 @@ class RunReport:
                         for k in sums}
         r.tps_windows = {w: float(n) for w, n in sorted(windows.items())}
         r.committed_requests = len(collector.committed)
-        lags = []
-        for rid, (ack_us, origin) in collector.ack_time.items():
-            t = collector.applies.get(rid, {}).get(origin)
-            if t is not None and t >= ack_us:
-                lags.append(t - ack_us)
-        r.apply_lag_mean_us = sum(lags) / len(lags) if lags else 0.0
+        r.apply_lag_mean_us = (collector.lag_sum_us / collector.lag_count
+                               if collector.lag_count else 0.0)
         if completions:
             r.mean_attempts = sum(c.attempts for c in completions) / len(completions)
         return r

@@ -5,6 +5,11 @@ Virtual time is integer microseconds. The event heap is ordered by
 function of (configuration, seed): two runs with the same inputs produce
 byte-identical traces.
 
+A timer reset takes a ``seq`` as if it pushed an event, but a reset that
+moves a deadline later pushes nothing: the timer's one armed event, when it
+pops early, re-pushes itself at the latest deadline and ``seq``. So events
+run in the order that pushing on every reset would give.
+
 Latency is ``mean + uniform(0, magnitude)`` with probability ``fluct_prob``,
 otherwise exactly ``mean``. Message handling occupies the receiving node for a
 per-kind processing cost; a node busy with earlier work queues later arrivals
@@ -65,7 +70,7 @@ class NodeStats:
     retrans_bytes: int = 0
     dropped_bytes: int = 0
     busy_us: int = 0
-    staged_bytes_peak: int = 0
+    staged_bytes_peak: int = 0   # folded in at restart and finalize_trace
 
 
 class TraceLines:
@@ -129,19 +134,56 @@ class TraceLines:
             fh.write(("\n".join(self._tail) + "\n").encode())
 
 
-class _NodeCtx:
+class _TimerCtx:
+    """Named one-shot timers of a node incarnation or a client. A reset
+    records the deadline ``(fire_at, seq)`` that an eager push would use, and
+    pushes only when no armed event of that name pops at or before it. A
+    timer fires once, at its deadline, and never for a dead incarnation."""
+
+    alive = True
+
+    def __init__(self, sim: "Simulation"):
+        self.sim = sim
+        self.timers: dict[str, tuple[int, int]] = {}   # name -> deadline
+        self._armed: dict[str, tuple[int, int]] = {}   # name -> heap entry
+
+    def set_timer(self, name: str, delay_us: int) -> None:
+        sim = self.sim
+        fire_at = self.now + max(0, int(delay_us))
+        sim._seq += 1
+        self.timers[name] = deadline = (fire_at, sim._seq)
+        armed = self._armed.get(name)
+        if armed is None or armed[0] > fire_at:
+            self._arm(name, deadline)
+
+    def _arm(self, name: str, entry: tuple[int, int]) -> None:
+        self._armed[name] = entry
+        heapq.heappush(self.sim._heap, (*entry, self._fire, (name, entry[1])))
+
+    def _fire(self, name: str, seq: int) -> None:
+        armed = self._armed.get(name)
+        if not self.alive or armed is None or armed[1] != seq:
+            return       # dead, fired, or superseded by an earlier deadline
+        deadline = self.timers[name]
+        if deadline != armed:
+            self._arm(name, deadline)
+            return
+        del self._armed[name]
+        self._expire(name)
+
+
+class _NodeCtx(_TimerCtx):
     """One incarnation of a node: the harness's record of it, and the adapter
     through which the protocol code touches the world. A restart replaces
     the record, so timers and clock of the old incarnation die with it."""
 
     def __init__(self, sim: "Simulation", node_id: int, incarnation: int):
-        self.sim = sim
+        super().__init__(sim)
         self.node_id = node_id
         self.incarnation = incarnation
         self.alive = True
         self.busy_until = sim.now
         self.now = sim.now
-        self.timers: dict[str, int] = {}    # name -> latest fire time
         self.rng = random.Random(f"{sim.seed}:node:{node_id}:{incarnation}")
 
     def send(self, to: int, msg, retransmit: bool = False) -> None:
@@ -150,22 +192,20 @@ class _NodeCtx:
     def send_client(self, client_id: str, resp) -> None:
         self.sim.node_send_client(self.node_id, client_id, resp)
 
-    def set_timer(self, name: str, delay_us: int) -> None:
-        fire_at = self.now + max(0, int(delay_us))
-        self.timers[name] = fire_at
-        self.sim.schedule(fire_at, self.sim._fire_node_timer, self, name, fire_at)
+    def _expire(self, name: str) -> None:
+        self.now = self.sim.now
+        self.sim.nodes[self.node_id].on_timer(name)
 
     def trace(self, kind: str, detail: str = "") -> None:
         self.sim.record(self.now, kind, frm=self.node_id, detail=detail)
 
 
-class _ClientCtx:
+class _ClientCtx(_TimerCtx):
     """The harness's record of one client, and its adapter to the world."""
 
     def __init__(self, sim: "Simulation", client):
-        self.sim = sim
+        super().__init__(sim)
         self.client = client
-        self.timers: dict[str, int] = {}    # name -> latest fire time
         self.rng = random.Random(f"{sim.seed}:client:{client.client_id}")
 
     @property
@@ -175,10 +215,8 @@ class _ClientCtx:
     def send(self, node_id: int, msg) -> None:
         self.sim.client_send(self.client.client_id, node_id, msg)
 
-    def set_timer(self, name: str, delay_us: int) -> None:
-        fire_at = self.now + max(0, int(delay_us))
-        self.timers[name] = fire_at
-        self.sim.schedule(fire_at, self.sim._fire_client_timer, self, name, fire_at)
+    def _expire(self, name: str) -> None:
+        self.client.on_timer(self, name)
 
 
 class Simulation:
@@ -274,6 +312,7 @@ class Simulation:
     def restart(self, node_id: int) -> None:
         old = self.nodes[node_id]
         old.ctx.alive = False
+        self._fold_staged_peak(old)
         self.record(self.now, "fault", frm=node_id, detail="restart")
         self.add_node(node_id, old.persist.membership, old.cfg,
                       persist=old.persist)
@@ -314,16 +353,6 @@ class Simulation:
         ctx.now = ctx.busy_until = max(self.now, ctx.busy_until) + cost
         st.busy_us += cost
         node.on_message(frm, msg)
-        st.staged_bytes_peak = max(st.staged_bytes_peak, node.staged_bytes_peak)
-
-    def _fire_node_timer(self, ctx: _NodeCtx, name: str, fire_at: int) -> None:
-        if ctx.alive and ctx.timers.get(name) == fire_at:
-            ctx.now = self.now
-            self.nodes[ctx.node_id].on_timer(name)
-
-    def _fire_client_timer(self, ctx: _ClientCtx, name: str, fire_at: int) -> None:
-        if ctx.timers.get(name) == fire_at:
-            ctx.client.on_timer(ctx, name)
 
     def run(self, until_us: int) -> None:
         heap = self._heap
@@ -332,9 +361,14 @@ class Simulation:
             handler(*args)
         self.now = until_us
 
+    def _fold_staged_peak(self, node: Node) -> None:
+        st = self.stats[node.id]
+        st.staged_bytes_peak = max(st.staged_bytes_peak, node.staged_bytes_peak)
+
     def finalize_trace(self) -> None:
         for node_id in sorted(self.nodes):
             n = self.nodes[node_id]
+            self._fold_staged_peak(n)
             self.record(self.now, "final_state", frm=node_id, detail=(
                 f"alive={int(n.ctx.alive)}"
                 f"|term={n.term}|gen={n.generation}"

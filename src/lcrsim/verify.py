@@ -2,10 +2,10 @@
 
 The verifier only reads the trace text. Every node must apply the same entry
 at each index (Raft's State Machine Safety), so a correct run has one applied
-history. The verifier keeps that history once: at each index, the (request
-id, kind, payload digest) of the first node to apply it. It replays the
-history once through its own state machine (payloads are reconstructable
-from request ids) and checks:
+history. The verifier keeps that history once: at each index, the request
+id of the first node to apply it and one int packing that apply's entry
+kind and payload digest. It replays the history once through its own state
+machine (payloads are reconstructable from request ids) and checks:
 
   applied_prefix      every apply matches the history at its index, or
                       extends the history by one index
@@ -23,10 +23,15 @@ The trace is streamed: ``parse_trace`` yields one event at a time, and
 the file lazily. Every line is still split and checked, but only ``apply``,
 ``ack`` and ``final_state`` lines become events, plus those of
 ``metrics.TraceCollector.KINDS`` when a collector is given: a run's verdict
-and its metrics come from one parse. What the verifier keeps grows with the
-number of applied indices (one history record and one mutation index each)
-and with the number of acknowledged requests, not with the number of nodes
-or the length of the trace.
+and its metrics come from one parse.
+
+What the verifier keeps: per applied index, a rid and a packed int, and for
+each rid that mutated, its lowest mutating index, keyed by the history's own
+rid string; an acknowledged rid only while it is not yet in the history; and
+a last index and final state per node. So its memory grows with the number
+of applied indices, not with the number of nodes or the length of the trace.
+Errors show a history record as the ``(rid, kind, digest)`` text it came
+from.
 """
 
 from __future__ import annotations
@@ -100,20 +105,36 @@ class VerifyResult:
         self.checks.setdefault(check, True)
 
 
+def _pack(kind: str, digest: str) -> int:
+    """An applied entry's kind and payload digest as one int. The closing
+    ``|`` keeps trailing NUL bytes, and neither field can hold a ``|``."""
+    return int.from_bytes(f"{kind}|{digest}|".encode(), "little")
+
+
+def _record(rid: str, packed: int) -> tuple[str, str, str]:
+    """The ``(rid, kind, digest)`` of a history record, as error texts show it."""
+    kind, digest, _ = packed.to_bytes((packed.bit_length() + 7) // 8,
+                                      "little").decode().split("|")
+    return rid, kind, digest
+
+
 def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
     """Check a trace in one pass over ``lines``, which may be any iterable
     of lines, an open file among them. A ``metrics.TraceCollector`` given as
-    ``collector`` is fed each event of its ``KINDS`` before the checks."""
+    ``collector`` is fed each event of its ``KINDS`` before the checks, and
+    its ``committed`` map is the verifier's map of mutating indices."""
     res = VerifyResult()
     for name in ("applied_prefix", "at_most_once", "digest_replay",
                  "ack_durability", "commit_monotone"):
         res.passed(name)
 
-    history: list[tuple] = []        # index - 1 -> (rid, kind, digest)
+    rids: list[str] = []             # index - 1 -> rid of the history
+    packed: list[int] = []           # index - 1 -> _pack(kind, digest)
     last: dict[str, int] = {}        # node -> index it applied last
     off_history: set[str] = set()    # nodes that applied something else
-    mutated_at: dict[str, int] = {}  # rid -> lowest index it mutated at
-    acked: set[str] = set()
+    # rid -> lowest index it mutated at; its keys are the history's rids
+    mutated_at: dict[str, int] = {} if collector is None else collector.committed
+    acked: set[str] = set()          # acked rids not (yet) in the history
     finals: dict[str, dict] = {}
 
     collected = collector.KINDS if collector is not None else frozenset()
@@ -123,22 +144,27 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
         if ev.kind == "apply":
             node, d = ev.frm, ev.detail
             idx = int(d["idx"])
-            rec = (d["rid"], d["kind"], d["digest"])
+            rid, code = d["rid"], _pack(d["kind"], d["digest"])
             prev = last.get(node, 0)
             if idx != prev + 1:
                 res.fail("commit_monotone",
                          f"node {node} applied {idx} after {prev}")
             last[node] = idx
-            if idx == len(history) + 1:
-                history.append(rec)
+            if idx == len(rids) + 1:
+                rids.append(rid)
+                packed.append(code)
+                if rid:
+                    acked.discard(rid)
+            elif 0 < idx <= len(rids) and rids[idx - 1] == rid \
+                    and packed[idx - 1] == code:
+                rid = rids[idx - 1]  # one string per rid, shared with mutated_at
             else:
-                have = history[idx - 1] if 0 < idx <= len(history) else None
-                if have != rec:
-                    off_history.add(node)
-                    res.fail("applied_prefix",
-                             f"node {node} applied {rec} at index {idx}; the "
-                             f"history of {len(history)} has {have}")
-            rid = rec[0]
+                have = (_record(rids[idx - 1], packed[idx - 1])
+                        if 0 < idx <= len(rids) else None)
+                off_history.add(node)
+                res.fail("applied_prefix",
+                         f"node {node} applied {_record(rid, code)} at index "
+                         f"{idx}; the history of {len(rids)} has {have}")
             if rid and d["dup"] == "0":
                 low = mutated_at[rid] = min(idx, mutated_at.get(rid, idx))
                 if idx > low:
@@ -146,16 +172,21 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
                              f"node {node} mutated for {rid} at {idx}, "
                              f"above its mutation at {low}")
         elif ev.kind == "ack":
-            acked.add(ev.detail["rid"])
+            rid = ev.detail["rid"]
+            low = mutated_at.get(rid, 0)
+            if not (0 < low <= len(rids) and rids[low - 1] == rid):
+                acked.add(rid)       # not known to be in the history yet
         elif ev.kind == "final_state":
             finals[ev.frm] = ev.detail
 
     # acknowledged requests must be in the history
-    acked.difference_update(rec[0] for rec in history if rec[0])
+    acked.difference_update(filter(None, rids))
     for rid in acked:
         res.fail("ack_durability", f"acked {rid} never applied")
 
-    # final digests against one replay of the history, in order of length
+    # final digests against one replay of the history, in order of length;
+    # the replay reads only the rids, so the packed records go first
+    del packed
     sm = KvStateMachine()
     replayed = 0
     for n_applied, node in sorted((int(f.get("applied", 0)), node)
@@ -169,7 +200,7 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
             res.fail("digest_replay", f"node {node} applied off the history")
             continue
         while replayed < n_applied:
-            rid = history[replayed][0]
+            rid = rids[replayed]
             if rid and not sm.applied(rid):
                 sm.apply(rid, payload_for_rid(rid))
             replayed += 1

@@ -16,7 +16,7 @@ from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
 from lcrsim.node import Node
 from lcrsim.scenario import FaultEvent, builtin_scenario_path, load_scenario
 from lcrsim.simnet import (CostModel, LatencyModel, NodeStats, Simulation, TraceLines,
-                           _NodeCtx)
+                           _ClientCtx, _NodeCtx)
 from lcrsim.runner import run_scenario, write_outputs
 
 TINY = """
@@ -119,6 +119,59 @@ class TestDeterminism:
         a = run_scenario(load_scenario(TINY), drain_s=0.5)
         b = run_scenario(load_scenario(TINY), seed=8, drain_s=0.5)
         assert list(a.sim.trace) != list(b.sim.trace)
+
+
+class _TimerClient:
+    client_id = "c0"
+
+    def __init__(self, fired: list):
+        self.fired = fired
+
+    def on_timer(self, ctx, name: str) -> None:
+        self.fired.append((ctx.now, name))
+
+
+class TestTimers:
+    """A timer keeps one armed heap event, and fires as if every reset had
+    pushed its own event."""
+
+    @staticmethod
+    def _client():
+        sim = Simulation(1, LatencyModel(), LatencyModel())
+        fired = []
+        return sim, _ClientCtx(sim, _TimerClient(fired)), fired
+
+    def test_resets_keep_one_heap_event(self):
+        sim, ctx, fired = self._client()
+        for i in range(1000):
+            ctx.set_timer("t", 1000 + i)
+        assert len(sim._heap) == 1
+        sim.run(10_000)
+        assert fired == [(1999, "t")]
+        assert not sim._heap
+
+    def test_earlier_deadline_fires_early(self):
+        sim, ctx, fired = self._client()
+        ctx.set_timer("t", 5000)
+        ctx.set_timer("t", 2000)
+        sim.run(10_000)
+        assert fired == [(2000, "t")]
+
+    def test_ties_keep_the_eager_order(self):
+        # the timer is armed at 100 and moved to 500 before or after an
+        # event is scheduled at 500: it fires where that reset would have
+        # pushed it, after the event or before it
+        for reset_first in (False, True):
+            sim, ctx, fired = self._client()
+            ctx.set_timer("t", 100)
+            if reset_first:
+                ctx.set_timer("t", 500)
+            sim.schedule(500, fired.append, (500, "event"))
+            if not reset_first:
+                ctx.set_timer("t", 500)
+            sim.run(10_000)
+            expected = [(500, "event"), (500, "t")]
+            assert fired == (expected[::-1] if reset_first else expected)
 
 
 def _fig14(duration_s: float):

@@ -110,18 +110,45 @@ COLLECTED_TRACE = """\
 """
 
 
+# the origin applies c0.5.nt before its ack (stamped 2 us later), and a later
+# ack by node 0 must not time it again; the origin's apply of c0.6.nt is
+# stamped before its ack, so it is not timed
+ORIGIN_FIRST_TRACE = """\
+52,apply,1,-,-,0,idx=1|rid=c0.5.nt|kind=FUTURE|digest=ccc|dup=0
+50,ack,1,-,-,0,rid=c0.5.nt|kind=nt|idx=1|origin=1
+53,ack,0,-,-,0,rid=c0.5.nt|kind=nt|idx=1|origin=0
+57,apply,0,-,-,0,idx=1|rid=c0.5.nt|kind=FUTURE|digest=ccc|dup=0
+60,apply,1,-,-,0,idx=2|rid=c0.6.nt|kind=FUTURE|digest=ddd|dup=0
+64,ack,1,-,-,0,rid=c0.6.nt|kind=nt|idx=2|origin=1
+65,apply,0,-,-,0,idx=2|rid=c0.6.nt|kind=FUTURE|digest=ddd|dup=0
+70,final_state,0,-,-,0,alive=1|term=2|gen=5|commit=2|applied=2|contig=2|digest={d}
+71,final_state,1,-,-,0,alive=1|term=2|gen=5|commit=2|applied=2|contig=2|digest={d}
+"""
+
+
+def _collected(trace: str, *rids) -> tuple[TraceCollector, RunReport]:
+    c = TraceCollector()
+    res = verify_trace(trace.format(d=_expected_digest(*rids)).splitlines(), c)
+    assert res.ok, res.errors
+    return c, RunReport.build(1.0, [], {}, c)
+
+
 class TestTraceCollector:
     def test_fed_by_the_verifier(self):
-        c = TraceCollector()
-        res = verify_trace(COLLECTED_TRACE.format(
-            d=_expected_digest("c0.1.nt", "c0.2.t")).splitlines(), c)
-        assert res.ok, res.errors
-        assert c.committed == {"c0.1.nt", "c0.2.t"}      # no dup, no NOOP
-        # apply lag reads only nt rids: the t rid is counted, not timed
-        assert c.ack_time == {"c0.1.nt": (10, 1)}        # the first ack
-        assert c.applies == {"c0.1.nt": {0: 20, 1: 21}}
+        c, rep = _collected(COLLECTED_TRACE, "c0.1.nt", "c0.2.t")
+        assert rep.committed_requests == 2               # no dup, no NOOP
+        # only nt rids are timed: the first ack (10 us, origin 1) against
+        # the origin's apply at 21 us
+        assert rep.apply_lag_mean_us == 11.0
         assert (c.elections, c.window_closes, c.conflicts) == (1, 1, 1)
-        assert RunReport.build(1.0, [], {}, c).committed_requests == 2
+        assert not (c._acked or c._applied)              # timed rids leave
+
+    def test_origin_applies_before_its_ack(self):
+        c, rep = _collected(ORIGIN_FIRST_TRACE, "c0.5.nt", "c0.6.nt")
+        assert rep.committed_requests == 2
+        assert (c.lag_sum_us, c.lag_count) == (2, 1)
+        assert rep.apply_lag_mean_us == 2.0
+        assert not (c._acked or c._applied)
 
     def test_trace_file_gives_the_run_collector(self, tmp_path):
         sc = load_scenario(builtin_scenario_path("fig14_response_time").read_text())
@@ -132,11 +159,11 @@ class TestTraceCollector:
         with open(tmp_path / "trace.txt") as fh:
             assert verify_trace(fh, c).ok
         run = result.report.collector
-        assert c.applies and c.window_closes
-        assert ((c.committed, c.ack_time, c.applies)
-                == (run.committed, run.ack_time, run.applies))
-        assert ((c.elections, c.window_closes, c.conflicts)
-                == (run.elections, run.window_closes, run.conflicts))
+        assert c.lag_count and c.window_closes
+        assert c.committed == run.committed
+        assert ((c.lag_sum_us, c.lag_count, c.elections, c.window_closes, c.conflicts)
+                == (run.lag_sum_us, run.lag_count, run.elections,
+                    run.window_closes, run.conflicts))
 
 
 GOOD_TRACE = """\
@@ -172,6 +199,40 @@ def _variants() -> dict[str, list[str]]:
     }
 
 
+_PASS = dict.fromkeys(("applied_prefix", "at_most_once", "digest_replay",
+                       "ack_durability", "commit_monotone"), True)
+
+# (checks, errors) of each _variants() case, as the verifier gave them when
+# its history still held (rid, kind, digest) tuples
+VERDICTS = {
+    "clean": (_PASS, []),
+    "divergent_apply": (
+        {**_PASS, "applied_prefix": False, "digest_replay": False},
+        ["applied_prefix: node 1 applied ('c9.9.nt', 'FUTURE', 'aaa') at index 1; "
+         "the history of 1 has ('c0.1.nt', 'FUTURE', 'aaa')",
+         "digest_replay: node 1 applied off the history"]),
+    "double_mutation": (
+        {**_PASS, "at_most_once": False, "commit_monotone": False},
+        ["at_most_once: node 1 mutated for c0.1.nt at 2, above its mutation at 1",
+         "commit_monotone: node 1 final applied=1 but its last traced apply is 2"]),
+    "gapped_prefix": (
+        {**_PASS, "applied_prefix": False, "commit_monotone": False},
+        ["commit_monotone: node 0 applied 2 after 0",
+         "applied_prefix: node 0 applied ('c0.1.nt', 'FUTURE', 'aaa') at index 2; "
+         "the history of 0 has None",
+         "commit_monotone: node 0 final applied=1 but its last traced apply is 2"]),
+    "unapplied_ack": (
+        {**_PASS, "ack_durability": False, "commit_monotone": False},
+        ["ack_durability: acked c0.1.nt never applied",
+         "commit_monotone: node 0 final applied=1 but its last traced apply is 0",
+         "commit_monotone: node 1 final applied=1 but its last traced apply is 0"]),
+    "wrong_digest": (
+        {**_PASS, "digest_replay": False},
+        ["digest_replay: node 0 final digest deadbeef != replayed b31f2ce3a0879e9e at 1",
+         "digest_replay: node 1 final digest deadbeef != replayed b31f2ce3a0879e9e at 1"]),
+}
+
+
 class TestVerifier:
     def test_clean_trace_passes(self):
         res = verify_trace(_variants()["clean"])
@@ -203,6 +264,7 @@ class TestVerifier:
     def test_one_pass_inputs_match_list(self, name, tmp_path):
         lines = _variants()[name]
         expected = verify_trace(lines)
+        assert (expected.checks, expected.errors) == VERDICTS[name]
         for one_pass in (iter(lines), (l for l in lines)):
             res = verify_trace(one_pass)
             assert (res.checks, res.errors) == (expected.checks, expected.errors)
@@ -234,8 +296,10 @@ class TestVerifier:
         assert peak < 1024 * 1024, peak
 
     def test_memory_does_not_grow_with_node_count(self):
-        # 20,000 applied indices, applied by one node and then by five: the
-        # nodes share one history, so five need no more memory than one
+        # 20,000 acked and applied indices, applied by one node and then by
+        # five: the nodes share one history, so five need no more memory
+        # than one, and a compact record keeps an index under 400 B
+        # (about 600 B as (rid, kind, digest) tuples)
         n = 20_000
         rids = [f"c{i % 40}.{i}.nt" for i in range(1, n + 1)]
         sm = KvStateMachine()
@@ -245,6 +309,8 @@ class TestVerifier:
 
         def lines(nodes):
             for idx, rid in enumerate(rids, 1):
+                yield (f"{idx},ack,0,-,-,0,rid={rid}|kind=nt|idx={idx}"
+                       f"|origin=0")
                 for node in range(nodes):
                     yield (f"{idx},apply,{node},-,-,0,idx={idx}|rid={rid}"
                            f"|kind=FUTURE|digest=abcdef012345|dup=0")
@@ -256,12 +322,26 @@ class TestVerifier:
         for nodes in (1, 5):
             tracemalloc.start()
             try:
-                res = verify_trace(lines(nodes))
+                res = verify_trace(lines(nodes), TraceCollector())
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert res.ok, res.errors
         assert peaks[1] <= 1.25 * peaks[0], peaks
+        assert peaks[1] < 400 * n, peaks[1] / n
+
+    def test_ack_of_a_rid_applied_at_a_bad_index(self):
+        # the ack's rid mutated only at index -5, which the history does
+        # not hold: the ack is still checked, and nothing is looked up there
+        res = verify_trace([
+            "1,apply,0,-,-,0,idx=1|rid=c0.2.nt|kind=FUTURE|digest=aaa|dup=0",
+            "2,apply,1,-,-,0,idx=-5|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0",
+            "3,ack,1,-,-,0,rid=c0.1.nt|kind=nt|idx=1|origin=1"])
+        assert res.errors == [
+            "commit_monotone: node 1 applied -5 after 0",
+            "applied_prefix: node 1 applied ('c0.1.nt', 'FUTURE', 'aaa') at index -5; "
+            "the history of 1 has None",
+            "ack_durability: acked c0.1.nt never applied"]
 
     @pytest.mark.parametrize("bad", [
         "13,send,0,1",                                   # too few fields
