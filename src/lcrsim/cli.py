@@ -18,6 +18,7 @@ import json
 import os
 import sys
 
+from .node import PROTOCOLS
 from .runner import run_scenario, write_outputs
 from .scenario import (ScenarioError, builtin_scenario_path, list_builtin_scenarios,
                        load_scenario)
@@ -100,7 +101,7 @@ def _cmd_sweep(args) -> int:
              "verified")]
     rc = 0
     for lat in latencies:
-        for protocol in ("lcr", "raft"):
+        for protocol in PROTOCOLS:
             sweep_sc = dataclasses.replace(
                 sc, node_latency=dataclasses.replace(
                     sc.node_latency, mean_us=int(lat * 1000)))
@@ -130,7 +131,7 @@ def main(argv=None) -> int:
     p_run.add_argument("scenario", nargs="?", default="")
     p_run.add_argument("--out", help="directory for trace/metrics/verdict")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--protocol", choices=["lcr", "raft"], default=None)
+    p_run.add_argument("--protocol", choices=PROTOCOLS, default=None)
     p_run.add_argument("--list", action="store_true",
                        help="list packaged scenarios and exit")
     p_run.set_defaults(fn=_cmd_run)

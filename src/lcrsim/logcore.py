@@ -175,7 +175,6 @@ class UnifiedLog:
 
     def __init__(self) -> None:
         self.entries: dict[int, Entry] = {}
-        self.last_index = 0
         self.last_contiguous_index = 0
 
     def get(self, index: int) -> Optional[Entry]:
@@ -187,8 +186,6 @@ class UnifiedLog:
         if entry.index <= commit_index:
             raise CommittedMutation(f"index {entry.index} already committed")
         self.entries[entry.index] = entry
-        if entry.index > self.last_index:
-            self.last_index = entry.index
         self._advance_contiguous()
 
     def truncate_from(self, index: int, commit_index: int = 0) -> None:
@@ -196,7 +193,6 @@ class UnifiedLog:
             raise CommittedMutation(f"truncate at {index} crosses commit {commit_index}")
         for i in [i for i in self.entries if i >= index]:
             del self.entries[i]
-        self.last_index = max(self.entries, default=0)
         self.last_contiguous_index = min(self.last_contiguous_index, index - 1)
         self._advance_contiguous()
 

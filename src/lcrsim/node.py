@@ -22,6 +22,8 @@ from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientReques
                        ReconcileRequest, ReconcileResponse, VoteRequest,
                        VoteResponse, ENTRY_HEADER_BYTES)
 
+PROTOCOLS = ("lcr", "raft")    # future-log mode, leader-only baseline
+
 FOLLOWER = "follower"
 CANDIDATE = "candidate"
 LEADER = "leader"
@@ -34,7 +36,7 @@ MAX_ENTRIES = 5000           # entries per append request
 
 @dataclass
 class NodeConfig:
-    protocol: str = "lcr"              # "lcr" | "raft"
+    protocol: str = "lcr"              # one of PROTOCOLS
     election_timeout_us: int = 5_000_000
     heartbeat_us: int = 500_000
     max_await_us: int = 1_000_000
@@ -105,7 +107,6 @@ class Node:
         self.role = FOLLOWER
         self.leader_id: Optional[int] = None
         self.votes: set[int] = set()
-        self.election_deadline = 0
 
         # leader volatile state
         self.peers: dict[int, Peer] = {}
@@ -184,12 +185,11 @@ class Node:
     def _reset_election_timer(self) -> None:
         base = self.cfg.election_timeout_us
         span = int(base * ELECTION_JITTER)
-        self.election_deadline = self.ctx.now + base + self.ctx.rng.randrange(span + 1)
-        self.ctx.set_timer("election", self.election_deadline - self.ctx.now)
+        self.ctx.set_timer("election", base + self.ctx.rng.randrange(span + 1))
 
     def on_timer(self, name: str) -> None:
         if name == "election":
-            if self.role != LEADER and self.ctx.now >= self.election_deadline:
+            if self.role != LEADER:
                 if self.membership and self.id in self.membership:
                     self._start_election()
                 else:

@@ -1,19 +1,25 @@
 """YAML scenario schema and loader.
 
 The schema is strict: unknown keys raise, so a typo in a scenario file fails
-fast instead of silently running with defaults.
+fast instead of silently running with defaults. A key a file leaves out keeps
+the default of the dataclass field it sets; the tables below say which field
+each key sets, how its value converts and what bounds it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
+from typing import ClassVar
 
 import yaml
 
-from .node import NodeConfig
+from .node import PROTOCOLS, NodeConfig
 from .simnet import CostModel, LatencyModel
 from .workload import ClientConfig
+
+# libyaml's parser where PyYAML was built with it; it builds the same objects
+_YamlLoader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 class ScenarioError(ValueError):
@@ -48,9 +54,55 @@ def _in_range(v, name: str, low, high=None, above: bool = False):
     return v
 
 
-def _positive_us(section: dict, name: str, key: str, default) -> int:
-    """A duration given in ms, as µs; it must be above zero."""
-    return _in_range(_ms(section.get(key, default)), f"{name}.{key}", 0, above=True)
+def _protocol(v) -> str:
+    if str(v) not in PROTOCOLS:
+        raise ScenarioError(f"unknown protocol '{v}'")
+    return str(v)
+
+
+def _int_or_none(v) -> int | None:
+    return None if v is None else int(v)
+
+
+# Key tables: YAML key -> (dataclass field, conversion, bound). A bound is the
+# (low, high, above) arguments of _in_range, or None for no bound.
+_POSITIVE = (0, None, True)
+_TOP = {
+    "name": ("name", str, None),
+    "seed": ("seed", int, None),
+    "duration_s": ("duration_s", float, _POSITIVE),
+    "nodes": ("nodes", int, (1,)),
+    "clients": ("clients", int, (0,)),
+    "initial_members": ("initial_members", _int_or_none, None),  # checked against nodes
+}
+_PROTOCOL = {"protocol": ("protocol", _protocol, None)}
+_LATENCY = {
+    "mean_ms": ("mean_us", _ms, (0,)),
+    "fluct_prob": ("fluct_prob", float, (0, 1)),
+    "fluct_magnitude_ms": ("fluct_magnitude_us", _ms, (0,)),
+}
+# section -> (the Scenario field it sets, its key table)
+_SECTIONS = {
+    "workload": ("client_cfg", {
+        "nt_ratio": ("nt_ratio", float, (0, 1)),
+        "payload_bytes": ("payload_bytes", int, None),
+        "request_timeout_ms": ("request_timeout_us", _ms, _POSITIVE),
+        "blacklist_ms": ("blacklist_us", _ms, None)}),
+    "processing": ("cost", {
+        key: (key, int, None)
+        for key in ("client_request_us", "repl_request_us", "repl_response_us")}),
+    "timers": ("node_cfg", {
+        "election_timeout_ms": ("election_timeout_us", _ms, _POSITIVE),
+        "heartbeat_ms": ("heartbeat_us", _ms, _POSITIVE),
+        "max_await_ms": ("max_await_us", _ms, _POSITIVE)}),
+    "future_log": ("node_cfg", {
+        "window_size": ("window_size", int, (1,)),
+        "open_window_count": ("open_window_count", int, None),
+        "step_threshold": ("step_threshold", int, None),
+        "step_timeout_ms": ("step_timeout_us", _ms, _POSITIVE),
+        "step_grace_ms": ("step_grace_us", _ms, None)}),
+}
+_NETWORK = ("node_latency", "client_latency")
 
 
 @dataclass
@@ -68,111 +120,66 @@ class MembershipChange:
 
 @dataclass
 class Scenario:
-    name: str
+    name: str = "unnamed"
     seed: int = 1
     duration_s: float = 10.0
     nodes: int = 5
     clients: int = 8
-    bootstrap_leader: int | None = 0
     client_cfg: ClientConfig = field(default_factory=ClientConfig)
     node_latency: LatencyModel = field(default_factory=LatencyModel)
-    client_latency: LatencyModel = field(default_factory=lambda: LatencyModel(0, 0, 0))
+    client_latency: LatencyModel = field(
+        default_factory=lambda: LatencyModel(0, 0.0, 0))
     cost: CostModel = field(default_factory=CostModel)
     node_cfg: NodeConfig = field(default_factory=NodeConfig)
     faults: list[FaultEvent] = field(default_factory=list)
     membership_changes: list[MembershipChange] = field(default_factory=list)
     initial_members: int | None = None   # defaults to all nodes
+    bootstrap_leader: ClassVar[int] = 0  # the node that starts as leader
 
 
-def _latency(section: dict, name: str) -> LatencyModel:
-    _take(section, name, {"mean_ms", "fluct_prob", "fluct_magnitude_ms"})
-    return LatencyModel(
-        mean_us=_in_range(_ms(section.get("mean_ms", 0)), f"{name}.mean_ms", 0),
-        fluct_prob=_in_range(float(section.get("fluct_prob", 0.0)),
-                             f"{name}.fluct_prob", 0, 1),
-        fluct_magnitude_us=_in_range(_ms(section.get("fluct_magnitude_ms", 0)),
-                                     f"{name}.fluct_magnitude_ms", 0))
+def _apply(obj, section: dict, prefix: str, table: dict):
+    """A copy of ``obj`` with the fields set that the keys of ``section``
+    in ``table`` give; other keys are left to the caller."""
+    changes = {}
+    for key, (attr, convert, bound) in table.items():
+        if key in section:
+            value = changes[attr] = convert(section[key])
+            if bound is not None:
+                _in_range(value, prefix + key, *bound)
+    return replace(obj, **changes)
 
 
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a YAML string, path, or open file.
 
     Anything that is not a valid scenario raises ScenarioError."""
-    if hasattr(source, "read"):
-        raw = yaml.safe_load(source)
-    elif isinstance(source, str) and "\n" not in source and source.endswith((".yaml", ".yml")):
+    if isinstance(source, str) and "\n" not in source and source.endswith((".yaml", ".yml")):
         with open(source) as fh:
-            raw = yaml.safe_load(fh)
-    else:
-        raw = yaml.safe_load(source)
+            return load_scenario(fh)
     try:
-        return _build(raw)
+        return _build(yaml.load(source, Loader=_YamlLoader))
     except ScenarioError:
         raise
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"not valid YAML: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed value: {exc}") from exc
 
 
 def _build(raw) -> Scenario:
-    top = {"name", "protocol", "seed", "duration_s", "nodes", "clients",
-           "bootstrap_leader", "initial_members", "workload", "network",
-           "processing", "timers", "future_log", "faults",
-           "membership_changes"}
-    _take(raw, "scenario", top)
-
-    sc = Scenario(name=str(raw.get("name", "unnamed")))
-    protocol = str(raw.get("protocol", "lcr"))
-    if protocol not in ("lcr", "raft"):
-        raise ScenarioError(f"unknown protocol '{protocol}'")
-    sc.seed = int(raw.get("seed", 1))
-    sc.duration_s = _in_range(float(raw.get("duration_s", 10.0)), "duration_s",
-                              0, above=True)
-    sc.nodes = int(raw.get("nodes", 5))
-    sc.clients = _in_range(int(raw.get("clients", 8)), "clients", 0)
-    if "bootstrap_leader" in raw:
-        b = raw["bootstrap_leader"]
-        sc.bootstrap_leader = None if b is None else int(b)
-    if raw.get("initial_members") is not None:
-        sc.initial_members = int(raw["initial_members"])
-
-    w = _take(raw.get("workload", {}) or {}, "workload",
-              {"nt_ratio", "payload_bytes", "request_timeout_ms", "blacklist_ms"})
-    sc.client_cfg = ClientConfig(
-        nt_ratio=_in_range(float(w.get("nt_ratio", 0.0)), "workload.nt_ratio", 0, 1),
-        payload_bytes=int(w.get("payload_bytes", 80)),
-        request_timeout_us=_positive_us(w, "workload", "request_timeout_ms", 1000),
-        blacklist_us=_ms(w.get("blacklist_ms", 2000)))
-
-    net = _take(raw.get("network", {}) or {}, "network",
-                {"node_latency", "client_latency"})
-    if "node_latency" in net:
-        sc.node_latency = _latency(net["node_latency"] or {}, "node_latency")
-    if "client_latency" in net:
-        sc.client_latency = _latency(net["client_latency"] or {}, "client_latency")
-
-    p = _take(raw.get("processing", {}) or {}, "processing",
-              {"client_request_us", "repl_request_us", "repl_response_us"})
-    sc.cost = CostModel(
-        client_request_us=int(p.get("client_request_us", 50)),
-        repl_request_us=int(p.get("repl_request_us", 0)),
-        repl_response_us=int(p.get("repl_response_us", 50)))
-
-    t = _take(raw.get("timers", {}) or {}, "timers",
-              {"election_timeout_ms", "heartbeat_ms", "max_await_ms"})
-    fl = _take(raw.get("future_log", {}) or {}, "future_log",
-               {"window_size", "open_window_count", "step_threshold",
-                "step_timeout_ms", "step_grace_ms"})
-    sc.node_cfg = NodeConfig(
-        protocol=protocol,
-        election_timeout_us=_positive_us(t, "timers", "election_timeout_ms", 5000),
-        heartbeat_us=_positive_us(t, "timers", "heartbeat_ms", 500),
-        max_await_us=_positive_us(t, "timers", "max_await_ms", 1000),
-        window_size=_in_range(int(fl.get("window_size", 100)),
-                              "future_log.window_size", 1),
-        open_window_count=int(fl.get("open_window_count", 2)),
-        step_threshold=int(fl.get("step_threshold", 400)),
-        step_timeout_us=_positive_us(fl, "future_log", "step_timeout_ms", 1000),
-        step_grace_us=_ms(fl.get("step_grace_ms", 50)))
+    _take(raw, "scenario", {*_TOP, *_PROTOCOL, *_SECTIONS, "network", "faults",
+                            "membership_changes"})
+    sc = _apply(Scenario(), raw, "", _TOP)
+    sc.node_cfg = _apply(sc.node_cfg, raw, "", _PROTOCOL)
+    for name, (attr, table) in _SECTIONS.items():
+        section = _take(raw.get(name) or {}, name, set(table))
+        setattr(sc, attr, _apply(getattr(sc, attr), section, f"{name}.", table))
+    net = _take(raw.get("network") or {}, "network", set(_NETWORK))
+    for name in _NETWORK:
+        section = _take(net.get(name) or {}, name, set(_LATENCY))
+        setattr(sc, name, _apply(getattr(sc, name), section, f"{name}.", _LATENCY))
+    if sc.initial_members is not None:
+        _in_range(sc.initial_members, "initial_members", 1, sc.nodes)
 
     for f in raw.get("faults", []) or []:
         _take(f, "faults[]", {"time_s", "action", "node"}, all_required=True)
@@ -188,12 +195,6 @@ def _build(raw) -> Scenario:
         if size > sc.nodes:
             raise ScenarioError(f"membership change to {size} exceeds {sc.nodes} nodes")
         sc.membership_changes.append(MembershipChange(float(m["time_s"]), size))
-
-    members = sc.initial_members if sc.initial_members is not None else sc.nodes
-    if members > sc.nodes:
-        raise ScenarioError("initial_members exceeds nodes")
-    if sc.bootstrap_leader is not None and sc.bootstrap_leader >= members:
-        raise ScenarioError("bootstrap_leader must be an initial member")
     return sc
 
 

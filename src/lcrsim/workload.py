@@ -138,8 +138,7 @@ class ClosedLoopClient:
             if self.current_rid is not None and self.timeout_at < 0:
                 self._send(ctx)
         elif name == "timeout":
-            if self.current_rid is None or self.timeout_at < 0 \
-                    or ctx.now < self.timeout_at:
+            if self.current_rid is None or self.timeout_at < 0:
                 return
             self.blacklist[self.current_target] = ctx.now + self.cfg.blacklist_us
             self._send(ctx)

@@ -25,9 +25,8 @@ import tempfile
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from test_leader_faults import _scenario, fuzz_case  # noqa: E402
+from lcrsim.node import PROTOCOLS  # noqa: E402
 from lcrsim.runner import run_scenario, write_outputs  # noqa: E402
-
-PROTOCOLS = ("lcr", "raft")
 
 
 def output_digest(result) -> str:

@@ -47,7 +47,6 @@ seed: {seed}
 duration_s: 2.0
 nodes: 5
 clients: 5
-bootstrap_leader: 0
 workload:
   nt_ratio: {nt}
   payload_bytes: 60
@@ -193,7 +192,6 @@ seed: 5
 duration_s: 2.0
 nodes: 5
 clients: 1
-bootstrap_leader: 0
 workload: {nt_ratio: 0.5, payload_bytes: 80}
 network:
   node_latency: {mean_ms: 5.0}

@@ -23,7 +23,6 @@ seed: {seed}
 duration_s: 4.0
 nodes: 5
 clients: 5
-bootstrap_leader: 0
 workload:
   nt_ratio: {nt}
   payload_bytes: 60

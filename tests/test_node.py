@@ -112,7 +112,7 @@ class TestLeaderClientPath:
     def test_transactional_appended_and_replicated(self):
         n, ctx = make_leader()
         n.handle_client_request(creq())
-        idx = n.log.last_index
+        idx = max(n.log.entries)
         assert n.log.get(idx).kind == EntryKind.NORMAL
         targets = {to for to, m in ctx.sent
                    if isinstance(m, AppendEntriesRequest)}
@@ -122,15 +122,15 @@ class TestLeaderClientPath:
         n, ctx = make_leader()
         n.handle_client_request(creq())
         ack_everything(n, ctx, followers=(1, 2))
-        assert n.commit_index == n.log.last_index
+        assert n.commit_index == max(n.log.entries)
         assert [(c, r.outcome) for c, r in ctx.client_sent] == [("c0", "Ok")]
 
     def test_duplicate_request_single_entry(self):
         n, ctx = make_leader()
         n.handle_client_request(creq())
-        before = n.log.last_index
+        before = max(n.log.entries)
         n.handle_client_request(creq())
-        assert n.log.last_index == before
+        assert max(n.log.entries) == before
 
     def test_normal_entries_fill_below_held_future(self):
         n, ctx = make_leader()
@@ -199,7 +199,7 @@ class TestFutureReplication:
 
     def test_leader_rejects_conflicting_future(self):
         n, _ = make_leader()
-        occupied = n.log.last_index
+        occupied = max(n.log.entries)
         fe = Entry(index=occupied, term=n.term, kind=EntryKind.FUTURE, origin=2,
                    generation=5, request_id="c9.1.nt")
         assert n._integrate_future(fe) == StageOutcome.CONFLICT
@@ -333,7 +333,7 @@ class TestLeaderStream:
         peer = n.peers[1]
         old = dict(peer.inflight)
         assert sorted(old.values()) == [5, 6]
-        assert peer.opt_next == n.log.last_index + 1
+        assert peer.opt_next == max(n.log.entries) + 1
         ctx.take_sent()
 
         def failure(seq):
@@ -351,7 +351,7 @@ class TestLeaderStream:
         resent = [m for to, m in ctx.sent
                   if to == 1 and isinstance(m, AppendEntriesRequest)]
         assert [(m.prev_log_index, len(m.entries)) for m in resent] == \
-            [(2, n.log.last_index - 2)]
+            [(2, max(n.log.entries) - 2)]
 
     def test_covered_rejection_keeps_stream(self):
         # B (prev 1) overtook A (prev 0) on the link to follower 1
@@ -616,7 +616,7 @@ class TestCommit:
     def test_majority_commit(self):
         n, ctx = make_leader()
         n.handle_client_request(creq())
-        last = n.log.last_index
+        last = max(n.log.entries)
         for f, match in {1: last, 2: last, 3: 0, 4: 0}.items():
             n.peers[f].match_index = match
         n._advance_commit()
@@ -703,7 +703,7 @@ class TestElections:
 
     def test_election_on_timeout(self):
         n, ctx = make_follower(node_id=1)
-        ctx.now = n.election_deadline
+        ctx.now = ctx.timers["election"]
         n.on_timer("election")
         assert n.role == "candidate"
         assert any(isinstance(m, VoteRequest) for _, m in ctx.sent)

@@ -9,6 +9,8 @@ from pathlib import Path
 
 from lcrsim.metrics import TraceCollector
 from lcrsim.node import NodeConfig
+from lcrsim.runner import run_scenario
+from lcrsim.scenario import Scenario, load_scenario
 from lcrsim.simnet import LatencyModel, NodeStats, Simulation, TraceLines
 from lcrsim.workload import ClientConfig, ClosedLoopClient
 
@@ -56,3 +58,10 @@ def test_worker_attributes_exist():
     collector = TraceCollector()
     for attr in ("elections", "conflicts", "window_closes"):
         assert isinstance(getattr(collector, attr), int)
+
+
+def test_node_0_starts_as_leader():
+    # the worker takes the leader's bytes from stats[sc.bootstrap_leader]
+    assert Scenario.bootstrap_leader == 0
+    sc = load_scenario("name: x\nclients: 0\nduration_s: 0.1\n")
+    assert run_scenario(sc, drain_s=0).sim.current_leader().id == 0

@@ -1,5 +1,6 @@
 """Scenario loading strictness and the command-line surface."""
 
+import dataclasses
 import filecmp
 import json
 
@@ -7,7 +8,7 @@ import pytest
 
 from lcrsim.cli import main
 from lcrsim.runner import run_scenario, write_outputs
-from lcrsim.scenario import (ScenarioError, builtin_scenario_path,
+from lcrsim.scenario import (Scenario, ScenarioError, builtin_scenario_path,
                              list_builtin_scenarios, load_scenario)
 
 SMALL = """
@@ -35,6 +36,31 @@ class TestLoader:
     def test_unknown_top_key(self):
         with pytest.raises(ScenarioError, match="bogus"):
             load_scenario(SMALL + "\nbogus: 1\n")
+
+    def test_bootstrap_leader_is_unknown(self):
+        # node 0 always starts as leader
+        with pytest.raises(ScenarioError, match="bootstrap_leader"):
+            load_scenario("name: x\nbootstrap_leader: 0\n")
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        loaded, default = load_scenario("name: x\n"), Scenario(name="x")
+        for f in dataclasses.fields(Scenario):
+            a, b = getattr(loaded, f.name), getattr(default, f.name)
+            assert (a, type(a)) == (b, type(b)), f.name
+
+    def test_section_keeps_defaults_of_keys_left_out(self):
+        sc = load_scenario("name: x\nnetwork:\n"
+                           "  node_latency: {fluct_prob: 0.3}\n"
+                           "  client_latency: {fluct_prob: 0.3}\n")
+        assert (sc.node_latency.mean_us, sc.node_latency.fluct_prob) == (5000, 0.3)
+        assert sc.client_latency.mean_us == 0
+
+    def test_null_initial_members_is_all_nodes(self):
+        sc = load_scenario("name: x\nnodes: 3\nclients: 0\nduration_s: 0.1\n"
+                           "initial_members: null\n")
+        assert sc.initial_members is None
+        sim = run_scenario(sc, drain_s=0).sim
+        assert [n.membership for n in sim.nodes.values()] == [[0, 1, 2]] * 3
 
     @pytest.mark.parametrize("section, key", [
         ("workload", "typo_ratio"),
@@ -83,6 +109,9 @@ class TestLoader:
         ("workload: {nt_ratio: .nan}\n", "nt_ratio"),
         ("clients: -1\n", "clients"),
         ("duration_s: 0\n", "duration_s"),
+        ("nodes: 0\n", "nodes"),
+        ("nodes: -1\n", "nodes"),
+        ("initial_members: 0\n", "initial_members"),
     ], ids=["fault-no-action", "fault-node-out-of-range",
             "membership-above-nodes", "nodes-not-int", "fault-not-mapping",
             "window-size-zero", "heartbeat-zero", "heartbeat-negative",
@@ -91,7 +120,8 @@ class TestLoader:
             "request-timeout-negative", "latency-negative",
             "fluct-magnitude-negative", "fluct-prob-above-one",
             "nt-ratio-negative", "nt-ratio-nan", "clients-negative",
-            "duration-zero"])
+            "duration-zero", "nodes-zero", "nodes-negative",
+            "initial-members-zero"])
     def test_malformed_input(self, text, match):
         with pytest.raises(ScenarioError, match=match):
             load_scenario("name: x\n" + text)
@@ -125,6 +155,12 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("name: x\nwat: 1\n")
         assert main(["run", str(bad)]) == 2
+
+    def test_yaml_syntax_error_is_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: x\nworkload: {nt_ratio: 0.5\n")
+        assert main(["run", str(bad)]) == 2
+        assert "scenario error" in capsys.readouterr().err
 
     def test_malformed_scenario_file_is_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"

@@ -26,7 +26,6 @@ seed: 7
 duration_s: 0.8
 nodes: 5
 clients: 3
-bootstrap_leader: 0
 workload: {nt_ratio: 0.5, payload_bytes: 40}
 network:
   node_latency: {mean_ms: 3.0, fluct_prob: 0.3, fluct_magnitude_ms: 0.1}
