@@ -6,7 +6,11 @@ and compares the sha256 of ``trace.txt`` followed by ``metrics.csv`` (the
 digest perfbench records) with the value the code gave before. gen_change is
 cut after its membership change at 2.5 s, so the generation change is covered.
 Leader-fault case 19 crashes the leader, so a new election, the reconcile
-pull and step fills under the new leader are covered too.
+pull and step fills under the new leader are covered too. Fuzz seed 43
+restarts the crashed leader and a follower with their persisted logs and
+state machines, and then elects a leader that holds futures above its
+contiguous log, so restart carry-over, the election's scan above the
+contiguous index and truncation of a stale suffix are covered as well.
 A digest moves only with a deliberate change in behaviour, which must say why.
 """
 
@@ -16,7 +20,7 @@ import pytest
 
 from lcrsim.runner import run_scenario, write_outputs
 from lcrsim.scenario import builtin_scenario_path, load_scenario
-from test_leader_faults import _scenario
+from test_leader_faults import _scenario, fuzz_case
 
 DIGESTS = {
     ("fig14_response_time", 2.0, "lcr"):
@@ -41,6 +45,14 @@ LEADER_FAULT_DIGESTS = {
         "86918d316636384a9fc2bfb9bd5f87eee4e866f5d4b177d12f3a2a09d49162ff",
 }
 
+# fuzz seed -> protocol -> digest, each run with a 1.2 s drain
+FUZZ_DIGESTS = {
+    (43, "lcr"):
+        "4132e4843a5ad777ad8186dadfde653eded54c956a4e2ea5f6d0547c83345b1f",
+    (43, "raft"):
+        "f47b5fbe3e7aca77e2592d1f6894ed397889c1c56c403abb6e17601cdd0aacd7",
+}
+
 
 def _outputs_sha256(outdir) -> str:
     h = hashlib.sha256()
@@ -62,3 +74,12 @@ def test_leader_fault_outputs_unchanged(tmp_path, case, protocol):
     result = run_scenario(_scenario(case), protocol=protocol, drain_s=1.2)
     write_outputs(result, str(tmp_path))
     assert _outputs_sha256(tmp_path) == LEADER_FAULT_DIGESTS[(case, protocol)]
+
+
+@pytest.mark.parametrize("seed, protocol", sorted(FUZZ_DIGESTS))
+def test_restart_then_leader_change_outputs_unchanged(tmp_path, seed, protocol):
+    result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
+                          drain_s=1.2)
+    assert result.verdict.ok, result.verdict.errors[:2]
+    write_outputs(result, str(tmp_path))
+    assert _outputs_sha256(tmp_path) == FUZZ_DIGESTS[(seed, protocol)]
