@@ -88,8 +88,9 @@ _SECTIONS = {
         "payload_bytes": ("payload_bytes", int, None),
         "request_timeout_ms": ("request_timeout_us", _ms, _POSITIVE),
         "blacklist_ms": ("blacklist_us", _ms, None)}),
+    # a negative cost would move a node's clock behind the simulation's
     "processing": ("cost", {
-        key: (key, int, None)
+        key: (key, int, (0,))
         for key in ("client_request_us", "repl_request_us", "repl_response_us")}),
     "timers": ("node_cfg", {
         "election_timeout_ms": ("election_timeout_us", _ms, _POSITIVE),

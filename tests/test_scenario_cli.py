@@ -112,6 +112,9 @@ class TestLoader:
         ("nodes: 0\n", "nodes"),
         ("nodes: -1\n", "nodes"),
         ("initial_members: 0\n", "initial_members"),
+        ("processing: {client_request_us: -1}\n", "client_request_us"),
+        ("processing: {repl_request_us: -1}\n", "repl_request_us"),
+        ("processing: {repl_response_us: -3000}\n", "repl_response_us"),
     ], ids=["fault-no-action", "fault-node-out-of-range",
             "membership-above-nodes", "nodes-not-int", "fault-not-mapping",
             "window-size-zero", "heartbeat-zero", "heartbeat-negative",
@@ -121,7 +124,8 @@ class TestLoader:
             "fluct-magnitude-negative", "fluct-prob-above-one",
             "nt-ratio-negative", "nt-ratio-nan", "clients-negative",
             "duration-zero", "nodes-zero", "nodes-negative",
-            "initial-members-zero"])
+            "initial-members-zero", "client-request-cost-negative",
+            "repl-request-cost-negative", "repl-response-cost-negative"])
     def test_malformed_input(self, text, match):
         with pytest.raises(ScenarioError, match=match):
             load_scenario("name: x\n" + text)
