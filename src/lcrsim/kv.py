@@ -8,12 +8,25 @@ Payloads encode one of two operations, padded with NUL bytes to the wire size:
 Accounts start with an implicit balance of 100 so a deterministic mix of
 transfers succeeds and fails; an insufficient balance is recorded as a
 rejection rather than a mutation, which keeps replays byte-for-byte equal.
+
+A request id has the form ``<client>.<seq>.<kind>`` (``workload.py`` makes
+them): three non-empty fields, with ``seq`` a positive decimal without
+leading zeros. The request is identified by its ``(client, seq)``.
+At-most-once apply keeps a session per client, as Raft's client sessions do:
+the lowest seq the client has not applied, and the seqs applied above it. A
+client issues its seqs in order and one at a time, so the set stays empty
+unless a request applies out of order, and the state grows with the number
+of clients, not of requests. A request id outside that form raises
+``ValueError``.
+
+Keys are interned, so every replica in a process shares one string per key.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from sys import intern
 
 INITIAL_BALANCE = 100
 
@@ -32,31 +45,64 @@ def _pad(raw: bytes, size: int) -> bytes:
     return raw
 
 
+def _request_identity(request_id: str) -> tuple[str, int]:
+    """The ``(client, seq)`` that request id ``<client>.<seq>.<kind>`` names."""
+    parts = request_id.split(".")
+    if len(parts) == 3:
+        client, seq, kind = parts
+        if client and kind and seq.isascii() and seq.isdigit() and seq[0] != "0":
+            return client, int(seq)
+    raise ValueError(f"request id {request_id!r} is not <client>.<seq>.<kind>")
+
+
+@dataclass(slots=True)
+class Session:
+    """One client's applied requests: every seq below ``next_seq``, and the
+    seqs in ``above``, all of which lie above it."""
+    next_seq: int = 1
+    above: set[int] = field(default_factory=set)
+
+
 @dataclass
 class KvStateMachine:
     store: dict[str, int] = field(default_factory=dict)
-    applied_rids: set[str] = field(default_factory=set)
+    sessions: dict[str, Session] = field(default_factory=dict)
     rejected: int = 0
 
     def applied(self, request_id: str) -> bool:
-        return bool(request_id) and request_id in self.applied_rids
+        client, seq = _request_identity(request_id)
+        s = self.sessions.get(client)
+        return s is not None and (seq < s.next_seq or seq in s.above)
 
-    def apply(self, request_id: str, payload: bytes) -> None:
-        if request_id:
-            self.applied_rids.add(request_id)
+    def apply(self, request_id: str, payload: bytes) -> bool:
+        """Apply ``payload`` for ``request_id`` unless that request has
+        applied already; False, with no change, for such a duplicate."""
+        client, seq = _request_identity(request_id)
+        s = self.sessions.get(client)
+        if s is None:
+            s = self.sessions[client] = Session()
+        if seq < s.next_seq or seq in s.above:
+            return False
+        if seq == s.next_seq:
+            seq += 1
+            while seq in s.above:
+                s.above.remove(seq)
+                seq += 1
+            s.next_seq = seq
+        else:
+            s.above.add(seq)
         parts = payload.rstrip(b"\0").decode(errors="replace").split()
-        if not parts:
-            return
-        if parts[0] == "I" and len(parts) == 3:
-            self.store[parts[1]] = int(parts[2])
-        elif parts[0] == "T" and len(parts) == 4:
-            src, dst, amount = parts[1], parts[2], int(parts[3])
+        if len(parts) == 3 and parts[0] == "I":
+            self.store[intern(parts[1])] = int(parts[2])
+        elif len(parts) == 4 and parts[0] == "T":
+            src, dst, amount = intern(parts[1]), intern(parts[2]), int(parts[3])
             bal = self.store.get(src, INITIAL_BALANCE)
             if bal >= amount:
                 self.store[src] = bal - amount
                 self.store[dst] = self.store.get(dst, INITIAL_BALANCE) + amount
             else:
                 self.rejected += 1
+        return True
 
     def digest(self) -> str:
         h = hashlib.sha256()

@@ -171,36 +171,54 @@ class CommittedMutation(Exception):
 
 class UnifiedLog:
     """Index-ordered entry store with possible gaps above the contiguous
-    prefix (gaps are slots claimed by future entries not yet confirmed)."""
+    prefix (gaps are slots claimed by future entries not yet confirmed).
+
+    The entries sit in a list indexed by log index: slot 0 is unused and a
+    gap holds ``None``. Gaps lie only between the contiguous prefix and the
+    highest future entry, and future indices lie within the open windows,
+    which close as the contiguous log reaches them, so the padding stays
+    within about ``open_window_count * window_size`` slots.
+    """
 
     def __init__(self) -> None:
-        self.entries: dict[int, Entry] = {}
+        self._entries: list[Optional[Entry]] = [None]
         self.last_contiguous_index = 0
 
     def get(self, index: int) -> Optional[Entry]:
-        return self.entries.get(index)
+        entries = self._entries
+        return entries[index] if 0 < index < len(entries) else None
 
     def append(self, entry: Entry, commit_index: int = 0) -> None:
-        if entry.index <= 0:
+        index = entry.index
+        if index <= 0:
             raise ValueError("log indices start at 1")
-        if entry.index <= commit_index:
-            raise CommittedMutation(f"index {entry.index} already committed")
-        self.entries[entry.index] = entry
-        self._advance_contiguous()
+        if index <= commit_index:
+            raise CommittedMutation(f"index {index} already committed")
+        entries = self._entries
+        end = len(entries)
+        if index < end:
+            entries[index] = entry
+        else:
+            if index > end:
+                entries.extend([None] * (index - end))
+            entries.append(entry)
+            end = index + 1
+        if index == self.last_contiguous_index + 1:
+            while index + 1 < end and entries[index + 1] is not None:
+                index += 1
+            self.last_contiguous_index = index
 
     def truncate_from(self, index: int, commit_index: int = 0) -> None:
         if index <= commit_index:
             raise CommittedMutation(f"truncate at {index} crosses commit {commit_index}")
-        for i in [i for i in self.entries if i >= index]:
-            del self.entries[i]
+        del self._entries[index:]
         self.last_contiguous_index = min(self.last_contiguous_index, index - 1)
-        self._advance_contiguous()
-
-    def _advance_contiguous(self) -> None:
-        i = self.last_contiguous_index
-        while (i + 1) in self.entries:
-            i += 1
-        self.last_contiguous_index = i
 
     def occupied(self, index: int) -> bool:
-        return index in self.entries
+        return self.get(index) is not None
+
+    def occupied_above(self, index: int) -> list[int]:
+        """The indices above ``index`` that hold an entry, in order."""
+        entries = self._entries
+        return [i for i in range(index + 1, len(entries))
+                if entries[i] is not None]

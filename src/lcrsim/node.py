@@ -267,8 +267,8 @@ class Node:
         self.ctx.trace("elect", detail=f"leader|term={self.term}")
         start = self.log.last_contiguous_index + 1
         self.peers = {f: self._new_peer(start) for f in self._others()}
-        self.integrated_at = {i: self.ctx.now for i in self.log.entries
-                              if i > self.log.last_contiguous_index}
+        self.integrated_at = dict.fromkeys(
+            self.log.occupied_above(self.log.last_contiguous_index), self.ctx.now)
         if self.cfg.protocol == "lcr":
             for e in list(self.stage.pending.values()):
                 self._integrate_future(e)
@@ -434,10 +434,13 @@ class Node:
                     else StageOutcome.CONFLICT)
         if fe.index <= self.commit_index:
             return StageOutcome.CONFLICT
-        # log a copy under this leader's term: the entry may carry an older
-        # term whose leader logged a different entry at this index, and
-        # (index, term) must name one entry for the prev_log_term check to hold
-        self.log.append(replace(fe, term=self.term), self.commit_index)
+        # log it under this leader's term, as a copy if its term is older:
+        # that term's leader may have logged a different entry at this index,
+        # and (index, term) must name one entry for the prev_log_term check to
+        # hold. Nothing writes to a logged entry, so under the same term the
+        # entry itself is logged.
+        self.log.append(fe if fe.term == self.term else replace(fe, term=self.term),
+                        self.commit_index)
         self.stage.drop(fe.index)
         self.integrated_at[fe.index] = self.ctx.now
         self._refresh_windows()
@@ -568,7 +571,7 @@ class Node:
     def _package(self, p: Peer, start: int, end: int) -> list[Entry]:
         out = []
         for i in range(start, end + 1):
-            e = self.log.entries[i]
+            e = self.log.get(i)
             if e.kind == EntryKind.FUTURE:
                 if p.future_ack >= i and i not in p.force_full:
                     out.append(Entry(index=i, term=e.term, kind=EntryKind.SIGNAL,
@@ -638,7 +641,7 @@ class Node:
             p.opt_next = report + 1
             p.force_full.update(i for i in range(report + 1,
                                                  self.log.last_contiguous_index + 1)
-                                if self.log.entries[i].kind == EntryKind.FUTURE)
+                                if self.log.get(i).kind == EntryKind.FUTURE)
         if resp.success:
             p.match_index = max(p.match_index, report)
             p.next_index = report + 1
@@ -764,7 +767,8 @@ class Node:
             if existing is not None:
                 self.log.truncate_from(e.index, self.commit_index)
             if e.kind == EntryKind.SIGNAL:
-                e = replace(staged, term=e.term)   # the staged entry it names
+                # the staged entry it names, shared under the same term
+                e = staged if staged.term == e.term else replace(staged, term=e.term)
             elif staged is not None and not staged.same_record(e):
                 self._resolve_stage_conflict(staged)
             self.log.append(e, self.commit_index)
@@ -830,15 +834,13 @@ class Node:
         """Commit and apply every entry up to ``n``."""
         while self.persist.last_applied < n:
             i = self.persist.last_applied + 1
-            e = self.log.entries[i]
+            e = self.log.get(i)
             self.persist.last_applied = i
             if e.kind in (EntryKind.NOOP_FILL, EntryKind.CONFIG):
                 self.ctx.trace("apply", detail=(
                     f"idx={i}|rid=|kind={e.kind.name}|digest=-|dup=0"))
                 continue
-            dup = self.kv.applied(e.request_id)
-            if not dup:
-                self.kv.apply(e.request_id, e.payload)
+            dup = not self.kv.apply(e.request_id, e.payload)
             self.ctx.trace("apply", detail=(
                 f"idx={i}|rid={e.request_id}|kind={e.kind.name}"
                 f"|digest={KvStateMachine.payload_digest(e.payload)}|dup={int(dup)}"))

@@ -201,7 +201,7 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
             continue
         while replayed < n_applied:
             rid = rids[replayed]
-            if rid and not sm.applied(rid):
+            if rid:
                 sm.apply(rid, payload_for_rid(rid))
             replayed += 1
         digest = finals[node].get("digest")

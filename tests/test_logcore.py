@@ -1,5 +1,7 @@
 """Index arithmetic, window lifecycle and log storage."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,7 +207,7 @@ class TestUnifiedLog:
     def test_gap_append(self):
         log = UnifiedLog()
         log.append(fe(5))
-        assert max(log.entries) == 5
+        assert log.occupied_above(0) == [5]
         assert log.last_contiguous_index == 0
 
     def test_contiguous(self):
@@ -226,7 +228,41 @@ class TestUnifiedLog:
         for i in (5, 6, 7, 8):
             log.append(Entry(index=i, term=1, kind=EntryKind.NORMAL))
         log.truncate_from(7)
-        assert sorted(log.entries) == [5, 6]
+        assert log.occupied_above(0) == [5, 6]
+
+    def test_truncate_below_a_gap(self):
+        log = UnifiedLog()
+        for i in (1, 2, 4, 5):
+            log.append(Entry(index=i, term=1, kind=EntryKind.NORMAL))
+        log.truncate_from(2)
+        assert log.occupied_above(0) == [1] and log.last_contiguous_index == 1
+        log.append(Entry(index=2, term=2, kind=EntryKind.NORMAL))
+        assert log.last_contiguous_index == 2 and log.get(4) is None
+
+    def test_occupied_above(self):
+        log = UnifiedLog()
+        for i in (1, 2, 5, 9):
+            log.append(Entry(index=i, term=1, kind=EntryKind.NORMAL))
+        assert log.occupied_above(log.last_contiguous_index) == [5, 9]
+        assert log.occupied_above(9) == [] and log.get(10) is None
+
+    def test_memory_per_index(self):
+        # 20,000 contiguous entries cost the log 8.7 B per index (one list
+        # slot, with over-allocation); a dict by index cost 29.5 B
+        n = 20_000
+        entries = [Entry(index=i, term=1, kind=EntryKind.NORMAL)
+                   for i in range(1, n + 1)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            log = UnifiedLog()
+            for e in entries:
+                log.append(e)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert log.last_contiguous_index == n
+        assert held / n < 12, held / n
 
     def test_committed_guard(self):
         log = UnifiedLog()

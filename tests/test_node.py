@@ -112,7 +112,7 @@ class TestLeaderClientPath:
     def test_transactional_appended_and_replicated(self):
         n, ctx = make_leader()
         n.handle_client_request(creq())
-        idx = max(n.log.entries)
+        idx = n.log.occupied_above(0)[-1]
         assert n.log.get(idx).kind == EntryKind.NORMAL
         targets = {to for to, m in ctx.sent
                    if isinstance(m, AppendEntriesRequest)}
@@ -122,15 +122,15 @@ class TestLeaderClientPath:
         n, ctx = make_leader()
         n.handle_client_request(creq())
         ack_everything(n, ctx, followers=(1, 2))
-        assert n.commit_index == max(n.log.entries)
+        assert n.commit_index == n.log.occupied_above(0)[-1]
         assert [(c, r.outcome) for c, r in ctx.client_sent] == [("c0", "Ok")]
 
     def test_duplicate_request_single_entry(self):
         n, ctx = make_leader()
         n.handle_client_request(creq())
-        before = max(n.log.entries)
+        before = n.log.occupied_above(0)[-1]
         n.handle_client_request(creq())
-        assert max(n.log.entries) == before
+        assert n.log.occupied_above(0)[-1] == before
 
     def test_normal_entries_fill_below_held_future(self):
         n, ctx = make_leader()
@@ -141,7 +141,7 @@ class TestLeaderClientPath:
         assert n.log.last_contiguous_index == start + 1
         n.handle_client_request(creq("c0.2.t"))
         # new entries go to the end of the contiguous log, below the future
-        assert sorted(n.log.entries) == [1, 2, 3, 7]
+        assert n.log.occupied_above(0) == [1, 2, 3, 7]
         assert [n.log.get(i).request_id for i in (2, 3)] == ["c0.1.t", "c0.2.t"]
 
 
@@ -199,7 +199,7 @@ class TestFutureReplication:
 
     def test_leader_rejects_conflicting_future(self):
         n, _ = make_leader()
-        occupied = max(n.log.entries)
+        occupied = n.log.occupied_above(0)[-1]
         fe = Entry(index=occupied, term=n.term, kind=EntryKind.FUTURE, origin=2,
                    generation=5, request_id="c9.1.nt")
         assert n._integrate_future(fe) == StageOutcome.CONFLICT
@@ -212,6 +212,52 @@ class TestFutureReplication:
             term=n.term, generation=5, future_entries=[fe]))
         ((_, resp),) = ctx.take_sent()
         assert resp.reason == "stale_gen" and resp.indices == []
+
+
+class TestEntrySharing:
+    """A staged future is logged as the same object under the same term and
+    as a copy under a newer one; logged entries are never written to."""
+
+    def _staged(self, term):
+        return Entry(index=2, term=term, kind=EntryKind.FUTURE, origin=2,
+                     generation=5, request_id="c9.1.nt", payload=b"I k 1")
+
+    def _signal(self, n, term):
+        n.handle_append_entries(0, AppendEntriesRequest(
+            term=term, generation=5, leader_id=0, prev_log_index=1,
+            prev_log_term=1, leader_commit=0, seq=2,
+            entries=[Entry(index=2, term=term, kind=EntryKind.SIGNAL, origin=2,
+                           generation=5)]))
+
+    def test_leader_logs_staged_entry_under_same_term(self):
+        n, _ = make_leader()
+        fe = self._staged(n.term)
+        n._integrate_future(fe)
+        assert n.log.get(2) is fe
+
+    def test_leader_logs_copy_under_newer_term(self):
+        n, _ = make_leader()
+        fe = self._staged(n.term - 1)
+        n._integrate_future(fe)
+        got = n.log.get(2)
+        assert got is not fe and got.term == n.term
+        assert fe.term == n.term - 1 and fe == self._staged(n.term - 1)
+
+    def test_follower_logs_staged_entry_under_same_term(self):
+        n, ctx = make_follower(persist=noop_log(1))
+        fe = self._staged(1)
+        n.stage.stage(fe, 5)
+        self._signal(n, 1)
+        assert n.log.get(2) is fe and responses(ctx)[0].success
+
+    def test_follower_logs_copy_under_newer_term(self):
+        n, ctx = make_follower(persist=noop_log(1))
+        fe = self._staged(1)
+        n.stage.stage(fe, 5)
+        self._signal(n, 2)
+        got = n.log.get(2)
+        assert got is not fe and got.term == 2 and responses(ctx)[0].success
+        assert fe == self._staged(1)
 
 
 class TestSignalFlow:
@@ -288,7 +334,7 @@ class TestSignalFlow:
         assert not resp.success and resp.prefix_ok
         assert resp.missing == [1, 3] and resp.last_applied_index_report == 0
         # nothing is logged above the first miss; the staged entry stays
-        assert not n.log.entries and n.stage.peek(2) is not None
+        assert not n.log.occupied_above(0) and n.stage.peek(2) is not None
 
     def test_stale_entry_at_first_miss_is_not_reported(self):
         # the follower keeps a term-1 entry at 2; the term-2 leader's signal
@@ -333,7 +379,7 @@ class TestLeaderStream:
         peer = n.peers[1]
         old = dict(peer.inflight)
         assert sorted(old.values()) == [5, 6]
-        assert peer.opt_next == max(n.log.entries) + 1
+        assert peer.opt_next == n.log.occupied_above(0)[-1] + 1
         ctx.take_sent()
 
         def failure(seq):
@@ -351,7 +397,7 @@ class TestLeaderStream:
         resent = [m for to, m in ctx.sent
                   if to == 1 and isinstance(m, AppendEntriesRequest)]
         assert [(m.prev_log_index, len(m.entries)) for m in resent] == \
-            [(2, max(n.log.entries) - 2)]
+            [(2, n.log.occupied_above(0)[-1] - 2)]
 
     def test_covered_rejection_keeps_stream(self):
         # B (prev 1) overtook A (prev 0) on the link to follower 1
@@ -498,11 +544,11 @@ class TestFollowerHold:
         (rej,) = responses(ctx)
         assert (rej.seq, rej.success, rej.prefix_ok,
                 rej.last_applied_index_report) == (2, False, False, 0)
-        assert not n.log.entries
+        assert not n.log.occupied_above(0)
         n.handle_append_entries(0, a)
         assert [(r.seq, r.success, r.last_applied_index_report)
                 for r in responses(ctx)] == [(1, True, 2), (2, True, 4)]
-        assert sorted(n.log.entries) == [1, 2, 3, 4] and not n.held
+        assert n.log.occupied_above(0) == [1, 2, 3, 4] and not n.held
 
     def test_newer_request_replaces_held_one(self):
         n, ctx = make_follower()
@@ -616,7 +662,7 @@ class TestCommit:
     def test_majority_commit(self):
         n, ctx = make_leader()
         n.handle_client_request(creq())
-        last = max(n.log.entries)
+        last = n.log.occupied_above(0)[-1]
         for f, match in {1: last, 2: last, 3: 0, 4: 0}.items():
             n.peers[f].match_index = match
         n._advance_commit()
@@ -643,7 +689,7 @@ class TestStepFill:
         n.ctx.now = 20_000
         n._step_fill()
         assert n.log.last_contiguous_index >= 9
-        kinds = {i: e.kind for i, e in n.log.entries.items()}
+        kinds = {i: n.log.get(i).kind for i in n.log.occupied_above(0)}
         assert all(kinds[i] == EntryKind.NOOP_FILL
                    for i in range(2, 9) if kinds[i] != EntryKind.NORMAL)
 
@@ -671,9 +717,9 @@ class TestStepFill:
         assert n.log.last_contiguous_index == 9
         assert not any(n.log.occupied(j) for j in range(10, 15))
         n.ctx.now = 19_900
-        before = dict(n.log.entries)
+        before = list(map(n.log.get, n.log.occupied_above(0)))
         n._step_fill()
-        assert n.log.entries == before
+        assert list(map(n.log.get, n.log.occupied_above(0))) == before
         n.ctx.now = 20_600
         n._step_fill()
         assert n.log.last_contiguous_index == 15
@@ -740,7 +786,7 @@ class TestGenerationChange:
         n.request_membership_change(7)
         assert n.generation == 7
         assert len(n.membership) == 7
-        configs = [e for e in n.log.entries.values()
+        configs = [e for e in map(n.log.get, n.log.occupied_above(0))
                    if e.kind == EntryKind.CONFIG]
         assert [int(e.payload) for e in configs] == [6, 7]
         assert 5 in n.peers and 6 in n.peers

@@ -16,38 +16,89 @@ from lcrsim.workload import Completion, kind_of_rid, payload_for_rid
 class TestKv:
     def test_insert(self):
         sm = KvStateMachine()
-        sm.apply("r1", encode_insert("k1", 42))
+        sm.apply("c0.1.t", encode_insert("k1", 42))
         assert sm.store["k1"] == 42
 
     def test_padding_is_ignored(self):
         sm1, sm2 = KvStateMachine(), KvStateMachine()
-        sm1.apply("r1", encode_insert("k1", 42))
-        sm2.apply("r1", encode_insert("k1", 42, size=128))
+        sm1.apply("c0.1.t", encode_insert("k1", 42))
+        sm2.apply("c0.1.t", encode_insert("k1", 42, size=128))
         assert sm1.digest() == sm2.digest()
 
     def test_transfer_with_implicit_balance(self):
         sm = KvStateMachine()
-        sm.apply("r1", encode_transfer("a", "b", 30))
+        sm.apply("c0.1.t", encode_transfer("a", "b", 30))
         assert sm.store["a"] == 70
         assert sm.store["b"] == 130
 
     def test_insufficient_balance_is_deterministic_rejection(self):
         sm = KvStateMachine()
-        sm.apply("r1", encode_transfer("a", "b", 500))
+        sm.apply("c0.1.t", encode_transfer("a", "b", 500))
         assert sm.rejected == 1
         assert "a" not in sm.store
 
     def test_dedup_tracking(self):
         sm = KvStateMachine()
-        sm.apply("r1", encode_insert("k", 1))
-        assert sm.applied("r1")
-        assert not sm.applied("r2")
-        assert not sm.applied("")
+        sm.apply("c0.1.t", encode_insert("k", 1))
+        assert sm.applied("c0.1.t")
+        assert not sm.applied("c0.2.t")
+
+    def test_out_of_order_apply_is_deduplicated_exactly(self):
+        sm = KvStateMachine()
+        assert sm.apply("c0.3.t", encode_insert("k", 3))
+        assert not sm.applied("c0.2.t") and sm.applied("c0.3.t")
+        assert not sm.apply("c0.3.t", encode_insert("k", 30))
+        assert sm.apply("c0.2.t", encode_insert("k", 2))
+        assert not sm.apply("c0.2.t", encode_insert("k", 20))
+        assert not sm.applied("c0.1.t") and not sm.applied("c0.4.t")
+        assert not sm.applied("c1.2.t")
+        assert sm.store == {"k": 2}
+
+    def test_session_advances_when_gap_fills(self):
+        sm = KvStateMachine()
+        for rid in ("c0.1.t", "c0.3.nt", "c0.4.t"):
+            sm.apply(rid, encode_insert("k", 1))
+        session = sm.sessions["c0"]
+        assert (session.next_seq, session.above) == (2, {3, 4})
+        sm.apply("c0.2.t", encode_insert("k", 1))
+        assert (session.next_seq, session.above) == (5, set())
+
+    @pytest.mark.parametrize("rid", ["", "r1", "c0.1", ".1.t", "c0.1.",
+                                     "c0.0.t", "c0.01.t", "c0.-1.t", "c0.x.t"])
+    def test_rid_outside_grammar_raises(self, rid):
+        sm = KvStateMachine()
+        with pytest.raises(ValueError, match="not <client>.<seq>.<kind>"):
+            sm.apply(rid, encode_insert("k", 1))
+        with pytest.raises(ValueError, match="not <client>.<seq>.<kind>"):
+            sm.applied(rid)
+        assert not sm.store and not sm.sessions
+
+    def test_session_memory_grows_with_clients_not_requests(self):
+        # 40 clients x 500 in-order applies held 14.7 KB of sessions; a set
+        # of every applied request id held 3.2 MB
+        payload = encode_insert("k", 1)
+        sm = KvStateMachine()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seq in range(1, 501):
+                for client in range(40):
+                    sm.apply(f"c{client}.{seq}.t", payload)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 1024, held
+
+    def test_replicas_share_key_strings(self):
+        a, b = KvStateMachine(), KvStateMachine()
+        a.apply("c0.1.t", encode_transfer("acct1", "acct2", 1))
+        b.apply("c0.1.t", encode_transfer("acct1", "acct2", 1))
+        assert all(x is y for x, y in zip(a.store, b.store))
 
     def test_digest_depends_on_state(self):
         a, b = KvStateMachine(), KvStateMachine()
-        a.apply("r1", encode_insert("k", 1))
-        b.apply("r1", encode_insert("k", 2))
+        a.apply("c0.1.t", encode_insert("k", 1))
+        b.apply("c0.1.t", encode_insert("k", 2))
         assert a.digest() != b.digest()
 
 
