@@ -61,8 +61,10 @@ class FutureReplicateResponse:
     term: int
     generation: int
     from_leader: bool
-    reason: str = "ok"          # ok | conflict | stale_gen | stale_term
+    # the futures the responder accepted or already held
     indices: list[int] = field(default_factory=list)
+    # the futures the responder holds a different record at
+    conflicts: list[int] = field(default_factory=list)
 
 
 @dataclass(slots=True)
@@ -140,7 +142,7 @@ def message_bytes(msg) -> int:
     elif isinstance(msg, FutureReplicateRequest):
         size += _entries_bytes(msg.future_entries)
     elif isinstance(msg, FutureReplicateResponse):
-        size += INDEX_BYTES * len(msg.indices)
+        size += INDEX_BYTES * (len(msg.indices) + len(msg.conflicts))
     elif isinstance(msg, ClientRequest):
         size += len(msg.payload)
     elif isinstance(msg, ForwardedRequest):

@@ -395,17 +395,16 @@ class Node:
     # -- future replication ------------------------------------------------
 
     def handle_future_replicate(self, frm: int, req: FutureReplicateRequest) -> None:
-        accepted_idx, reason = [], "ok"
-        if req.term < self.term:
-            reason = "stale_term"
-        else:
+        accepted_idx, conflicts = [], []
+        current = req.term >= self.term
+        if current:
             if req.term > self.term:
                 self._step_down(req.term)
             if req.generation < self.generation:
-                reason = "stale_gen"
+                current = False
             elif req.generation > self.generation:
                 self._change_generation(req.generation, None)
-        for fe in (req.future_entries if reason == "ok" else []):
+        for fe in (req.future_entries if current else []):
             if self.role == LEADER:
                 out = self._integrate_future(fe)
             else:
@@ -417,12 +416,11 @@ class Node:
             if out in (StageOutcome.STAGED, StageOutcome.DUPLICATE):
                 accepted_idx.append(fe.index)
             elif out == StageOutcome.CONFLICT:
-                reason = "conflict"
-            else:
-                reason = "stale_gen"
+                conflicts.append(fe.index)
         self.ctx.send(frm, FutureReplicateResponse(
             term=self.term, generation=self.generation,
-            from_leader=self.role == LEADER, reason=reason, indices=accepted_idx))
+            from_leader=self.role == LEADER, indices=accepted_idx,
+            conflicts=conflicts))
 
     def _integrate_future(self, fe: Entry) -> StageOutcome:
         """Leader-side: adopt a future entry at its claimed index."""
@@ -458,12 +456,13 @@ class Node:
         if resp.generation > self.generation:
             self._change_generation(resp.generation, None)
             return
-        if resp.reason == "conflict":
-            for idx in list(self.pending_futures):
-                if idx not in resp.indices and resp.from_leader:
-                    p = self.pending_futures.get(idx)
-                    if p and not p.acked and self.log.get(idx) is None:
-                        self._reallocate_pending(idx)
+        if resp.from_leader:
+            # only the futures the leader rejected move; the others keep
+            # their index, which the leader may already have logged
+            for idx in resp.conflicts:
+                p = self.pending_futures.get(idx)
+                if p and not p.acked and self.log.get(idx) is None:
+                    self._reallocate_pending(idx)
         for idx in resp.indices:
             p = self.pending_futures.get(idx)
             if p is None:

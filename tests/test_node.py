@@ -178,8 +178,8 @@ class TestFutureReplication:
         n.handle_future_replicate(2, FutureReplicateRequest(
             term=n.term, generation=5, future_entries=[fe]))
         ((to, resp),) = ctx.take_sent()
-        assert to == 2 and resp.reason == "ok" and not resp.from_leader
-        assert resp.indices == [17]
+        assert to == 2 and not resp.from_leader
+        assert resp.indices == [17] and resp.conflicts == []
         assert n.stage.peek(17) is not None
 
     def test_leader_integrates_future(self):
@@ -195,14 +195,42 @@ class TestFutureReplication:
         assert got.term == n.term and fe.term == n.term - 1
         resp = [m for to, m in ctx.sent
                 if isinstance(m, FutureReplicateResponse)][0]
-        assert resp.reason == "ok" and resp.indices == [17] and resp.from_leader
+        assert resp.indices == [17] and resp.conflicts == [] and resp.from_leader
 
     def test_leader_rejects_conflicting_future(self):
-        n, _ = make_leader()
+        n, ctx = make_leader()
         occupied = n.log.occupied_above(0)[-1]
         fe = Entry(index=occupied, term=n.term, kind=EntryKind.FUTURE, origin=2,
                    generation=5, request_id="c9.1.nt")
         assert n._integrate_future(fe) == StageOutcome.CONFLICT
+        n.handle_future_replicate(2, FutureReplicateRequest(
+            term=n.term, generation=5, future_entries=[fe]))
+        ((to, resp),) = ctx.take_sent()
+        assert to == 2 and resp.from_leader
+        assert resp.indices == [] and resp.conflicts == [occupied]
+
+    def test_leader_conflict_moves_only_the_rejected_future(self):
+        n, ctx = make_follower(node_id=2)
+        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c3.1.nt", kind="nt", payload=b"I j 2"))
+        kept, rejected = n.pending_by_rid["c1.1.nt"], n.pending_by_rid["c3.1.nt"]
+        staged = n.stage.peek(kept)
+        ctx.take_sent()
+        n.handle_future_ack(0, FutureReplicateResponse(
+            term=n.term, generation=5, from_leader=True, conflicts=[rejected]))
+        # the rejected future moves to a fresh index and is sent again
+        moved = n.pending_by_rid["c3.1.nt"]
+        assert moved > rejected and moved % 5 == 2
+        assert rejected not in n.pending_futures and n.stage.peek(rejected) is None
+        assert {m.future_entries[0].index for _, m in ctx.take_sent()
+                if isinstance(m, FutureReplicateRequest)} == {moved}
+        # the other keeps its index and staged entry, and completes on acks
+        assert n.pending_by_rid["c1.1.nt"] == kept
+        assert n.stage.peek(kept) is staged
+        for frm in (0, 1):
+            n.handle_future_ack(frm, FutureReplicateResponse(
+                term=n.term, generation=5, from_leader=frm == 0, indices=[kept]))
+        assert [(c, r.outcome) for c, r in ctx.client_sent] == [("c1", "Ok")]
 
     def test_stale_generation_rejected(self):
         n, ctx = make_follower(node_id=3)
@@ -211,7 +239,7 @@ class TestFutureReplication:
         n.handle_future_replicate(2, FutureReplicateRequest(
             term=n.term, generation=5, future_entries=[fe]))
         ((_, resp),) = ctx.take_sent()
-        assert resp.reason == "stale_gen" and resp.indices == []
+        assert resp.indices == [] and resp.conflicts == []
 
 
 class TestEntrySharing:

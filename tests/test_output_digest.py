@@ -22,13 +22,17 @@ from lcrsim.runner import run_scenario, write_outputs
 from lcrsim.scenario import builtin_scenario_path, load_scenario
 from test_leader_faults import _scenario, fuzz_case
 
+# The lcr digests are those of a data-leader that reallocates only the
+# futures a leader reply names as conflicting, not every unacked one
+# (retransmitted bytes: fig14 48,728 -> 11,552, gen_change 2,102,578 ->
+# 1,343,164).
 DIGESTS = {
     ("fig14_response_time", 2.0, "lcr"):
-        "50ab647e6e4e183a3ce5398aac999cb040577c4e1737bb36c54427ea61d07e76",
+        "6665c15445f236ef5008531a05478220b2b9c771a3b8df116feeeb17ac4207a9",
     ("fig14_response_time", 2.0, "raft"):
         "79f93a4f196096f072e8cc80ade59e8654cfe22fcc48b36ca7e61ba9ce41fef1",
     ("gen_change", 3.0, "lcr"):
-        "bd57f1853013745e42f6cdd813c70267ed7bdb049e5a4c1cb9be989de845266e",
+        "dda845bbb24e3db65a8f9255b750edf767ac1f4d53cfb64d4294d909a0e8b57c",
     ("gen_change", 3.0, "raft"):
         "c6a9dd0d832c9efd8f4b27fe15b844038f9ea9dd4957079243c94517c6b4c825",
 }

@@ -72,9 +72,9 @@ class TestSizeModel:
     def test_listed_indices_are_charged(self):
         miss = AppendEntriesResponse(term=1, last_applied_index_report=0,
                                      last_future_index=0, missing=[1, 3])
-        ack = FutureReplicateResponse(term=1, generation=5,
-                                      from_leader=True, indices=[17])
-        assert (message_bytes(miss), message_bytes(ack)) == (48 + 16, 48 + 8)
+        ack = FutureReplicateResponse(term=1, generation=5, from_leader=True,
+                                      indices=[17], conflicts=[22, 27])
+        assert (message_bytes(miss), message_bytes(ack)) == (48 + 16, 48 + 24)
 
 
 class TestCostModel:
@@ -272,7 +272,25 @@ class TestRetransmission:
         if protocol == "raft":
             assert retrans == [0] * len(retrans)
         else:
-            assert sum(retrans) < 0.02 * sum(st.sent_bytes for st in stats)
+            assert sum(retrans) < 0.005 * sum(st.sent_bytes for st in stats)
+
+    def test_no_fault_run_misses_no_signal(self, monkeypatch):
+        # a data-leader keeps every future the leader did not reject, so each
+        # signal finds its staged entry at the future's origin
+        sc = load_scenario(builtin_scenario_path("fig14_response_time").read_text())
+        sc.duration_s = 2.0
+        missing = []
+        node_send = Simulation.node_send
+
+        def logged_send(sim, frm, to, msg, retransmit):
+            if isinstance(msg, AppendEntriesResponse):
+                missing.extend(msg.missing)
+            node_send(sim, frm, to, msg, retransmit)
+
+        monkeypatch.setattr(Simulation, "node_send", logged_send)
+        r = run_scenario(sc, seed=1, protocol="lcr")
+        assert r.verdict.ok, r.verdict.errors[:3]
+        assert missing == []
 
 
 class TestFaults:
