@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -21,7 +20,7 @@ import sys
 from .node import PROTOCOLS
 from .runner import run_scenario, write_outputs
 from .scenario import (ScenarioError, builtin_scenario_path, list_builtin_scenarios,
-                       load_scenario)
+                       load_scenario, with_node_latency)
 from .verify import verify_trace
 
 
@@ -96,18 +95,17 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sc = _load(args.scenario)
-    latencies = [float(x) for x in args.latencies.split(",")]
+    # every value is checked before the first run
+    swept = [with_node_latency(sc, x) for x in args.latencies.split(",")]
     rows = [("latency_ms", "protocol", "tps", "rt_all_ms", "rt_t_ms", "rt_nt_ms",
              "verified")]
     rc = 0
-    for lat in latencies:
+    for sweep_sc in swept:
         for protocol in PROTOCOLS:
-            sweep_sc = dataclasses.replace(
-                sc, node_latency=dataclasses.replace(
-                    sc.node_latency, mean_us=int(lat * 1000)))
             result = run_scenario(sweep_sc, seed=args.seed, protocol=protocol)
             r = result.report
-            rows.append((f"{lat:g}", protocol, f"{r.tps():.1f}",
+            rows.append((f"{sweep_sc.node_latency.mean_us / 1000:g}", protocol,
+                         f"{r.tps():.1f}",
                          f"{r.rt_mean_us['all'] / 1000:.2f}",
                          f"{r.rt_mean_us['t'] / 1000:.2f}",
                          f"{r.rt_mean_us['nt'] / 1000:.2f}",

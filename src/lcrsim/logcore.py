@@ -3,7 +3,9 @@
 All index arithmetic lives here: a data-leader with id ``s`` and generation
 ``g`` only ever claims indices congruent to ``s`` modulo ``g``, so two
 data-leaders can never collide as long as they agree on the generation.
-Windows gate how far ahead of the normal log a future index may be placed.
+Windows gate how far ahead of the normal log a future index may be placed:
+the open windows are the ``open_window_count`` aligned windows from the first
+one above the normal log.
 """
 
 from __future__ import annotations
@@ -48,13 +50,6 @@ class Entry:
                 and self.generation == other.generation)
 
 
-@dataclass(slots=True)
-class Window:
-    generation: int
-    start: int
-    end: int
-
-
 def owner_of(index: int, generation: int) -> int:
     """Which server id a future index belongs to under a given generation."""
     if generation < 1:
@@ -63,25 +58,23 @@ def owner_of(index: int, generation: int) -> int:
 
 
 def allocate_future_index(self_id: int, generation: int, future_last_index: int,
-                          windows: list[Window]) -> int:
+                          first: int, last: int) -> int:
     """Allocate the next future index for a data-leader.
 
     Starts from ``self_id + generation + L - L % generation`` (with L the
-    highest future index the node has seen). ``windows`` are the open windows,
-    consecutive and in order, so a candidate below the first one steps up by
-    whole generations to its start, which preserves the residue.
+    highest future index the node has seen). ``[first, last]`` is the span
+    of the open windows, so a candidate below ``first`` steps up by whole
+    generations to it, which preserves the residue.
 
-    Raises NoOpenWindow when the candidate lies past the last open window.
+    Raises NoOpenWindow when the candidate lies past ``last``.
     """
     if generation <= self_id:
         raise ValueError("generation must exceed every server id")
     lam = self_id + generation + future_last_index - (future_last_index % generation)
-    if not windows:
-        raise NoOpenWindow(f"no open window for candidate {lam}")
-    if lam < windows[0].start:
-        lam += (windows[0].start - lam + generation - 1) // generation * generation
-    if lam > windows[-1].end:
-        raise NoOpenWindow(f"candidate ran past last open window end {windows[-1].end}")
+    if lam < first:
+        lam += (first - lam + generation - 1) // generation * generation
+    if lam > last:
+        raise NoOpenWindow(f"candidate {lam} ran past the open windows' end {last}")
     return lam
 
 
@@ -99,31 +92,16 @@ def reallocate_index(lam: int, old_gen: int, new_gen: int, self_id: int) -> int:
     return (lam // old_gen) * new_gen + self_id
 
 
-def maintain_windows(normal_last_index: int, windows: list[Window], *,
-                     window_size: int, open_window_count: int = 2,
-                     generation: int = 0) -> tuple[list[Window], list[Window]]:
-    """Close the open windows the normal log has reached and top up ahead.
+def maintain_windows(normal_last_index: int, start: int, window_size: int) -> int:
+    """The start of the first open window, given the previous one, ``start``.
 
-    ``windows`` are the open windows, consecutive and in order. A window
-    closes for good once the normal-log last index reaches its start, so the
-    closed ones are a prefix. Returns ``(closed, still_open)`` with at least
-    ``open_window_count`` windows still open; each new one starts right after
-    the last window, or at the first start above the normal log when there is
-    none. Windows are aligned so starts are ``1 mod window_size``.
+    Windows are aligned, so starts are ``1 mod window_size``, and consecutive.
+    A window closes for good once the normal-log last index reaches its
+    start, so the first open window is the later of ``start`` and the first
+    aligned start above the normal log.
     """
-    closed = [w for w in windows if w.start <= normal_last_index]
-    still_open = windows[len(closed):]
-    if windows:
-        next_start = windows[-1].end + 1
-    else:
-        next_start = (normal_last_index // window_size) * window_size + 1
-        if next_start <= normal_last_index:
-            next_start += window_size
-    while len(still_open) < open_window_count:
-        still_open.append(Window(generation=generation, start=next_start,
-                                 end=next_start + window_size - 1))
-        next_start += window_size
-    return closed, still_open
+    return max(start, (normal_last_index - 1) // window_size * window_size
+               + window_size + 1)
 
 
 @dataclass

@@ -5,7 +5,7 @@ everything reported here is derived from the trace text plus the client-side
 completion records. The collector keeps only what the report reads: event
 counts, the verifier's map of committed rids (shared, not copied), and a
 running sum of apply lags. An nt rid's ack or apply times are held only
-until its first ack meets the apply at that ack's origin.
+until its first ack meets the apply at the node that acked it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ class TraceCollector:
     """The trace facts behind the metrics. ``verify.verify_trace`` feeds it
     each parsed event of ``KINDS`` and keeps its mutation map in
     ``committed`` (rid -> lowest index applied without ``dup``). Apply lag is
-    summed as each nt rid's first ack meets the apply at that ack's origin;
+    summed as each nt rid's first ack meets the apply at the acking node;
     until then the rid waits in ``_acked`` or ``_applied``. A rid in
     ``committed`` and in neither is timed, and its later acks and applies
     are ignored."""
@@ -29,8 +29,8 @@ class TraceCollector:
 
     def __init__(self) -> None:
         self.committed: dict[str, int] = {}
-        self._acked: dict[str, tuple[int, int]] = {}    # nt rid -> (us, origin)
-        self._applied: dict[str, dict[int, int]] = {}   # nt rid -> node -> us
+        self._acked: dict[str, tuple[int, str]] = {}    # nt rid -> (us, node)
+        self._applied: dict[str, dict[str, int]] = {}   # nt rid -> node -> us
         self.lag_sum_us = 0
         self.lag_count = 0
         self.window_closes = 0
@@ -51,23 +51,21 @@ class TraceCollector:
             rid = d["rid"]
             if (rid.endswith(".nt") and rid not in self._acked
                     and not self._timed(rid)):
-                origin = int(d["origin"])
                 applied = self._applied.pop(rid, ())
-                if origin in applied:
-                    self._add_lag(applied[origin] - ev.time)
+                if ev.frm in applied:
+                    self._add_lag(applied[ev.frm] - ev.time)
                 else:
-                    self._acked[rid] = (ev.time, origin)
+                    self._acked[rid] = (ev.time, ev.frm)
         elif kind == "apply":
             rid = d["rid"]
             if rid.endswith(".nt") and d["dup"] == "0":
-                node = int(ev.frm)
                 ack = self._acked.get(rid)
                 if ack is not None:
-                    if ack[1] == node:
+                    if ack[1] == ev.frm:
                         del self._acked[rid]
                         self._add_lag(ev.time - ack[0])
                 elif not self._timed(rid):
-                    self._applied.setdefault(rid, {})[node] = ev.time
+                    self._applied.setdefault(rid, {})[ev.frm] = ev.time
         elif kind == "window_close":
             self.window_closes += 1
         elif kind == "conflict":

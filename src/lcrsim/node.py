@@ -14,7 +14,7 @@ from typing import Optional
 
 from .kv import KvStateMachine
 from .logcore import (Entry, EntryKind, FutureStage, NoOpenWindow, StageOutcome,
-                      UnifiedLog, Window, allocate_future_index,
+                      UnifiedLog, allocate_future_index,
                       maintain_windows, owner_of, reallocate_index)
 from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientRequest,
                        ClientResponse, ForwardedRequest, ForwardedResponse,
@@ -121,7 +121,7 @@ class Node:
         self.pending_client: dict[str, tuple[str, Optional[int]]] = {}
         # follower: appends that overtook an earlier one, keyed by prev index
         self.held: dict[int, AppendEntriesRequest] = {}
-        self.windows: list[Window] = []   # open windows, consecutive, in order
+        self.window_start = 0   # the first open window's start; 0 for none
         self.staged_bytes_peak = 0
 
         if self.cfg.protocol == "lcr":
@@ -166,14 +166,13 @@ class Node:
 
     def _refresh_windows(self) -> None:
         # windows close against leader-sequenced progress only
-        closed, self.windows = maintain_windows(
-            self.log.last_contiguous_index, self.windows,
-            window_size=self.cfg.window_size,
-            open_window_count=self.cfg.open_window_count,
-            generation=self.generation)
-        for w in closed:
-            self.ctx.trace("window_close",
-                           detail=f"start={w.start}|end={w.end}|gen={w.generation}")
+        size, old = self.cfg.window_size, self.window_start
+        self.window_start = maintain_windows(self.log.last_contiguous_index,
+                                             old, size)
+        if old:
+            for start in range(old, self.window_start, size):
+                self.ctx.trace("window_close", detail=(
+                    f"start={start}|end={start + size - 1}|gen={self.generation}"))
 
     def _note_staged_bytes(self) -> None:
         b = self.stage.bytes_held(ENTRY_HEADER_BYTES)
@@ -354,8 +353,10 @@ class Node:
 
     def _allocate(self) -> Optional[int]:
         try:
-            return allocate_future_index(self.id, self.generation,
-                                         self.stage.max_index_seen, self.windows)
+            first = self.window_start
+            return allocate_future_index(
+                self.id, self.generation, self.stage.max_index_seen, first,
+                first + self.cfg.open_window_count * self.cfg.window_size - 1)
         except NoOpenWindow:
             return None
 
@@ -369,7 +370,7 @@ class Node:
                       request_id=request_id, payload=payload)
         self.stage.stage(entry, self.generation)
         self._note_staged_bytes()
-        self.ctx.trace("alloc", detail=f"idx={idx}|gen={self.generation}|origin={self.id}")
+        self.ctx.trace("alloc", detail=f"idx={idx}|gen={self.generation}")
         p = PendingFuture(entry=entry, client_id=client_id, acks={self.id},
                           acked=acked)
         self.pending_futures[idx] = p
@@ -481,7 +482,7 @@ class Node:
     def _ack_future(self, p: PendingFuture, idx: int) -> None:
         p.acked = True
         self.ctx.trace("ack", detail=(
-            f"rid={p.entry.request_id}|kind=nt|idx={idx}|origin={self.id}"))
+            f"rid={p.entry.request_id}|path=nt|idx={idx}"))
         self.ctx.send_client(p.client_id, ClientResponse(p.entry.request_id, "Ok"))
 
     def _reallocate_pending(self, old_idx: int) -> None:
@@ -526,7 +527,7 @@ class Node:
         for idx, e in list(self.stage.pending.items()):
             if e.generation < new_gen:
                 self.stage.drop(idx)
-        self.windows = []
+        self.window_start = 0     # reopen the windows above the log
         self._refresh_windows()
         for idx, p in own:
             self.pending_futures.pop(idx, None)
@@ -847,7 +848,7 @@ class Node:
             if route is not None and self.role == LEADER:
                 client_id, via = route
                 self.ctx.trace("ack", detail=(
-                    f"rid={e.request_id}|kind=t|idx={i}|origin={self.id}"))
+                    f"rid={e.request_id}|path=t|idx={i}"))
                 self._respond_client(client_id, via,
                                      ClientResponse(e.request_id, "Ok"))
             pidx = self.pending_by_rid.pop(e.request_id, None)

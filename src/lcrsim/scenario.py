@@ -8,6 +8,7 @@ each key sets, how its value converts and what bounds it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import ClassVar
@@ -39,8 +40,15 @@ def _take(section: dict, name: str, allowed: set[str],
     return section
 
 
+def _finite(v) -> float:
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValueError(f"{v} is not a finite number")
+    return v
+
+
 def _ms(v) -> int:
-    return int(round(float(v) * 1000))
+    return int(round(_finite(v) * 1000))
 
 
 def _in_range(v, name: str, low, high=None, above: bool = False):
@@ -56,7 +64,7 @@ def _in_range(v, name: str, low, high=None, above: bool = False):
 
 def _protocol(v) -> str:
     if str(v) not in PROTOCOLS:
-        raise ScenarioError(f"unknown protocol '{v}'")
+        raise ValueError(f"unknown protocol '{v}'")
     return str(v)
 
 
@@ -70,7 +78,7 @@ _POSITIVE = (0, None, True)
 _TOP = {
     "name": ("name", str, None),
     "seed": ("seed", int, None),
-    "duration_s": ("duration_s", float, _POSITIVE),
+    "duration_s": ("duration_s", _finite, _POSITIVE),
     "nodes": ("nodes", int, (1,)),
     "clients": ("clients", int, (0,)),
     "initial_members": ("initial_members", _int_or_none, None),  # checked against nodes
@@ -78,13 +86,13 @@ _TOP = {
 _PROTOCOL = {"protocol": ("protocol", _protocol, None)}
 _LATENCY = {
     "mean_ms": ("mean_us", _ms, (0,)),
-    "fluct_prob": ("fluct_prob", float, (0, 1)),
+    "fluct_prob": ("fluct_prob", _finite, (0, 1)),
     "fluct_magnitude_ms": ("fluct_magnitude_us", _ms, (0,)),
 }
 # section -> (the Scenario field it sets, its key table)
 _SECTIONS = {
     "workload": ("client_cfg", {
-        "nt_ratio": ("nt_ratio", float, (0, 1)),
+        "nt_ratio": ("nt_ratio", _finite, (0, 1)),
         "payload_bytes": ("payload_bytes", int, None),
         "request_timeout_ms": ("request_timeout_us", _ms, _POSITIVE),
         "blacklist_ms": ("blacklist_us", _ms, None)}),
@@ -138,16 +146,29 @@ class Scenario:
     bootstrap_leader: ClassVar[int] = 0  # the node that starts as leader
 
 
+def _value(raw, name: str, convert, bound=None):
+    """``raw`` converted, and checked against ``bound`` (the (low, high,
+    above) arguments of _in_range) when there is one."""
+    try:
+        value = convert(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"malformed value for '{name}': {exc}") from exc
+    return value if bound is None else _in_range(value, name, *bound)
+
+
 def _apply(obj, section: dict, prefix: str, table: dict):
     """A copy of ``obj`` with the fields set that the keys of ``section``
     in ``table`` give; other keys are left to the caller."""
-    changes = {}
-    for key, (attr, convert, bound) in table.items():
-        if key in section:
-            value = changes[attr] = convert(section[key])
-            if bound is not None:
-                _in_range(value, prefix + key, *bound)
-    return replace(obj, **changes)
+    return replace(obj, **{attr: _value(section[key], prefix + key, convert, bound)
+                           for key, (attr, convert, bound) in table.items()
+                           if key in section})
+
+
+def with_node_latency(sc: Scenario, mean_ms) -> Scenario:
+    """A copy of ``sc`` whose node latency has mean ``mean_ms``, converted and
+    bounded as the key ``node_latency.mean_ms`` of a scenario file is."""
+    return replace(sc, node_latency=_apply(
+        sc.node_latency, {"mean_ms": mean_ms}, "node_latency.", _LATENCY))
 
 
 def load_scenario(source) -> Scenario:
@@ -186,16 +207,18 @@ def _build(raw) -> Scenario:
         _take(f, "faults[]", {"time_s", "action", "node"}, all_required=True)
         if f["action"] not in ("crash", "restart", "disconnect", "reconnect"):
             raise ScenarioError(f"unknown fault action '{f['action']}'")
-        node = int(f["node"])
+        node = _value(f["node"], "faults[].node", int)
         if not 0 <= node < sc.nodes:
             raise ScenarioError(f"fault node {node} is not one of the {sc.nodes} nodes")
-        sc.faults.append(FaultEvent(float(f["time_s"]), f["action"], node))
+        sc.faults.append(FaultEvent(
+            _value(f["time_s"], "faults[].time_s", _finite, (0,)), f["action"], node))
     for m in raw.get("membership_changes", []) or []:
         _take(m, "membership_changes[]", {"time_s", "new_size"}, all_required=True)
-        size = int(m["new_size"])
+        size = _value(m["new_size"], "membership_changes[].new_size", int)
         if size > sc.nodes:
             raise ScenarioError(f"membership change to {size} exceeds {sc.nodes} nodes")
-        sc.membership_changes.append(MembershipChange(float(m["time_s"]), size))
+        sc.membership_changes.append(MembershipChange(
+            _value(m["time_s"], "membership_changes[].time_s", _finite, (0,)), size))
     return sc
 
 

@@ -190,7 +190,7 @@ class _NodeCtx(_TimerCtx):
         self.sim.node_send(self.node_id, to, msg, retransmit)
 
     def send_client(self, client_id: str, resp) -> None:
-        self.sim.node_send_client(self.node_id, client_id, resp)
+        self.sim.node_send(self.node_id, client_id, resp, False)
 
     def _expire(self, name: str) -> None:
         self.now = self.sim.now
@@ -270,7 +270,17 @@ class Simulation:
                nbytes: int = 0, detail: str = "") -> None:
         self.trace.append(f"{time},{kind},{frm},{to},{msg_kind},{nbytes},{detail}")
 
-    def node_send(self, frm: int, to: int, msg, retransmit: bool) -> None:
+    def _send(self, frm, to, msg, nbytes: int, latency: LatencyModel,
+              handler, *args) -> None:
+        """Record the one ``send`` line of a message that leaves now, with its
+        arrival time, and run ``handler(*args)`` at that time."""
+        at = self.now + latency.sample(self.rng)
+        self.record(self.now, "send", frm, to, type(msg).__name__, nbytes, f"at={at}")
+        self.schedule(at, handler, *args)
+
+    def node_send(self, frm: int, to, msg, retransmit: bool) -> None:
+        """Send node ``frm``'s message to node ``to``, or to the client whose
+        id ``to`` is."""
         nbytes = message_bytes(msg)
         st = self.stats[frm]
         st.sent_msgs += 1
@@ -281,27 +291,18 @@ class Simulation:
             st.dropped_bytes += nbytes
             self.record(self.now, "drop", frm, to, type(msg).__name__, nbytes,
                         "partitioned_at_send")
-            return
-        self.record(self.now, "send", frm, to, type(msg).__name__, nbytes)
-        delay = self.node_latency.sample(self.rng)
-        self.schedule(self.now + delay, self._handle_at_node, to, frm, msg, nbytes)
-
-    def node_send_client(self, frm: int, client_id: str, resp) -> None:
-        nbytes = message_bytes(resp)
-        st = self.stats[frm]
-        st.sent_msgs += 1
-        st.sent_bytes += nbytes
-        if frm in self.isolated:
-            st.dropped_bytes += nbytes
-            return
-        delay = self.client_latency.sample(self.rng)
-        ctx = self.client_ctx[client_id]
-        self.schedule(self.now + delay, ctx.client.on_response, ctx, resp)
+        elif to in self.client_ctx:
+            ctx = self.client_ctx[to]
+            self._send(frm, to, msg, nbytes, self.client_latency,
+                       ctx.client.on_response, ctx, msg)
+        else:
+            self._send(frm, to, msg, nbytes, self.node_latency,
+                       self._handle_at_node, to, frm, msg, nbytes)
 
     def client_send(self, client_id: str, to: int, msg) -> None:
         nbytes = message_bytes(msg)
-        delay = self.client_latency.sample(self.rng)
-        self.schedule(self.now + delay, self._handle_at_node, to, client_id, msg, nbytes)
+        self._send(client_id, to, msg, nbytes, self.client_latency,
+                   self._handle_at_node, to, client_id, msg, nbytes)
 
     # -- faults and admin --------------------------------------------------
 
@@ -348,7 +349,6 @@ class Simulation:
                         nbytes, reason)
             return
         st.recv_bytes += nbytes
-        self.record(self.now, "deliver", frm, node_id, type(msg).__name__, nbytes)
         cost = self.cost.cost_of(msg)
         ctx.now = ctx.busy_until = max(self.now, ctx.busy_until) + cost
         st.busy_us += cost
@@ -372,6 +372,6 @@ class Simulation:
             self.record(self.now, "final_state", frm=node_id, detail=(
                 f"alive={int(n.ctx.alive)}"
                 f"|term={n.term}|gen={n.generation}"
-                f"|commit={n.commit_index}|applied={n.persist.last_applied}"
+                f"|applied={n.persist.last_applied}"
                 f"|contig={n.log.last_contiguous_index}"
                 f"|digest={n.kv.digest()}"))

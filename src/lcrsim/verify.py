@@ -13,7 +13,9 @@ machine (payloads are reconstructable from request ids) and checks:
                       lowest index at which any node mutated for it
   digest_replay       each node's final state digest equals the replay of the
                       history up to that node's applied count; a node that
-                      applied off the history fails without a replay
+                      applied off the history fails without a replay, and so
+                      do a node that applied with no ``final_state`` line and
+                      a trace with no ``final_state`` line at all
   ack_durability      every acknowledged request is in the history
   commit_monotone     each node applies its last index + 1, and its final
                       applied count is the last index it applied
@@ -187,6 +189,10 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
     # final digests against one replay of the history, in order of length;
     # the replay reads only the rids, so the packed records go first
     del packed
+    if not finals:
+        res.fail("digest_replay", "the trace has no final_state line")
+    for node in sorted(last.keys() - finals.keys()):
+        res.fail("digest_replay", f"node {node} applied but has no final_state line")
     sm = KvStateMachine()
     replayed = 0
     for n_applied, node in sorted((int(f.get("applied", 0)), node)

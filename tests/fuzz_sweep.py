@@ -8,9 +8,13 @@ and runs with the same 1.2 s drain as the pinned fuzz tests. Every failing
 per mode. The exit status is 1 when any run fails. Pytest does not collect
 this file; it is the sweep to re-run before pinning or un-pinning fuzz seeds.
 
-``--digests FILE`` also writes one line per run, ``seed protocol sha256``,
-with the sha256 of ``trace.txt`` followed by ``metrics.csv``. ``diff`` of two
-such files shows every run whose outputs a change moved.
+``--digests FILE`` also writes one line per run,
+``seed protocol outputs metrics verdict``: the sha256 of ``trace.txt``
+followed by ``metrics.csv``, the sha256 of ``metrics.csv`` alone, and the
+verdict (``ok``, or the failed checks joined by commas). ``diff`` of two such
+files shows every run whose outputs a change moved; comparing only the last
+two columns shows whether a change that moves the trace left every run's
+metrics and verdict as they were.
 """
 
 from __future__ import annotations
@@ -29,19 +33,22 @@ from lcrsim.node import PROTOCOLS  # noqa: E402
 from lcrsim.runner import run_scenario, write_outputs  # noqa: E402
 
 
-def output_digest(result) -> str:
-    """sha256 of the run's ``trace.txt`` followed by its ``metrics.csv``."""
-    h = hashlib.sha256()
+def output_digests(result) -> str:
+    """The sha256 of the run's ``trace.txt`` followed by its ``metrics.csv``,
+    then the sha256 of ``metrics.csv`` alone, separated by a space."""
+    outputs = hashlib.sha256()
     with tempfile.TemporaryDirectory() as outdir:
         write_outputs(result, outdir)
         for name in ("trace.txt", "metrics.csv"):
             with open(os.path.join(outdir, name), "rb") as fh:
-                h.update(fh.read())
-    return h.hexdigest()
+                data = fh.read()
+            outputs.update(data)
+    # ``data`` holds metrics.csv, read last
+    return f"{outputs.hexdigest()} {hashlib.sha256(data).hexdigest()}"
 
 
 def run_one(job: tuple[int, str, bool]) -> tuple[int, str, list[str], str, str]:
-    """(seed, protocol, failed checks, least error message, output digest or
+    """(seed, protocol, failed checks, least error message, output digests or
     "") for one run."""
     seed, protocol, digest = job
     result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
@@ -49,7 +56,7 @@ def run_one(job: tuple[int, str, bool]) -> tuple[int, str, list[str], str, str]:
     verdict = result.verdict
     failed = sorted(name for name, ok in verdict.checks.items() if not ok)
     return (seed, protocol, failed, min(verdict.errors, default=""),
-            output_digest(result) if digest else "")
+            output_digests(result) if digest else "")
 
 
 def main(argv=None) -> int:
@@ -61,7 +68,8 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes (default 1)")
     ap.add_argument("--digests", metavar="FILE",
-                    help="write 'seed protocol sha256' per run to FILE")
+                    help="write 'seed protocol outputs metrics verdict' "
+                         "per run to FILE")
     args = ap.parse_args(argv)
     if args.last < args.first or args.jobs < 1:
         ap.error("need first <= last and --jobs >= 1")
@@ -80,7 +88,8 @@ def main(argv=None) -> int:
     try:
         for seed, protocol, failed, error, digest in results:
             if digests:
-                digests.write(f"{seed} {protocol} {digest}\n")
+                verdict = ",".join(failed) or "ok"
+                digests.write(f"{seed} {protocol} {digest} {verdict}\n")
             if failed:
                 failures[protocol].append(seed)
                 print(f"seed {seed} {protocol}: {','.join(failed)}: {error}",

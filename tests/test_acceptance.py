@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from lcrsim.logcore import (Window, allocate_future_index, maintain_windows,
-                            owner_of, reallocate_index)
+from lcrsim.logcore import (allocate_future_index, maintain_windows, owner_of,
+                            reallocate_index)
 from lcrsim.runner import run_scenario, write_outputs
 from lcrsim.scenario import builtin_scenario_path, load_scenario
 from lcrsim.verify import parse_trace
@@ -93,8 +93,9 @@ def test_01_safety_suite(capsys):
 
 def test_02_allocation_is_collision_free(capsys):
     checked = 0
+    size, count = 1000, 2
     for gen in (3, 5, 7, 9):
-        _, windows = maintain_windows(0, [], window_size=1000)
+        first = maintain_windows(0, 0, size)
         for a in range(gen):
             for b in range(a + 1, gen):
                 taken: set[int] = set()
@@ -104,10 +105,11 @@ def test_02_allocation_is_collision_free(capsys):
                 rng = random.Random(gen * 1000 + a * 10 + b)
                 for _ in range(10_000):
                     node = a if rng.random() < 0.7 else b
-                    while last[node] >= windows[-1].end - gen:
-                        _, windows = maintain_windows(
-                            windows[-1].end, windows, window_size=1000)
-                    idx = allocate_future_index(node, gen, last[node], windows)
+                    end = first + count * size - 1
+                    while last[node] >= end - gen:
+                        first = maintain_windows(end, first, size)
+                        end = first + count * size - 1
+                    idx = allocate_future_index(node, gen, last[node], first, end)
                     assert idx not in taken, (gen, a, b, idx)
                     assert owner_of(idx, gen) == node
                     taken.add(idx)

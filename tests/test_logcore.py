@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcrsim.logcore import (CommittedMutation, Entry, EntryKind, FutureStage,
-                            NoOpenWindow, StageOutcome, UnifiedLog, Window,
+                            NoOpenWindow, StageOutcome, UnifiedLog,
                             allocate_future_index, maintain_windows, owner_of,
                             reallocate_index)
 
@@ -21,56 +21,53 @@ def fe(index, gen=5, origin=None, rid="r", term=1):
 
 class TestAllocate:
     def test_mid_log(self):
-        w = [Window(5, 11, 110)]
-        assert allocate_future_index(2, 5, 13, w) == 17
+        assert allocate_future_index(2, 5, 13, 11, 110) == 17
 
     def test_empty_log(self):
-        w = [Window(3, 1, 100)]
-        assert allocate_future_index(1, 3, 0, w) == 4
+        assert allocate_future_index(1, 3, 0, 1, 100) == 4
 
     def test_skips_closed_window(self):
         # the first candidate, 9, lies in the closed range 6..10
-        assert allocate_future_index(4, 5, 0, [Window(5, 11, 15)]) == 14
+        assert allocate_future_index(4, 5, 0, 11, 15) == 14
 
     def test_result_keeps_residue(self):
-        w = [Window(5, 1, 1000)]
         for last in range(0, 60, 7):
-            lam = allocate_future_index(3, 5, last, w)
+            lam = allocate_future_index(3, 5, last, 1, 1000)
             assert lam % 5 == 3
             assert lam > last
 
     def test_no_open_window(self):
         with pytest.raises(NoOpenWindow):
-            allocate_future_index(2, 5, 13, [])
+            # an empty span, as with no open window
+            allocate_future_index(2, 5, 13, 101, 100)
         with pytest.raises(NoOpenWindow):
-            # open window entirely below the first candidate
-            allocate_future_index(2, 5, 200, [Window(5, 1, 100)])
+            # open span entirely below the first candidate
+            allocate_future_index(2, 5, 200, 1, 100)
 
     def test_generation_must_cover_id(self):
         with pytest.raises(ValueError):
-            allocate_future_index(5, 5, 0, [Window(5, 1, 100)])
+            allocate_future_index(5, 5, 0, 1, 100)
 
     @given(st.integers(2, 12), st.data(), st.integers(0, 3000),
            st.integers(1, 2000), st.integers(1, 300), st.integers(1, 5))
     def test_matches_scan_by_generation(self, gen, data, last, first, size,
                                         count):
         self_id = data.draw(st.integers(0, gen - 1))
-        windows = [Window(gen, first + k * size, first + (k + 1) * size - 1)
-                   for k in range(count)]
+        end = first + count * size - 1
         # the candidate advances one generation at a time until it lands in
-        # an open window or runs past the last one
+        # the open span or runs past it
         lam = self_id + gen + last - last % gen
         expected = None
-        while lam <= windows[-1].end:
-            if any(w.start <= lam <= w.end for w in windows):
+        while lam <= end:
+            if first <= lam:
                 expected = lam
                 break
             lam += gen
         if expected is None:
             with pytest.raises(NoOpenWindow):
-                allocate_future_index(self_id, gen, last, windows)
+                allocate_future_index(self_id, gen, last, first, end)
         else:
-            assert allocate_future_index(self_id, gen, last, windows) == expected
+            assert allocate_future_index(self_id, gen, last, first, end) == expected
 
 
 class TestReallocate:
@@ -115,67 +112,40 @@ class TestOwner:
 
 class TestMaintainWindows:
     def test_close_and_top_up(self):
-        closed, still_open = maintain_windows(
-            6, [Window(5, 1, 5), Window(5, 6, 10)], window_size=5)
-        assert [(w.start, w.end) for w in closed] == [(1, 5), (6, 10)]
-        assert [(w.start, w.end) for w in still_open] == [(11, 15), (16, 20)]
+        # windows 1 and 6 close; the open ones run on from 11
+        assert maintain_windows(6, 1, window_size=5) == 11
 
     def test_bootstrap(self):
-        closed, still_open = maintain_windows(0, [], window_size=100)
-        assert closed == []
-        assert [(w.start, w.end) for w in still_open] == [(1, 100), (101, 200)]
+        # 0 stands for no open window
+        assert maintain_windows(0, 0, window_size=100) == 1
 
     def test_partial_close(self):
-        closed, still_open = maintain_windows(
-            850, [Window(0, 801, 900), Window(0, 901, 1000)], window_size=100)
-        assert [w.start for w in closed] == [801]
-        assert [w.start for w in still_open] == [901, 1001]
+        assert maintain_windows(850, 801, window_size=100) == 901
+
+    def test_log_below_the_window(self):
+        assert maintain_windows(850, 1001, window_size=100) == 1001
 
     def test_jump_past_every_window(self):
-        # new windows continue the numbering even at or below the horizon;
-        # they stay open until the next refresh closes them
-        closed, still_open = maintain_windows(
-            350, [Window(0, 1, 100), Window(0, 101, 200)], window_size=100)
-        assert [w.start for w in closed] == [1, 101]
-        assert [w.start for w in still_open] == [201, 301]
-        closed, still_open = maintain_windows(350, still_open, window_size=100)
-        assert [w.start for w in closed] == [201, 301]
-        assert [w.start for w in still_open] == [401, 501]
+        # after one refresh, the first open window lies above the log
+        assert maintain_windows(350, 1, window_size=100) == 401
+        assert maintain_windows(400, 1, window_size=100) == 401
+        assert maintain_windows(401, 1, window_size=100) == 501
 
-    @given(st.integers(0, 5000), st.integers(1, 4),
+    @given(st.integers(0, 5000), st.integers(1, 80),
            st.lists(st.integers(0, 400), min_size=1, max_size=6))
     @settings(max_examples=200)
-    def test_invariants(self, normal_last, count, advances):
-        windows, reported = [], []
-        progress = normal_last
+    def test_invariants(self, normal_last, size, advances):
+        start, progress = 0, normal_last
         for advance in advances:
             progress += advance
-            opened = list(windows)
-            closed, windows = maintain_windows(progress, windows, window_size=50,
-                                               open_window_count=count)
-            # the closed ones are a prefix of what was open
-            assert closed == opened[:len(closed)]
-            assert all(w.start <= progress for w in closed)
-            assert all(w.start > progress for w in opened[len(closed):])
-            reported += closed
-            assert len(windows) >= count
-            assert all(w.start % 50 == 1 and w.end == w.start + 49
-                       for w in windows)
-            # open windows stay consecutive
-            assert all(b.start == a.end + 1 for a, b in zip(windows, windows[1:]))
-            # ahead of the log, unless it jumped past every open window
-            if not opened or progress <= opened[-1].end:
-                assert windows[0].start > progress
-        # every window is reported closed at most once, in order
-        starts = [w.start for w in reported]
-        assert starts == sorted(set(starts))
-        closed, windows = maintain_windows(windows[-1].end, windows,
-                                           window_size=50,
-                                           open_window_count=count)
-        reported += closed
-        # once the log passes them, every window ever opened was closed once
-        assert [w.start for w in reported] == list(
-            range(reported[0].start, reported[-1].end + 1, 50))
+            before = start
+            start = maintain_windows(progress, start, window_size=size)
+            # aligned, never moving back, and ahead of the log
+            assert start % size == 1 % size
+            assert start >= before
+            assert start > progress
+            # the window below it has closed: its start is at most the log
+            assert start - size <= progress or start == before
 
 
 class TestFutureStage:

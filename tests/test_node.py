@@ -820,6 +820,36 @@ class TestGenerationChange:
         assert 5 in n.peers and 6 in n.peers
 
 
+class TestWindows:
+    def test_jump_closes_each_window_once_and_opens_above_the_log(self):
+        n, ctx = make_follower(node_id=2)     # windows of 100, two open
+        assert n.window_start == 1
+        n.handle_append_entries(0, append_req(0, 350, seq=1))
+        assert n.window_start == 401
+        # a refresh without progress closes nothing; reaching 401 closes it
+        n.handle_append_entries(0, append_req(350, 350, seq=2))
+        n.handle_append_entries(0, append_req(350, 401, seq=3))
+        closes = [d for kind, d in ctx.traced if kind == "window_close"]
+        assert closes == [f"start={s}|end={s + 99}|gen=5"
+                          for s in (1, 101, 201, 301, 401)]
+        assert n.window_start == 501
+        # so the next future lands in the open span above the log
+        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        (idx,) = n.stage.pending
+        assert 501 <= idx <= 700 and idx % 5 == 2
+
+    def test_closes_carry_the_current_generation(self):
+        n, ctx = make_follower(node_id=2)
+        n._change_generation(7, [0, 1, 2, 3, 4, 5, 6])
+        n.handle_append_entries(0, AppendEntriesRequest(
+            term=1, generation=7, leader_id=0, prev_log_index=0,
+            prev_log_term=0, leader_commit=0, seq=1,
+            entries=[Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
+                     for i in range(1, 151)]))
+        closes = [d for kind, d in ctx.traced if kind == "window_close"]
+        assert closes == ["start=1|end=100|gen=7", "start=101|end=200|gen=7"]
+
+
 class TestRaftMode:
     def test_non_transactional_forwarded(self):
         cfg = NodeConfig(protocol="raft")

@@ -12,6 +12,14 @@ state machines, and then elects a leader that holds futures above its
 contiguous log, so restart carry-over, the election's scan above the
 contiguous index and truncation of a stale suffix are covered as well.
 A digest moves only with a deliberate change in behaviour, which must say why.
+
+Every digest below is that of the trace format with one line per message: a
+``send`` line with the arrival time ``at`` (client requests and responses
+too), no ``deliver`` lines, a ``drop`` line for a response a cut-off node
+sends, ``ack`` lines with ``path`` in place of ``kind`` and no ``origin``,
+``alloc`` lines with no ``origin`` and ``final_state`` lines with no
+``commit``. Each ``metrics.csv`` is byte-identical to the one before that
+change; only ``trace.txt`` moved.
 """
 
 import hashlib
@@ -28,13 +36,13 @@ from test_leader_faults import _scenario, fuzz_case
 # 1,343,164).
 DIGESTS = {
     ("fig14_response_time", 2.0, "lcr"):
-        "6665c15445f236ef5008531a05478220b2b9c771a3b8df116feeeb17ac4207a9",
+        "d756f3317da8eb25aeb60544ba9a498b79a65d05cb4c698bc68802517733d1c4",
     ("fig14_response_time", 2.0, "raft"):
-        "79f93a4f196096f072e8cc80ade59e8654cfe22fcc48b36ca7e61ba9ce41fef1",
+        "e258545be42b7eb32655674ede401129275b3a4279f88aefd179d1f58580fddc",
     ("gen_change", 3.0, "lcr"):
-        "dda845bbb24e3db65a8f9255b750edf767ac1f4d53cfb64d4294d909a0e8b57c",
+        "ccfcb7841335c57b4844fe649e9d4509b4fc4c28dfe47c5106e6f8e3cbbfb0b7",
     ("gen_change", 3.0, "raft"):
-        "c6a9dd0d832c9efd8f4b27fe15b844038f9ea9dd4957079243c94517c6b4c825",
+        "81dc38de8b07a8438508139015ac82463eaab9b6a6becb2017e45317ab17353a",
 }
 
 # leader-fault case -> protocol -> digest, each run with a 1.2 s drain.
@@ -44,17 +52,17 @@ DIGESTS = {
 # 9,204 against resending the backlog at each reset).
 LEADER_FAULT_DIGESTS = {
     (19, "lcr"):
-        "fb47ce508ab92fa7d95a70da2f82c51f88e457da1bd9be6af4e64c728014ca86",
+        "79973708a52c43ab87ea4ea7c9def21f9c6c2a343d726c3e007e80236894e4ee",
     (19, "raft"):
-        "86918d316636384a9fc2bfb9bd5f87eee4e866f5d4b177d12f3a2a09d49162ff",
+        "112cfc6dcdca4ebc21e824884fe83c72b5d5affd02095064383873e71fcdd62c",
 }
 
 # fuzz seed -> protocol -> digest, each run with a 1.2 s drain
 FUZZ_DIGESTS = {
     (43, "lcr"):
-        "4132e4843a5ad777ad8186dadfde653eded54c956a4e2ea5f6d0547c83345b1f",
+        "b31b3ebe0fd9bd3efc83fafedebee2f788b75cc7ef20bf6b9afc5618ef5a378d",
     (43, "raft"):
-        "f47b5fbe3e7aca77e2592d1f6894ed397889c1c56c403abb6e17601cdd0aacd7",
+        "ed75256fc14af33982df8481ae5985f850fa5320a0515ec6d712e2353cadb9f7",
 }
 
 

@@ -115,6 +115,16 @@ class TestLoader:
         ("processing: {client_request_us: -1}\n", "client_request_us"),
         ("processing: {repl_request_us: -1}\n", "repl_request_us"),
         ("processing: {repl_response_us: -3000}\n", "repl_response_us"),
+        # non-finite numbers, and event times before the run starts
+        ("duration_s: .inf\n", "duration_s"),
+        ("network:\n  node_latency: {mean_ms: .inf}\n", "mean_ms"),
+        ("timers: {heartbeat_ms: .inf}\n", "heartbeat_ms"),
+        ("nodes: .inf\n", "nodes"),
+        ("faults:\n- {time_s: .nan, action: crash, node: 0}\n", "time_s"),
+        ("faults:\n- {time_s: -1, action: crash, node: 0}\n", "time_s"),
+        ("faults:\n- {time_s: .inf, action: crash, node: 0}\n", "time_s"),
+        ("membership_changes:\n- {time_s: -1, new_size: 5}\n", "time_s"),
+        ("membership_changes:\n- {time_s: .nan, new_size: 5}\n", "time_s"),
     ], ids=["fault-no-action", "fault-node-out-of-range",
             "membership-above-nodes", "nodes-not-int", "fault-not-mapping",
             "window-size-zero", "heartbeat-zero", "heartbeat-negative",
@@ -125,7 +135,10 @@ class TestLoader:
             "nt-ratio-negative", "nt-ratio-nan", "clients-negative",
             "duration-zero", "nodes-zero", "nodes-negative",
             "initial-members-zero", "client-request-cost-negative",
-            "repl-request-cost-negative", "repl-response-cost-negative"])
+            "repl-request-cost-negative", "repl-response-cost-negative",
+            "duration-inf", "latency-inf", "heartbeat-inf", "nodes-inf",
+            "fault-time-nan", "fault-time-negative", "fault-time-inf",
+            "membership-time-negative", "membership-time-nan"])
     def test_malformed_input(self, text, match):
         with pytest.raises(ScenarioError, match=match):
             load_scenario("name: x\n" + text)
@@ -219,6 +232,21 @@ class TestCli:
         assert printed == {name: "ok" if passed else "FAIL"
                            for name, passed in result.verdict.checks.items()}
 
+    def test_verify_fails_without_final_state(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        assert main(["verify", str(empty)]) == 1
+        scen = tmp_path / "small.yaml"
+        scen.write_text(SMALL)
+        out = tmp_path / "out"
+        assert main(["run", str(scen), "--out", str(out)]) == 0
+        trace = out / "trace.txt"
+        trace.write_text("".join(l for l in trace.read_text().splitlines(True)
+                                 if ",final_state," not in l))
+        capsys.readouterr()
+        assert main(["verify", str(trace)]) == 1
+        assert "digest_replay: FAIL" in capsys.readouterr().out
+
     def test_verify_rejects_malformed_line(self, tmp_path, capsys):
         trace = tmp_path / "trace.txt"
         trace.write_text("0,send,0,1,AppendEntriesRequest,152,\n0,send,0\n")
@@ -247,6 +275,16 @@ class TestCli:
         # header + 2 latencies x 2 protocols
         assert len(rows) == 5
         assert rows[0].startswith("latency_ms,protocol,tps")
+
+    @pytest.mark.parametrize("latencies", ["-3", "2,x", "1,-3", "inf"])
+    def test_sweep_bad_latency_is_exit_2(self, tmp_path, capsys, latencies):
+        # checked as node_latency.mean_ms is in a scenario file, before any run
+        scen = tmp_path / "small.yaml"
+        scen.write_text(SMALL)
+        assert main(["sweep", str(scen), f"--latencies={latencies}"]) == 2
+        captured = capsys.readouterr()
+        assert "scenario error:" in captured.err and "mean_ms" in captured.err
+        assert captured.out == ""
 
     def test_same_seed_byte_identical_files(self, tmp_path):
         scen = tmp_path / "small.yaml"

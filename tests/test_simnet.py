@@ -11,13 +11,16 @@ import pytest
 
 from lcrsim.logcore import Entry, EntryKind
 from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
-                             ClientRequest, FutureReplicateRequest,
+                             ClientRequest, ClientResponse, FutureReplicateRequest,
                              FutureReplicateResponse, message_bytes)
-from lcrsim.node import Node
+from lcrsim.node import Node, NodeConfig
 from lcrsim.scenario import FaultEvent, builtin_scenario_path, load_scenario
 from lcrsim.simnet import (CostModel, LatencyModel, NodeStats, Simulation, TraceLines,
                            _ClientCtx, _NodeCtx)
 from lcrsim.runner import run_scenario, write_outputs
+from lcrsim.verify import parse_trace
+from lcrsim.workload import ClientConfig, ClosedLoopClient
+from test_leader_faults import _scenario
 
 TINY = """
 name: tiny
@@ -99,7 +102,7 @@ class TestNodeClock:
         "a node handles a delivery at max(arrival, busy_until) + cost, but its "
         "sends are stamped and scheduled at the arrival time, so queueing and "
         "processing shift its timers and apply/ack stamps but never delay a "
-        "message: 294 of 6735 trace lines on TINY are earlier than the line "
+        "message: 305 of 4983 trace lines on TINY are earlier than the line "
         "before them"))
     def test_trace_times_never_decrease(self):
         r = run_scenario(load_scenario(TINY))
@@ -208,7 +211,7 @@ class TestTraceSpool:
         assert out.getvalue() == ("\n".join(lines) + "\n").encode()
 
     def test_write_outputs_copies_the_trace(self, tmp_path):
-        r = run_scenario(_fig14(0.2), seed=1)
+        r = run_scenario(_fig14(0.3), seed=1)
         lines = list(r.sim.trace)
         assert len(lines) > 2 * self.B
         write_outputs(r, str(tmp_path))
@@ -257,6 +260,80 @@ class TestTraceSpool:
         gc.collect()
         assert len(os.listdir("/proc/self/fd")) == start
         assert os.listdir(tmp_path) == []
+
+
+def _traced_traffic(trace) -> dict[str, list[int]]:
+    """Per node, ``[sent_msgs, sent_bytes, recv_bytes, dropped_bytes]`` summed
+    over the trace's ``send`` and ``drop`` lines. A message dropped at send
+    has only a ``drop`` line and counts to its sender; one dropped at delivery
+    has a ``send`` line and a ``drop`` line, and counts to its receiver. A
+    message is received if it arrives (``at``) by the end of the run and is
+    not dropped there."""
+    events = list(parse_trace(trace, {"send", "drop", "deliver", "final_state"}))
+    assert not any(ev.kind == "deliver" for ev in events)
+    end = max(ev.time for ev in events if ev.kind == "final_state")
+    totals = {ev.frm: [0, 0, 0, 0] for ev in events if ev.kind == "final_state"}
+    for ev in events:
+        sender, receiver = totals.get(ev.frm), totals.get(ev.to)
+        at_send = ev.kind == "send" or ev.detail.get("_") == "partitioned_at_send"
+        if ev.kind == "send" or ev.kind == "drop" and at_send:
+            if sender is not None:
+                sender[0] += 1
+                sender[1] += ev.nbytes
+        if ev.kind == "send" and receiver is not None \
+                and int(ev.detail["at"]) <= end:
+            receiver[2] += ev.nbytes
+        elif ev.kind == "drop":
+            owner = sender if at_send else receiver
+            owner[3] += ev.nbytes
+            if not at_send:
+                receiver[2] -= ev.nbytes
+    return totals
+
+
+class TestTraceTraffic:
+    """Each message is traced once, in a ``send`` line with its arrival time
+    or a ``drop`` line at send, so the trace alone gives each node's traffic
+    in ``metrics.csv``."""
+
+    def _check(self, r):
+        assert r.verdict.ok, r.verdict.errors[:3]
+        expected = {str(nid): [st.sent_msgs, st.sent_bytes, st.recv_bytes,
+                               st.dropped_bytes]
+                    for nid, st in r.sim.stats.items()}
+        assert _traced_traffic(r.sim.trace) == expected
+
+    def test_fault_free_run(self):
+        r = run_scenario(_fig14(0.3), seed=1)
+        self._check(r)
+        kinds = {line.split(",")[4] for line in r.sim.trace
+                 if ",send," in line}
+        assert {"ClientRequest", "ClientResponse"} <= kinds
+
+    def test_run_with_drops(self):
+        # leader-fault case 19 crashes two nodes and cuts another off
+        r = run_scenario(_scenario(19), drain_s=1.2)
+        self._check(r)
+        reasons = {line.rsplit(",", 1)[1] for line in r.sim.trace
+                   if ",drop," in line}
+        assert reasons == {"partitioned_at_send", "partitioned_at_delivery",
+                           "target_down"}
+
+    def test_response_from_a_cut_off_node_is_dropped(self):
+        sim = Simulation(1, LatencyModel(), LatencyModel(mean_us=200))
+        sim.add_client(ClosedLoopClient("c0", ClientConfig(), [0], [], 1))
+        sim.add_node(0, [0], NodeConfig())
+        resp = ClientResponse("c0.1.t", "Ok")
+        sim.node_send(0, "c0", resp, False)
+        sim.disconnect(0)
+        sim.node_send(0, "c0", resp, False)
+        n = message_bytes(resp)
+        assert list(sim.trace)[-3:] == [
+            f"0,send,0,c0,ClientResponse,{n},at=200",
+            "0,fault,0,-,-,0,disconnect",
+            f"0,drop,0,c0,ClientResponse,{n},partitioned_at_send"]
+        st = sim.stats[0]
+        assert (st.sent_msgs, st.sent_bytes, st.dropped_bytes) == (2, 2 * n, n)
 
 
 class TestRetransmission:

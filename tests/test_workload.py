@@ -143,21 +143,21 @@ class TestRunReport:
 COLLECTED_TRACE = """\
 0,elect,2,-,-,0,candidate|term=2
 1,elect,2,-,-,0,leader|term=2
-2,send,2,0,AppendEntriesRequest,152,
+2,send,2,0,AppendEntriesRequest,152,at=7
 3,window_close,2,-,-,0,start=1|end=50|gen=5
 4,conflict,1,-,-,0,idx=7|origin=1|owner=2
-10,ack,1,-,-,0,rid=c0.1.nt|kind=nt|idx=1|origin=1
-12,ack,2,-,-,0,rid=c0.1.nt|kind=nt|idx=1|origin=2
+10,ack,1,-,-,0,rid=c0.1.nt|path=nt|idx=1
+12,ack,2,-,-,0,rid=c0.1.nt|path=nt|idx=1
 20,apply,0,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
 21,apply,1,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
 30,apply,0,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=1
 31,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=1
 32,apply,0,-,-,0,idx=3|rid=c0.2.t|kind=NORMAL|digest=bbb|dup=0
 33,apply,1,-,-,0,idx=3|rid=c0.2.t|kind=NORMAL|digest=bbb|dup=0
-33,ack,1,-,-,0,rid=c0.2.t|kind=t|idx=3|origin=1
+33,ack,1,-,-,0,rid=c0.2.t|path=t|idx=3
 34,apply,0,-,-,0,idx=4|rid=|kind=NOOP_FILL|digest=-|dup=0
-40,final_state,0,-,-,0,alive=1|term=2|gen=5|commit=4|applied=4|contig=4|digest={d}
-41,final_state,1,-,-,0,alive=1|term=2|gen=5|commit=3|applied=3|contig=3|digest={d}
+40,final_state,0,-,-,0,alive=1|term=2|gen=5|applied=4|contig=4|digest={d}
+41,final_state,1,-,-,0,alive=1|term=2|gen=5|applied=3|contig=3|digest={d}
 """
 
 
@@ -166,14 +166,14 @@ COLLECTED_TRACE = """\
 # stamped before its ack, so it is not timed
 ORIGIN_FIRST_TRACE = """\
 52,apply,1,-,-,0,idx=1|rid=c0.5.nt|kind=FUTURE|digest=ccc|dup=0
-50,ack,1,-,-,0,rid=c0.5.nt|kind=nt|idx=1|origin=1
-53,ack,0,-,-,0,rid=c0.5.nt|kind=nt|idx=1|origin=0
+50,ack,1,-,-,0,rid=c0.5.nt|path=nt|idx=1
+53,ack,0,-,-,0,rid=c0.5.nt|path=nt|idx=1
 57,apply,0,-,-,0,idx=1|rid=c0.5.nt|kind=FUTURE|digest=ccc|dup=0
 60,apply,1,-,-,0,idx=2|rid=c0.6.nt|kind=FUTURE|digest=ddd|dup=0
-64,ack,1,-,-,0,rid=c0.6.nt|kind=nt|idx=2|origin=1
+64,ack,1,-,-,0,rid=c0.6.nt|path=nt|idx=2
 65,apply,0,-,-,0,idx=2|rid=c0.6.nt|kind=FUTURE|digest=ddd|dup=0
-70,final_state,0,-,-,0,alive=1|term=2|gen=5|commit=2|applied=2|contig=2|digest={d}
-71,final_state,1,-,-,0,alive=1|term=2|gen=5|commit=2|applied=2|contig=2|digest={d}
+70,final_state,0,-,-,0,alive=1|term=2|gen=5|applied=2|contig=2|digest={d}
+71,final_state,1,-,-,0,alive=1|term=2|gen=5|applied=2|contig=2|digest={d}
 """
 
 
@@ -218,11 +218,11 @@ class TestTraceCollector:
 
 
 GOOD_TRACE = """\
-0,ack,1,-,-,0,rid=c0.1.nt|kind=nt|idx=5|origin=1
+0,ack,1,-,-,0,rid=c0.1.nt|path=nt|idx=5
 10,apply,0,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
 11,apply,1,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
-20,final_state,0,-,-,0,alive=1|term=1|gen=5|commit=1|applied=1|contig=1|digest={d}
-21,final_state,1,-,-,0,alive=1|term=1|gen=5|commit=1|applied=1|contig=1|digest={d}
+20,final_state,0,-,-,0,alive=1|term=1|gen=5|applied=1|contig=1|digest={d}
+21,final_state,1,-,-,0,alive=1|term=1|gen=5|applied=1|contig=1|digest={d}
 """
 
 
@@ -247,6 +247,9 @@ def _variants() -> dict[str, list[str]]:
         "wrong_digest": GOOD_TRACE.format(d="deadbeef").splitlines(),
         "gapped_prefix": [l.replace("idx=1", "idx=2") if ",apply,0," in l else l
                           for l in good],
+        "final_state_missing": [l for l in good
+                                if not l.startswith("21,final_state,")],
+        "no_final_state": [l for l in good if ",final_state," not in l],
     }
 
 
@@ -272,6 +275,14 @@ VERDICTS = {
          "applied_prefix: node 0 applied ('c0.1.nt', 'FUTURE', 'aaa') at index 2; "
          "the history of 0 has None",
          "commit_monotone: node 0 final applied=1 but its last traced apply is 2"]),
+    "final_state_missing": (
+        {**_PASS, "digest_replay": False},
+        ["digest_replay: node 1 applied but has no final_state line"]),
+    "no_final_state": (
+        {**_PASS, "digest_replay": False},
+        ["digest_replay: the trace has no final_state line",
+         "digest_replay: node 0 applied but has no final_state line",
+         "digest_replay: node 1 applied but has no final_state line"]),
     "unapplied_ack": (
         {**_PASS, "ack_durability": False, "commit_monotone": False},
         ["ack_durability: acked c0.1.nt never applied",
@@ -311,6 +322,16 @@ class TestVerifier:
         assert not res.checks["applied_prefix"] or \
             not res.checks["commit_monotone"]
 
+    @pytest.mark.parametrize("name", ["final_state_missing", "no_final_state"])
+    def test_applies_without_final_state_fail(self, name):
+        # the final states are what the replay checks the applies against
+        res = verify_trace(_variants()[name])
+        assert not res.ok and not res.checks["digest_replay"]
+
+    def test_empty_trace_fails(self):
+        res = verify_trace([])
+        assert res.errors == ["digest_replay: the trace has no final_state line"]
+
     @pytest.mark.parametrize("name", sorted(_variants()))
     def test_one_pass_inputs_match_list(self, name, tmp_path):
         lines = _variants()[name]
@@ -333,8 +354,8 @@ class TestVerifier:
         def lines():
             yield from good[:3]
             for _ in range(100_000):
-                yield "15,send,0,1,AppendEntriesRequest,152,"
-                yield "16,deliver,0,1,AppendEntriesRequest,152,"
+                yield "15,send,0,1,AppendEntriesRequest,152,at=5015"
+                yield "16,send,1,0,AppendEntriesResponse,48,at=5016"
             yield from good[3:]
 
         tracemalloc.start()
@@ -360,14 +381,14 @@ class TestVerifier:
 
         def lines(nodes):
             for idx, rid in enumerate(rids, 1):
-                yield (f"{idx},ack,0,-,-,0,rid={rid}|kind=nt|idx={idx}"
+                yield (f"{idx},ack,0,-,-,0,rid={rid}|path=nt|idx={idx}"
                        f"|origin=0")
                 for node in range(nodes):
                     yield (f"{idx},apply,{node},-,-,0,idx={idx}|rid={rid}"
                            f"|kind=FUTURE|digest=abcdef012345|dup=0")
             for node in range(nodes):
                 yield (f"{n + 1},final_state,{node},-,-,0,alive=1|term=1|gen=5"
-                       f"|commit={n}|applied={n}|contig={n}|digest={digest}")
+                       f"|applied={n}|contig={n}|digest={digest}")
 
         peaks = []
         for nodes in (1, 5):
@@ -387,12 +408,15 @@ class TestVerifier:
         res = verify_trace([
             "1,apply,0,-,-,0,idx=1|rid=c0.2.nt|kind=FUTURE|digest=aaa|dup=0",
             "2,apply,1,-,-,0,idx=-5|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0",
-            "3,ack,1,-,-,0,rid=c0.1.nt|kind=nt|idx=1|origin=1"])
+            "3,ack,1,-,-,0,rid=c0.1.nt|path=nt|idx=1"])
         assert res.errors == [
             "commit_monotone: node 1 applied -5 after 0",
             "applied_prefix: node 1 applied ('c0.1.nt', 'FUTURE', 'aaa') at index -5; "
             "the history of 1 has None",
-            "ack_durability: acked c0.1.nt never applied"]
+            "ack_durability: acked c0.1.nt never applied",
+            "digest_replay: the trace has no final_state line",
+            "digest_replay: node 0 applied but has no final_state line",
+            "digest_replay: node 1 applied but has no final_state line"]
 
     @pytest.mark.parametrize("bad", [
         "13,send,0,1",                                   # too few fields
