@@ -159,6 +159,9 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:   # e.g. a missing trace file or output directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

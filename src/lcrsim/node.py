@@ -69,8 +69,7 @@ class Peer:
     future_ack: int = 0        # highest future index the follower has staged
     last_sent: int = -10**12
     max_sent: int = 0          # highest index ever sent, to flag retransmits
-    # unanswered requests: seq -> prev_log_index
-    inflight: dict[int, int] = field(default_factory=dict)
+    inflight: set[int] = field(default_factory=set)   # unanswered seqs
     force_full: set[int] = field(default_factory=set)   # no signal for these
     # no answer within max_await: only empty probes at the log end go out
     # until the follower answers
@@ -119,8 +118,6 @@ class Node:
         self.parked_futures: list[PendingFuture] = []
 
         self.pending_client: dict[str, tuple[str, Optional[int]]] = {}
-        # follower: appends that overtook an earlier one, keyed by prev index
-        self.held: dict[int, AppendEntriesRequest] = {}
         self.window_start = 0   # the first open window's start; 0 for none
         self.staged_bytes_peak = 0
 
@@ -232,7 +229,6 @@ class Node:
     def _start_election(self) -> None:
         self.role = CANDIDATE
         self.persist.current_term += 1
-        self.held.clear()
         self.persist.voted_for = self.id
         self.votes = {self.id}
         self.leader_id = None
@@ -251,7 +247,6 @@ class Node:
         if term > self.term:
             self.persist.current_term = term
             self.persist.voted_for = None
-            self.held.clear()
         if self.role == LEADER:
             self.integrated_at.clear()
         self.role = FOLLOWER
@@ -597,7 +592,7 @@ class Node:
         retransmit = end >= start and start <= p.max_sent
         self.ctx.send(f, req, retransmit=retransmit)
         if len(p.inflight) < MAX_FLYING:
-            p.inflight[self._seq] = start - 1
+            p.inflight.add(self._seq)
         if end >= start:
             p.opt_next = end + 1
             p.max_sent = max(p.max_sent, end)
@@ -610,16 +605,9 @@ class Node:
         p = self.peers.get(frm)
         if self.role != LEADER or resp.term < self.term or p is None:
             return
-        tracked = p.inflight.pop(resp.seq, None) is not None
+        tracked = resp.seq in p.inflight
+        p.inflight.discard(resp.seq)
         report = resp.last_applied_index_report
-        if not resp.success and not resp.prefix_ok and (
-                report < p.match_index
-                or any(prev <= report for prev in p.inflight.values())):
-            # covered: an unanswered request starts at or below the
-            # follower's log end + 1, and once it arrives the follower applies
-            # the held rejected one and answers it again; or the report is
-            # stale, below the match point. Neither rewinds the stream.
-            return
         p.last_resp = self.ctx.now
         if not tracked and not resp.success:
             if p.inflight and resp.seq > max(p.inflight):
@@ -718,25 +706,12 @@ class Node:
         if req.generation > self.generation:
             self._change_generation(req.generation, None)
         self._append_slice(frm, req)
-        # apply, in order, the held requests the contiguous log has reached
-        for prev in sorted(self.held):
-            if prev > self.log.last_contiguous_index:
-                break
-            self._append_slice(frm, self.held.pop(prev))
 
     def _append_slice(self, frm: int, req: AppendEntriesRequest) -> None:
         """Check the prefix ``req`` extends, log its entries and answer it."""
         prev = req.prev_log_index
         if prev > 0 and (prev > self.log.last_contiguous_index
                          or self._term_at(prev) != req.prev_log_term):
-            if prev > self.log.last_contiguous_index:
-                # it may have overtaken the request that reaches ``prev``:
-                # hold it (the newest MAX_FLYING by seq, one per prev), but
-                # still answer, since that request may have been lost
-                held = self.held
-                held[prev] = req
-                if len(held) > MAX_FLYING:
-                    del held[min(held, key=lambda i: held[i].seq)]
             self.ctx.send(frm, AppendEntriesResponse(
                 term=self.term,
                 last_applied_index_report=min(self.log.last_contiguous_index,

@@ -106,7 +106,9 @@ _SECTIONS = {
         "max_await_ms": ("max_await_us", _ms, _POSITIVE)}),
     "future_log": ("node_cfg", {
         "window_size": ("window_size", int, (1,)),
-        "open_window_count": ("open_window_count", int, None),
+        # with no open window no future can be allocated, and an LCR run
+        # would silently sequence every request at the leader
+        "open_window_count": ("open_window_count", int, (1,)),
         "step_threshold": ("step_threshold", int, None),
         "step_timeout_ms": ("step_timeout_us", _ms, _POSITIVE),
         "step_grace_ms": ("step_grace_us", _ms, None)}),

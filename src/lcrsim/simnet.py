@@ -11,9 +11,12 @@ pops early, re-pushes itself at the latest deadline and ``seq``. So events
 run in the order that pushing on every reset would give.
 
 Latency is ``mean + uniform(0, magnitude)`` with probability ``fluct_prob``,
-otherwise exactly ``mean``. Message handling occupies the receiving node for a
-per-kind processing cost; a node busy with earlier work queues later arrivals
-(single logical worker per node).
+otherwise exactly ``mean``. Each ordered (sender, receiver) pair is a FIFO
+link, as a TCP connection is: a message arrives no earlier than the one sent
+before it on the same link, and arrivals at the same time keep send order.
+Message handling occupies the receiving node for a per-kind processing cost;
+a node busy with earlier work queues later arrivals (single logical worker
+per node).
 """
 
 from __future__ import annotations
@@ -232,6 +235,7 @@ class Simulation:
         self._seq = 0
         self._heap: list = []
         self.trace = TraceLines()
+        self._link_arrival: dict[tuple, int] = {}   # (frm, to) -> last arrival
 
         self.nodes: dict[int, Node] = {}      # node.ctx: its current incarnation
         self.isolated: set[int] = set()
@@ -274,7 +278,9 @@ class Simulation:
               handler, *args) -> None:
         """Record the one ``send`` line of a message that leaves now, with its
         arrival time, and run ``handler(*args)`` at that time."""
-        at = self.now + latency.sample(self.rng)
+        link = (frm, to)
+        at = self._link_arrival[link] = max(self.now + latency.sample(self.rng),
+                                            self._link_arrival.get(link, 0))
         self.record(self.now, "send", frm, to, type(msg).__name__, nbytes, f"at={at}")
         self.schedule(at, handler, *args)
 

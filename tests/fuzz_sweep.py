@@ -4,9 +4,17 @@
 
 Each seed's scenario comes from ``fuzz_case`` in ``test_leader_faults.py``
 and runs with the same 1.2 s drain as the pinned fuzz tests. Every failing
-(seed, mode) is printed with its failed checks and one error, then a count
-per mode. The exit status is 1 when any run fails. Pytest does not collect
+(seed, mode) is printed with its failed checks, one error and the shapes of
+its ``acked R never applied`` errors, then a count of seeds per mode and per
+shape. The exit status is 1 when any run fails. Pytest does not collect
 this file; it is the sweep to re-run before pinning or un-pinning fuzz seeds.
+
+A shape says where the acked rid R sits at the end of the run:
+
+- ``barrier``: inside the contiguous log of a majority of nodes;
+- ``late_fill``: logged by some node, but not inside the contiguous logs of
+  a majority;
+- ``lost``: logged by no node.
 
 ``--digests FILE`` also writes one line per run,
 ``seed protocol outputs metrics verdict``: the sha256 of ``trace.txt``
@@ -23,8 +31,10 @@ import argparse
 import hashlib
 import multiprocessing
 import os
+import re
 import sys
 import tempfile
+from collections import Counter
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -47,16 +57,39 @@ def output_digests(result) -> str:
     return f"{outputs.hexdigest()} {hashlib.sha256(data).hexdigest()}"
 
 
-def run_one(job: tuple[int, str, bool]) -> tuple[int, str, list[str], str, str]:
-    """(seed, protocol, failed checks, least error message, output digests or
-    "") for one run."""
+ACKED_NEVER_APPLIED = re.compile(r"ack_durability: acked (\S+) never applied")
+
+
+def failure_shapes(result) -> list[str]:
+    """The distinct shapes of the run's ``acked R never applied`` errors,
+    sorted: where each R sits in the nodes' logs at the end of the run."""
+    logs = [node.log for node in result.sim.nodes.values()]
+    shapes = set()
+    for error in result.verdict.errors:
+        m = ACKED_NEVER_APPLIED.fullmatch(error)
+        if m is None:
+            continue
+        rid = m.group(1)
+        held = [[i for i in log.occupied_above(0)
+                 if log.get(i).request_id == rid] for log in logs]
+        contig = sum(1 for log, at in zip(logs, held)
+                     if any(i <= log.last_contiguous_index for i in at))
+        shapes.add("barrier" if contig > len(logs) // 2 else
+                   "late_fill" if any(held) else "lost")
+    return sorted(shapes)
+
+
+def run_one(job: tuple[int, str, bool]
+            ) -> tuple[int, str, list[str], str, list[str], str]:
+    """(seed, protocol, failed checks, least error message, failure shapes,
+    output digests or "") for one run."""
     seed, protocol, digest = job
     result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
                           drain_s=1.2)
     verdict = result.verdict
     failed = sorted(name for name, ok in verdict.checks.items() if not ok)
     return (seed, protocol, failed, min(verdict.errors, default=""),
-            output_digests(result) if digest else "")
+            failure_shapes(result), output_digests(result) if digest else "")
 
 
 def main(argv=None) -> int:
@@ -78,6 +111,7 @@ def main(argv=None) -> int:
     jobs = [(s, p, bool(args.digests))
             for s in range(args.first, args.last + 1) for p in protocols]
     failures = {p: [] for p in protocols}
+    shape_counts = {p: Counter() for p in protocols}
     if args.jobs == 1:
         results = map(run_one, jobs)
         pool = None
@@ -86,13 +120,15 @@ def main(argv=None) -> int:
         results = pool.imap(run_one, jobs)
     digests = open(args.digests, "w") if args.digests else None
     try:
-        for seed, protocol, failed, error, digest in results:
+        for seed, protocol, failed, error, shapes, digest in results:
             if digests:
                 verdict = ",".join(failed) or "ok"
                 digests.write(f"{seed} {protocol} {digest} {verdict}\n")
             if failed:
                 failures[protocol].append(seed)
-                print(f"seed {seed} {protocol}: {','.join(failed)}: {error}",
+                shape_counts[protocol].update(shapes)
+                print(f"seed {seed} {protocol}: {','.join(failed)}: {error}"
+                      + (f" [{','.join(shapes)}]" if shapes else ""),
                       flush=True)
     finally:
         if digests:
@@ -103,8 +139,11 @@ def main(argv=None) -> int:
     n = args.last - args.first + 1
     for protocol in protocols:
         seeds = failures[protocol]
+        shapes = shape_counts[protocol]
         print(f"{protocol}: {len(seeds)} of {n} seeds fail"
-              + (f": {' '.join(map(str, seeds))}" if seeds else ""))
+              + (f": {' '.join(map(str, seeds))}" if seeds else "")
+              + (f"; shapes: {', '.join(f'{k} {shapes[k]}' for k in sorted(shapes))}"
+                 if shapes else ""))
     return 1 if any(failures.values()) else 0
 
 

@@ -9,7 +9,7 @@ from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
                              ClientRequest, FutureReplicateRequest,
                              FutureReplicateResponse, ReconcileResponse,
                              VoteRequest)
-from lcrsim.node import (FOLLOWER, LEADER, MAX_FLYING, Node, NodeConfig,
+from lcrsim.node import (FOLLOWER, LEADER, Node, NodeConfig,
                          PersistentState)
 
 
@@ -341,7 +341,7 @@ class TestSignalFlow:
         n, ctx, fe = self._integrated_leader()
         peer = n.peers[1]
         peer.future_ack = fe.index
-        peer.inflight[999] = fe.index - 1
+        peer.inflight.add(999)
         n.handle_append_response(1, AppendEntriesResponse(
             term=n.term, last_applied_index_report=fe.index - 1,
             last_future_index=0, seq=999, prefix_ok=True, missing=[fe.index]))
@@ -400,15 +400,17 @@ class TestSignalFlow:
 
 class TestLeaderStream:
     def test_newer_failure_resets_stream(self):
-        # a follower far behind the new leader: its rejections are not
-        # covered by any request in flight, whose prev indices are 5 and 6
+        # a follower far behind the new leader, which has two requests in
+        # flight to it, at prev indices 5 and 6
         n, ctx = make_new_leader(5)
         n.handle_client_request(creq())
         peer = n.peers[1]
-        old = dict(peer.inflight)
-        assert sorted(old.values()) == [5, 6]
+        sent = [m for to, m in ctx.take_sent()
+                if to == 1 and isinstance(m, AppendEntriesRequest)]
+        assert [m.prev_log_index for m in sent] == [5, 6]
+        old = {m.seq for m in sent}
+        assert peer.inflight == old
         assert peer.opt_next == n.log.occupied_above(0)[-1] + 1
-        ctx.take_sent()
 
         def failure(seq):
             return AppendEntriesResponse(
@@ -427,38 +429,26 @@ class TestLeaderStream:
         assert [(m.prev_log_index, len(m.entries)) for m in resent] == \
             [(2, n.log.occupied_above(0)[-1] - 2)]
 
-    def test_covered_rejection_keeps_stream(self):
-        # B (prev 1) overtook A (prev 0) on the link to follower 1
+    def test_rejection_rewinds_at_once(self):
+        # A (prev 0) and B (prev 1) are in flight to follower 1, and B is
+        # rejected with the follower's log ending at 0. A link delivers in
+        # order, so A was lost: the stream restarts from 1 although A, whose
+        # prev is at the report, was never answered
         n, ctx = make_leader()
         n.handle_client_request(creq())
         peer = n.peers[1]
-        (seq_a, seq_b), opt_next = sorted(peer.inflight), peer.opt_next
-        assert peer.inflight == {seq_a: 0, seq_b: 1}
-        ctx.take_sent()
+        (b,) = [m for to, m in ctx.take_sent()
+                if to == 1 and isinstance(m, AppendEntriesRequest)]
+        assert b.prev_log_index == 1 and len(peer.inflight) == 2   # and A
         ctx.now = 5_000
         n.handle_append_response(1, AppendEntriesResponse(
             term=n.term, last_applied_index_report=0,
-            last_future_index=0, seq=seq_b, prefix_ok=False))
-        # A, still unanswered, starts right above the follower's log end
-        assert peer.inflight == {seq_a: 0} and peer.opt_next == opt_next
-        assert peer.last_resp == 0 and not ctx.sent
-        # the follower answers B once A has arrived
-        for seq in (seq_a, seq_b):
-            n.handle_append_response(1, AppendEntriesResponse(
-                term=n.term, last_applied_index_report=2,
-                last_future_index=0, seq=seq))
-        assert peer.match_index == 2 and not peer.inflight and not ctx.sent
-
-    def test_rejection_below_match_is_ignored(self):
-        n, ctx = make_leader()
-        n.handle_client_request(creq())
-        peer = n.peers[1]
-        peer.match_index, opt_next = 2, peer.opt_next
-        ctx.take_sent()
-        n.handle_append_response(1, AppendEntriesResponse(
-            term=n.term, last_applied_index_report=1,
-            last_future_index=0, seq=max(peer.inflight), prefix_ok=False))
-        assert peer.opt_next == opt_next and not ctx.sent
+            last_future_index=0, seq=b.seq, prefix_ok=False))
+        assert (peer.next_index, peer.last_resp) == (1, 5_000)
+        (resend,) = [m for to, m in ctx.sent if to == 1]
+        assert resend.prev_log_index == 0
+        assert [e.index for e in resend.entries] == [1, 2]
+        assert peer.inflight == {resend.seq}
 
     def test_far_behind_follower_walks_back(self):
         n, lctx = make_new_leader(5)
@@ -467,21 +457,17 @@ class TestLeaderStream:
                      if to == 1 and isinstance(m, AppendEntriesRequest))
         assert first.prev_log_index == 5
         f.handle_append_entries(0, first)
-        # the follower holds the request but still rejects it at once
         (rej,) = responses(fctx)
         assert (rej.success, rej.prefix_ok, rej.last_applied_index_report) == \
             (False, False, 2)
-        assert list(f.held) == [5]
         n.handle_append_response(1, rej)
         assert n.peers[1].next_index == 3
         (resend,) = [m for to, m in lctx.take_sent() if to == 1]
         assert resend.prev_log_index == 2 and len(resend.entries) == 4
         f.handle_append_entries(0, resend)
-        # the resend reaches the held request's prev, so it is answered too
         assert [(r.seq, r.success, r.last_applied_index_report)
-                for r in responses(fctx)] == [(resend.seq, True, 6),
-                                              (first.seq, True, 6)]
-        assert f.log.last_contiguous_index == 6 and not f.held
+                for r in responses(fctx)] == [(resend.seq, True, 6)]
+        assert f.log.last_contiguous_index == 6
 
 
 class TestSilentFollower:
@@ -562,41 +548,6 @@ class TestSilentFollower:
         n, (resend,) = self._answer_probe(report=2, confirmed=1)
         assert resend.prev_log_index == 1 and n.peers[1].next_index == 2
         assert [e.index for e in resend.entries] == [2, 3, 4]
-
-
-class TestFollowerHold:
-    def test_overtaken_slice_is_held_and_applied(self):
-        n, ctx = make_follower()
-        a, b = append_req(0, 2, seq=1), append_req(2, 4, seq=2)
-        n.handle_append_entries(0, b)
-        (rej,) = responses(ctx)
-        assert (rej.seq, rej.success, rej.prefix_ok,
-                rej.last_applied_index_report) == (2, False, False, 0)
-        assert not n.log.occupied_above(0)
-        n.handle_append_entries(0, a)
-        assert [(r.seq, r.success, r.last_applied_index_report)
-                for r in responses(ctx)] == [(1, True, 2), (2, True, 4)]
-        assert n.log.occupied_above(0) == [1, 2, 3, 4] and not n.held
-
-    def test_newer_request_replaces_held_one(self):
-        n, ctx = make_follower()
-        n.handle_append_entries(0, append_req(2, 3, seq=2))
-        n.handle_append_entries(0, append_req(2, 4, seq=5))
-        assert [r.seq for r in n.held.values()] == [5]
-
-    def test_hold_keeps_the_newest_requests(self):
-        n, ctx = make_follower()
-        for seq, prev in enumerate(range(10, 10 + MAX_FLYING + 1), start=1):
-            n.handle_append_entries(0, append_req(prev, prev + 1, seq=seq))
-        assert len(n.held) == MAX_FLYING and 10 not in n.held
-
-    def test_newer_term_clears_hold(self):
-        n, ctx = make_follower()
-        n.handle_append_entries(0, append_req(2, 4, seq=2))
-        assert n.held
-        n.handle_vote_request(3, VoteRequest(term=2, candidate_id=3,
-                                             last_log_index=0, last_log_term=0))
-        assert not n.held
 
 
 class TestReconcile:

@@ -18,8 +18,15 @@ Every digest below is that of the trace format with one line per message: a
 too), no ``deliver`` lines, a ``drop`` line for a response a cut-off node
 sends, ``ack`` lines with ``path`` in place of ``kind`` and no ``origin``,
 ``alloc`` lines with no ``origin`` and ``final_state`` lines with no
-``commit``. Each ``metrics.csv`` is byte-identical to the one before that
-change; only ``trace.txt`` moved.
+``commit``.
+
+Every digest below is also that of in-order links: a message arrives no
+earlier than the one sent before it on the same (sender, receiver) pair.
+That moved every arrival a jitter draw would have put ahead of an earlier
+message, so every digest moved, ``metrics.csv`` too. Under it fuzz seed 43
+still restarts two nodes and elects one leader with futures above its
+contiguous log, and case 19's LCR run still makes 6 step fills and 2
+truncations.
 """
 
 import hashlib
@@ -36,13 +43,13 @@ from test_leader_faults import _scenario, fuzz_case
 # 1,343,164).
 DIGESTS = {
     ("fig14_response_time", 2.0, "lcr"):
-        "d756f3317da8eb25aeb60544ba9a498b79a65d05cb4c698bc68802517733d1c4",
+        "d98de6f1b887548964f848ca40e76d4cae4c98f506bd557abfc7b69b25e70fc5",
     ("fig14_response_time", 2.0, "raft"):
-        "e258545be42b7eb32655674ede401129275b3a4279f88aefd179d1f58580fddc",
+        "a2f8bc8183795091baad7a949c3611f7c7e282ef2cb0e9779c2b58917f33f9d0",
     ("gen_change", 3.0, "lcr"):
-        "ccfcb7841335c57b4844fe649e9d4509b4fc4c28dfe47c5106e6f8e3cbbfb0b7",
+        "bee9e4c555afb2d732ca7f6f3fe2abe836659e218a19b7cf7fde89283a3e6d18",
     ("gen_change", 3.0, "raft"):
-        "81dc38de8b07a8438508139015ac82463eaab9b6a6becb2017e45317ab17353a",
+        "00f442461e31ae1a102fa64cf97086d1c932861abb7c27242f450b753702074e",
 }
 
 # leader-fault case -> protocol -> digest, each run with a 1.2 s drain.
@@ -52,17 +59,17 @@ DIGESTS = {
 # 9,204 against resending the backlog at each reset).
 LEADER_FAULT_DIGESTS = {
     (19, "lcr"):
-        "79973708a52c43ab87ea4ea7c9def21f9c6c2a343d726c3e007e80236894e4ee",
+        "a6e5f9c8cf60b2cf890373eae59adade567fd349d000d70db8b9d62c9bbdccfe",
     (19, "raft"):
-        "112cfc6dcdca4ebc21e824884fe83c72b5d5affd02095064383873e71fcdd62c",
+        "aebd49b0cd2785e89b4908d2919ed36ae46ca3768af7736e90d44ad3f0181bd1",
 }
 
 # fuzz seed -> protocol -> digest, each run with a 1.2 s drain
 FUZZ_DIGESTS = {
     (43, "lcr"):
-        "b31b3ebe0fd9bd3efc83fafedebee2f788b75cc7ef20bf6b9afc5618ef5a378d",
+        "0923140bd87c246bccad19522751a823c356dbc25b608559b3c0bf3c9721cfab",
     (43, "raft"):
-        "ed75256fc14af33982df8481ae5985f850fa5320a0515ec6d712e2353cadb9f7",
+        "a8c609f68c35395ff88bdfdb8ee0de55fa843962d4007e0c3aba22b5faf5f754",
 }
 
 

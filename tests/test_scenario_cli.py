@@ -93,6 +93,8 @@ class TestLoader:
         ("faults: [3]\n", "faults"),
         # values that would stall virtual time or crash a run part-way through
         ("future_log: {window_size: 0}\n", "window_size"),
+        ("future_log: {open_window_count: 0}\n", "open_window_count"),
+        ("future_log: {open_window_count: -1}\n", "open_window_count"),
         ("timers: {heartbeat_ms: 0}\n", "heartbeat_ms"),
         ("timers: {heartbeat_ms: -1}\n", "heartbeat_ms"),
         ("timers: {election_timeout_ms: 0}\n", "election_timeout_ms"),
@@ -127,7 +129,8 @@ class TestLoader:
         ("membership_changes:\n- {time_s: .nan, new_size: 5}\n", "time_s"),
     ], ids=["fault-no-action", "fault-node-out-of-range",
             "membership-above-nodes", "nodes-not-int", "fault-not-mapping",
-            "window-size-zero", "heartbeat-zero", "heartbeat-negative",
+            "window-size-zero", "open-window-count-zero",
+            "open-window-count-negative", "heartbeat-zero", "heartbeat-negative",
             "election-timeout-zero", "election-timeout-negative",
             "max-await-zero", "step-timeout-zero", "request-timeout-zero",
             "request-timeout-negative", "latency-negative",
@@ -252,6 +255,24 @@ class TestCli:
         trace.write_text("0,send,0,1,AppendEntriesRequest,152,\n0,send,0\n")
         assert main(["verify", str(trace)]) == 1
         assert "malformed trace line" in capsys.readouterr().err
+
+    def test_verify_missing_file_is_exit_2(self, tmp_path, capsys):
+        # exit 1 means the trace failed a check, so a mistyped path must not
+        assert main(["verify", str(tmp_path / "nope.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope.txt" in err
+        assert len(err.splitlines()) == 1
+
+    def test_compare_missing_dir_is_exit_2(self, tmp_path, capsys):
+        scen = tmp_path / "small.yaml"
+        scen.write_text(SMALL)
+        a = tmp_path / "a"
+        assert main(["run", str(scen), "--out", str(a)]) == 0
+        capsys.readouterr()
+        assert main(["compare", str(a), str(tmp_path / "nope")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nope" in err
+        assert len(err.splitlines()) == 1
 
     def test_compare_command(self, tmp_path, capsys):
         scen = tmp_path / "small.yaml"
