@@ -34,6 +34,9 @@ class NoOpenWindow(Exception):
     """No open window can host a future index for this allocation."""
 
 
+ENTRY_HEADER_BYTES = 24     # an entry's wire header, payload excluded
+
+
 @dataclass(slots=True)
 class Entry:
     index: int
@@ -109,11 +112,12 @@ class FutureStage:
     """Future entries received via future replication, not yet resolved into
     the leader-sequenced log. ``stage`` and ``drop`` are the only writers of
     ``pending``, and they keep ``payload_bytes``, the payload total of its
-    entries."""
+    entries. ``peak_bytes`` is the most ``bytes_held`` has been."""
 
     pending: dict[int, Entry] = field(default_factory=dict)
     max_index_seen: int = 0
     payload_bytes: int = 0
+    peak_bytes: int = 0
 
     def stage(self, entry: Entry, local_generation: int) -> StageOutcome:
         if entry.kind != EntryKind.FUTURE:
@@ -127,6 +131,7 @@ class FutureStage:
             return StageOutcome.CONFLICT
         self.pending[entry.index] = entry
         self.payload_bytes += len(entry.payload)
+        self.peak_bytes = max(self.peak_bytes, self.bytes_held(ENTRY_HEADER_BYTES))
         if entry.index > self.max_index_seen:
             self.max_index_seen = entry.index
         return StageOutcome.STAGED

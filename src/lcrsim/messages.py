@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .logcore import Entry, EntryKind
+from .logcore import ENTRY_HEADER_BYTES, Entry, EntryKind
 
 MESSAGE_HEADER_BYTES = 48
-ENTRY_HEADER_BYTES = 24
 INDEX_BYTES = 8
 
 
@@ -93,19 +92,7 @@ class ClientRequest:
 class ClientResponse:
     request_id: str
     outcome: str                # Ok | Rejected
-
-
-@dataclass(slots=True)
-class ForwardedRequest:
-    """A transactional request relayed by the follower that received it."""
-    request: ClientRequest
-    via: int
-
-
-@dataclass(slots=True)
-class ForwardedResponse:
-    response: ClientResponse
-    client_id: str
+    client_id: str              # where a relay passes it on; not charged
 
 
 @dataclass(slots=True)
@@ -145,8 +132,6 @@ def message_bytes(msg) -> int:
         size += INDEX_BYTES * (len(msg.indices) + len(msg.conflicts))
     elif isinstance(msg, ClientRequest):
         size += len(msg.payload)
-    elif isinstance(msg, ForwardedRequest):
-        size += len(msg.request.payload)
     elif isinstance(msg, ReconcileResponse):
         size += _entries_bytes(msg.entries)
     return size

@@ -17,10 +17,9 @@ from .logcore import (Entry, EntryKind, FutureStage, NoOpenWindow, StageOutcome,
                       UnifiedLog, allocate_future_index,
                       maintain_windows, owner_of, reallocate_index)
 from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientRequest,
-                       ClientResponse, ForwardedRequest, ForwardedResponse,
-                       FutureReplicateRequest, FutureReplicateResponse,
-                       ReconcileRequest, ReconcileResponse, VoteRequest,
-                       VoteResponse, ENTRY_HEADER_BYTES)
+                       ClientResponse, FutureReplicateRequest,
+                       FutureReplicateResponse, ReconcileRequest,
+                       ReconcileResponse, VoteRequest, VoteResponse)
 
 PROTOCOLS = ("lcr", "raft")    # future-log mode, leader-only baseline
 
@@ -69,7 +68,10 @@ class Peer:
     future_ack: int = 0        # highest future index the follower has staged
     last_sent: int = -10**12
     max_sent: int = 0          # highest index ever sent, to flag retransmits
-    inflight: set[int] = field(default_factory=set)   # unanswered seqs
+    # requests sent, each numbered by the count so far, and the highest of
+    # them answered or given up on: the sent - answered between are in flight
+    sent: int = 0
+    answered: int = 0
     force_full: set[int] = field(default_factory=set)   # no signal for these
     # no answer within max_await: only empty probes at the log end go out
     # until the follower answers
@@ -110,7 +112,6 @@ class Node:
         # leader volatile state
         self.peers: dict[int, Peer] = {}
         self.integrated_at: dict[int, int] = {}   # future idx -> integration time
-        self._seq = 0
 
         # data-leader state
         self.pending_futures: dict[int, PendingFuture] = {}
@@ -119,7 +120,6 @@ class Node:
 
         self.pending_client: dict[str, tuple[str, Optional[int]]] = {}
         self.window_start = 0   # the first open window's start; 0 for none
-        self.staged_bytes_peak = 0
 
         if self.cfg.protocol == "lcr":
             self._refresh_windows()
@@ -171,11 +171,6 @@ class Node:
                 self.ctx.trace("window_close", detail=(
                     f"start={start}|end={start + size - 1}|gen={self.generation}"))
 
-    def _note_staged_bytes(self) -> None:
-        b = self.stage.bytes_held(ENTRY_HEADER_BYTES)
-        if b > self.staged_bytes_peak:
-            self.staged_bytes_peak = b
-
     # -- timers ------------------------------------------------------------
 
     def _reset_election_timer(self) -> None:
@@ -194,10 +189,11 @@ class Node:
             if self.role == LEADER:
                 for f in self._others():
                     p = self.peers[f]
-                    if p.inflight and self.ctx.now - p.last_resp >= self.cfg.max_await_us:
+                    if p.sent > p.answered and \
+                            self.ctx.now - p.last_resp >= self.cfg.max_await_us:
                         # follower went silent with requests outstanding:
                         # probe it instead of resending its backlog
-                        p.inflight.clear()
+                        p.answered = p.sent
                         p.last_resp = self.ctx.now
                         p.silent = True
                         self._send_append(f)
@@ -302,9 +298,9 @@ class Node:
     # -- client requests ---------------------------------------------------
 
     def handle_client_request(self, req: ClientRequest, via: Optional[int] = None) -> None:
+        """Handle ``req`` from its client, or relayed by node ``via``."""
         if self.kv.applied(req.request_id):
-            self._respond_client(req.client_id, via,
-                                 ClientResponse(req.request_id, "Ok"))
+            self._respond(via, ClientResponse(req.request_id, "Ok", req.client_id))
             return
         if self.role == LEADER:
             self._leader_accept(req, via)
@@ -314,10 +310,10 @@ class Node:
             self._data_leader_accept(req)
             return
         if self.leader_id is not None and self.leader_id != self.id:
-            self.ctx.send(self.leader_id, ForwardedRequest(request=req, via=self.id))
+            self.ctx.send(self.leader_id, req)
         else:
-            self._respond_client(req.client_id, via,
-                                 ClientResponse(req.request_id, "Rejected"))
+            self._respond(via, ClientResponse(req.request_id, "Rejected",
+                                              req.client_id))
 
     def _leader_accept(self, req: ClientRequest, via: Optional[int]) -> None:
         if req.request_id in self.pending_client:
@@ -340,8 +336,8 @@ class Node:
             return  # retransmitted request, replication already in flight
         idx = self._allocate()
         if idx is None:
-            self._respond_client(req.client_id, None,
-                                 ClientResponse(req.request_id, "Rejected"))
+            self._respond(None, ClientResponse(req.request_id, "Rejected",
+                                               req.client_id))
             return
         self._stage_own_future(idx, req.request_id, req.payload, req.client_id,
                                retransmit=False)
@@ -364,7 +360,6 @@ class Node:
                       origin=self.id, generation=self.generation,
                       request_id=request_id, payload=payload)
         self.stage.stage(entry, self.generation)
-        self._note_staged_bytes()
         self.ctx.trace("alloc", detail=f"idx={idx}|gen={self.generation}")
         p = PendingFuture(entry=entry, client_id=client_id, acks={self.id},
                           acked=acked)
@@ -381,12 +376,9 @@ class Node:
                 term=self.term, generation=self.generation,
                 future_entries=[p.entry]), retransmit=retransmit)
 
-    def _respond_client(self, client_id: str, via: Optional[int],
-                        resp: ClientResponse) -> None:
-        if via is None:
-            self.ctx.send_client(client_id, resp)
-        else:
-            self.ctx.send(via, ForwardedResponse(response=resp, client_id=client_id))
+    def _respond(self, via: Optional[int], resp: ClientResponse) -> None:
+        """Answer the client through the relay ``via``, or directly."""
+        self.ctx.send(resp.client_id if via is None else via, resp)
 
     # -- future replication ------------------------------------------------
 
@@ -406,7 +398,6 @@ class Node:
             else:
                 out = self.stage.stage(fe, self.generation)
                 if out == StageOutcome.STAGED:
-                    self._note_staged_bytes()
                     self.ctx.trace("stage", detail=(
                         f"idx={fe.index}|gen={fe.generation}|origin={fe.origin}"))
             if out in (StageOutcome.STAGED, StageOutcome.DUPLICATE):
@@ -478,7 +469,7 @@ class Node:
         p.acked = True
         self.ctx.trace("ack", detail=(
             f"rid={p.entry.request_id}|path=nt|idx={idx}"))
-        self.ctx.send_client(p.client_id, ClientResponse(p.entry.request_id, "Ok"))
+        self._respond(None, ClientResponse(p.entry.request_id, "Ok", p.client_id))
 
     def _reallocate_pending(self, old_idx: int) -> None:
         p = self.pending_futures.pop(old_idx, None)
@@ -560,7 +551,8 @@ class Node:
         p = self.peers.get(f)
         if self.role != LEADER or p is None or p.silent:
             return
-        while len(p.inflight) < MAX_FLYING and p.opt_next <= self.log.last_contiguous_index:
+        while p.sent - p.answered < MAX_FLYING \
+                and p.opt_next <= self.log.last_contiguous_index:
             self._send_append(f)
 
     def _package(self, p: Peer, start: int, end: int) -> list[Entry]:
@@ -578,21 +570,18 @@ class Node:
     def _send_append(self, f: int) -> None:
         """Send ``f`` the next slice of the log from ``opt_next``; an empty
         slice is a heartbeat. A silent follower gets an empty probe at the log
-        end: a probe below it would let the follower commit its own stale
-        suffix, since it reports and commits its whole contiguous log."""
+        end."""
         p = self.peers[f]
         start = self.log.last_contiguous_index + 1 if p.silent else p.opt_next
         end = min(self.log.last_contiguous_index, start + MAX_ENTRIES - 1)
         entries = self._package(p, start, end)
-        self._seq += 1
+        p.sent += 1
         req = AppendEntriesRequest(
             term=self.term, generation=self.generation, leader_id=self.id,
             prev_log_index=start - 1, prev_log_term=self._term_at(start - 1),
-            entries=entries, leader_commit=self.commit_index, seq=self._seq)
+            entries=entries, leader_commit=self.commit_index, seq=p.sent)
         retransmit = end >= start and start <= p.max_sent
         self.ctx.send(f, req, retransmit=retransmit)
-        if len(p.inflight) < MAX_FLYING:
-            p.inflight.add(self._seq)
         if end >= start:
             p.opt_next = end + 1
             p.max_sent = max(p.max_sent, end)
@@ -605,17 +594,11 @@ class Node:
         p = self.peers.get(frm)
         if self.role != LEADER or resp.term < self.term or p is None:
             return
-        tracked = resp.seq in p.inflight
-        p.inflight.discard(resp.seq)
         report = resp.last_applied_index_report
         p.last_resp = self.ctx.now
-        if not tracked and not resp.success:
-            if p.inflight and resp.seq > max(p.inflight):
-                # a probe sent while the pipe was full got answered: the
-                # follower is reachable again, so restart its stream now
-                p.inflight.clear()
-            else:
-                return  # stale failure from a stream that was already reset
+        if not resp.success and resp.seq <= p.answered:
+            return  # stale failure from a stream that was already reset
+        p.answered = max(p.answered, resp.seq)
         p.future_ack = max(p.future_ack, resp.last_future_index)
         if p.silent:
             # the follower answered: resume its stream from the report, with
@@ -638,7 +621,7 @@ class Node:
             p.force_full.update(resp.missing)
             p.next_index = report + 1
             p.opt_next = report + 1
-            p.inflight.clear()
+            p.answered = p.sent
             if resp.prefix_ok:
                 p.match_index = max(p.match_index, report)
         p.force_full = {i for i in p.force_full if i > p.match_index}
@@ -752,10 +735,10 @@ class Node:
             if e.kind == EntryKind.CONFIG:
                 self._apply_config(int(e.payload.decode()))
         self._refresh_windows()
-        report = self.log.last_contiguous_index
-        if missing:
-            # a stale entry kept at the first miss is not verified
-            report = min(report, missing[0] - 1)
+        # vouch only for what this request verified, as Raft's AppendEntries
+        # rule 5 does: not a stale suffix beyond it, nor an entry kept at the
+        # first miss
+        report = missing[0] - 1 if missing else prev + len(req.entries)
         self._commit_to(min(req.leader_commit, report))
         self.ctx.send(frm, AppendEntriesResponse(
             term=self.term, last_applied_index_report=report,
@@ -824,8 +807,7 @@ class Node:
                 client_id, via = route
                 self.ctx.trace("ack", detail=(
                     f"rid={e.request_id}|path=t|idx={i}"))
-                self._respond_client(client_id, via,
-                                     ClientResponse(e.request_id, "Ok"))
+                self._respond(via, ClientResponse(e.request_id, "Ok", client_id))
             pidx = self.pending_by_rid.pop(e.request_id, None)
             if pidx is not None:
                 p = self.pending_futures.pop(pidx, None)
@@ -836,9 +818,11 @@ class Node:
 
     # message type -> handler(node, frm, msg)
     _HANDLERS = {
-        ClientRequest: lambda n, frm, m: n.handle_client_request(m),
-        ForwardedRequest: lambda n, frm, m: n.handle_client_request(m.request, via=m.via),
-        ForwardedResponse: lambda n, frm, m: n.ctx.send_client(m.client_id, m.response),
+        # the sender of a request is its relay, unless it is the client
+        ClientRequest: lambda n, frm, m: n.handle_client_request(
+            m, via=None if frm == m.client_id else frm),
+        # a relay passes the answer on unchanged
+        ClientResponse: lambda n, frm, m: n.ctx.send(m.client_id, m),
         AppendEntriesRequest: handle_append_entries,
         AppendEntriesResponse: handle_append_response,
         FutureReplicateRequest: handle_future_replicate,

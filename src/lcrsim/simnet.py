@@ -29,7 +29,6 @@ import tempfile
 from dataclasses import dataclass
 
 from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientRequest,
-                       ClientResponse, ForwardedRequest, ForwardedResponse,
                        FutureReplicateRequest, FutureReplicateResponse,
                        ReconcileRequest, VoteRequest, message_bytes)
 from .node import Node, NodeConfig, PersistentState
@@ -55,7 +54,7 @@ class CostModel:
     repl_response_us: int = 50
 
     def cost_of(self, msg) -> int:
-        if isinstance(msg, (ClientRequest, ForwardedRequest)):
+        if isinstance(msg, ClientRequest):
             return self.client_request_us
         if isinstance(msg, (AppendEntriesRequest, FutureReplicateRequest,
                             ReconcileRequest, VoteRequest)):
@@ -73,7 +72,7 @@ class NodeStats:
     retrans_bytes: int = 0
     dropped_bytes: int = 0
     busy_us: int = 0
-    staged_bytes_peak: int = 0   # folded in at restart and finalize_trace
+    staged_bytes_peak: int = 0   # set by finalize_trace
 
 
 class TraceLines:
@@ -189,11 +188,9 @@ class _NodeCtx(_TimerCtx):
         self.now = sim.now
         self.rng = random.Random(f"{sim.seed}:node:{node_id}:{incarnation}")
 
-    def send(self, to: int, msg, retransmit: bool = False) -> None:
+    def send(self, to, msg, retransmit: bool = False) -> None:
+        """Send ``msg`` to node ``to``, or to the client whose id ``to`` is."""
         self.sim.node_send(self.node_id, to, msg, retransmit)
-
-    def send_client(self, client_id: str, resp) -> None:
-        self.sim.node_send(self.node_id, client_id, resp, False)
 
     def _expire(self, name: str) -> None:
         self.now = self.sim.now
@@ -319,7 +316,6 @@ class Simulation:
     def restart(self, node_id: int) -> None:
         old = self.nodes[node_id]
         old.ctx.alive = False
-        self._fold_staged_peak(old)
         self.record(self.now, "fault", frm=node_id, detail="restart")
         self.add_node(node_id, old.persist.membership, old.cfg,
                       persist=old.persist)
@@ -367,14 +363,10 @@ class Simulation:
             handler(*args)
         self.now = until_us
 
-    def _fold_staged_peak(self, node: Node) -> None:
-        st = self.stats[node.id]
-        st.staged_bytes_peak = max(st.staged_bytes_peak, node.staged_bytes_peak)
-
     def finalize_trace(self) -> None:
         for node_id in sorted(self.nodes):
             n = self.nodes[node_id]
-            self._fold_staged_peak(n)
+            self.stats[node_id].staged_bytes_peak = n.stage.peak_bytes
             self.record(self.now, "final_state", frm=node_id, detail=(
                 f"alive={int(n.ctx.alive)}"
                 f"|term={n.term}|gen={n.generation}"

@@ -19,10 +19,13 @@ A shape says where the acked rid R sits at the end of the run:
 ``--digests FILE`` also writes one line per run,
 ``seed protocol outputs metrics verdict``: the sha256 of ``trace.txt``
 followed by ``metrics.csv``, the sha256 of ``metrics.csv`` alone, and the
-verdict (``ok``, or the failed checks joined by commas). ``diff`` of two such
-files shows every run whose outputs a change moved; comparing only the last
-two columns shows whether a change that moves the trace left every run's
-metrics and verdict as they were.
+verdict (``ok``, or the failed checks joined by commas).
+
+``--against FILE`` compares each run with its line in FILE, a ``--digests``
+file written by another tree. After the summary it prints how many runs'
+outputs moved, then the runs whose metrics digest moved and the runs whose
+verdict moved. The exit status is then 1 when a verdict moved, instead of
+when a run fails.
 """
 
 from __future__ import annotations
@@ -103,15 +106,20 @@ def main(argv=None) -> int:
     ap.add_argument("--digests", metavar="FILE",
                     help="write 'seed protocol outputs metrics verdict' "
                          "per run to FILE")
+    ap.add_argument("--against", metavar="FILE",
+                    help="compare every run with its line in FILE, a "
+                         "--digests file of another tree")
     args = ap.parse_args(argv)
     if args.last < args.first or args.jobs < 1:
         ap.error("need first <= last and --jobs >= 1")
 
     protocols = args.protocol or list(PROTOCOLS)
-    jobs = [(s, p, bool(args.digests))
+    theirs = read_digests(args.against) if args.against else None
+    jobs = [(s, p, bool(args.digests or args.against))
             for s in range(args.first, args.last + 1) for p in protocols]
     failures = {p: [] for p in protocols}
     shape_counts = {p: Counter() for p in protocols}
+    mine = {}
     if args.jobs == 1:
         results = map(run_one, jobs)
         pool = None
@@ -121,9 +129,11 @@ def main(argv=None) -> int:
     digests = open(args.digests, "w") if args.digests else None
     try:
         for seed, protocol, failed, error, shapes, digest in results:
+            verdict = ",".join(failed) or "ok"
             if digests:
-                verdict = ",".join(failed) or "ok"
                 digests.write(f"{seed} {protocol} {digest} {verdict}\n")
+            if theirs is not None:
+                mine[(seed, protocol)] = (*digest.split(), verdict)
             if failed:
                 failures[protocol].append(seed)
                 shape_counts[protocol].update(shapes)
@@ -144,7 +154,33 @@ def main(argv=None) -> int:
               + (f": {' '.join(map(str, seeds))}" if seeds else "")
               + (f"; shapes: {', '.join(f'{k} {shapes[k]}' for k in sorted(shapes))}"
                  if shapes else ""))
+    if theirs is not None:
+        return 1 if compare(mine, theirs, args.against) else 0
     return 1 if any(failures.values()) else 0
+
+
+def read_digests(path: str) -> dict:
+    """(seed, protocol) -> (outputs, metrics, verdict) from a --digests file."""
+    with open(path) as fh:
+        return {(int(seed), protocol): tuple(rest)
+                for seed, protocol, *rest in map(str.split, fh)}
+
+
+def compare(mine: dict, theirs: dict, path: str) -> bool:
+    """Print what moved against ``theirs``; True when a verdict moved."""
+    both = sorted(k for k in mine if k in theirs)
+    outputs = [k for k in both if mine[k][0] != theirs[k][0]]
+    metrics = [k for k in both if mine[k][1] != theirs[k][1]]
+    verdicts = [k for k in both if mine[k][2] != theirs[k][2]]
+    print(f"against {path}: outputs moved in {len(outputs)} of {len(both)} runs"
+          + (f"; {len(mine) - len(both)} runs not in it"
+             if len(both) < len(mine) else ""))
+    print("metrics moved: "
+          + (" ".join(f"{s} {p}" for s, p in metrics) or "none"))
+    print("verdict moved: "
+          + (", ".join(f"{s} {p} {theirs[(s, p)][2]} -> {mine[(s, p)][2]}"
+                       for s, p in verdicts) or "none"))
+    return bool(verdicts)
 
 
 if __name__ == "__main__":

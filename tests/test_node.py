@@ -6,10 +6,10 @@ import pytest
 
 from lcrsim.logcore import Entry, EntryKind, StageOutcome
 from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
-                             ClientRequest, FutureReplicateRequest,
-                             FutureReplicateResponse, ReconcileResponse,
-                             VoteRequest)
-from lcrsim.node import (FOLLOWER, LEADER, Node, NodeConfig,
+                             ClientRequest, ClientResponse,
+                             FutureReplicateRequest, FutureReplicateResponse,
+                             ReconcileResponse, VoteRequest)
+from lcrsim.node import (FOLLOWER, LEADER, MAX_FLYING, Node, NodeConfig,
                          PersistentState)
 
 
@@ -17,9 +17,8 @@ class FakeCtx:
     def __init__(self):
         self.now = 0
         self.rng = random.Random(0)
-        self.sent = []          # (to, msg)
+        self.sent = []          # (to, msg); ``to`` is a node or a client id
         self.retransmitted = []  # (to, msg) sent with the retransmit flag
-        self.client_sent = []   # (client_id, resp)
         self.timers = {}
         self.traced = []
 
@@ -27,9 +26,6 @@ class FakeCtx:
         self.sent.append((to, msg))
         if retransmit:
             self.retransmitted.append((to, msg))
-
-    def send_client(self, client_id, resp):
-        self.client_sent.append((client_id, resp))
 
     def set_timer(self, name, delay_us):
         self.timers[name] = self.now + delay_us
@@ -91,13 +87,26 @@ def responses(ctx):
     return [m for _, m in ctx.take_sent() if isinstance(m, AppendEntriesResponse)]
 
 
+def client_answers(ctx):
+    """(target, outcome) of every answer sent, to a client or a relay."""
+    return [(to, m.outcome) for to, m in ctx.sent if isinstance(m, ClientResponse)]
+
+
+def appends_to(ctx, f):
+    """The append requests sent to ``f`` since the last ``take_sent``."""
+    return [m for to, m in ctx.sent
+            if to == f and isinstance(m, AppendEntriesRequest)]
+
+
 def creq(rid="c0.1.t", kind="t", payload=b"T a b 1"):
     return ClientRequest(request_id=rid, kind=kind, payload=payload,
                          client_id=rid.split(".")[0])
 
 
 def ack_everything(leader, ctx, followers=(1, 2, 3, 4)):
-    """Feed successful append responses for all outstanding streams."""
+    """Feed successful append responses for all outstanding streams. The
+    answers to clients, sent to them or to a relay, stay in ``ctx.sent``."""
+    answers = []
     for _ in range(4):
         for to, msg in ctx.take_sent():
             if isinstance(msg, AppendEntriesRequest) and to in followers:
@@ -106,6 +115,9 @@ def ack_everything(leader, ctx, followers=(1, 2, 3, 4)):
                     last_applied_index_report=(msg.prev_log_index
                                                + len(msg.entries)),
                     last_future_index=0, seq=msg.seq))
+            elif isinstance(msg, ClientResponse):
+                answers.append((to, msg))
+    ctx.sent[:0] = answers
 
 
 class TestLeaderClientPath:
@@ -123,7 +135,7 @@ class TestLeaderClientPath:
         n.handle_client_request(creq())
         ack_everything(n, ctx, followers=(1, 2))
         assert n.commit_index == n.log.occupied_above(0)[-1]
-        assert [(c, r.outcome) for c, r in ctx.client_sent] == [("c0", "Ok")]
+        assert client_answers(ctx) == [("c0", "Ok")]
 
     def test_duplicate_request_single_entry(self):
         n, ctx = make_leader()
@@ -143,6 +155,48 @@ class TestLeaderClientPath:
         # new entries go to the end of the contiguous log, below the future
         assert n.log.occupied_above(0) == [1, 2, 3, 7]
         assert [n.log.get(i).request_id for i in (2, 3)] == ["c0.1.t", "c0.2.t"]
+
+
+class TestRelay:
+    """A follower relays a client's request to the leader as it is, and the
+    answer goes back the same way; ``on_message`` takes the sender of a
+    request as its relay unless the sender is the client."""
+
+    def test_follower_relays_the_request_itself(self):
+        n, ctx = make_follower(node_id=2)
+        req = creq()
+        n.on_message("c0", req)
+        assert ctx.sent == [(0, req)] and ctx.sent[0][1] is req
+
+    def test_leader_answers_through_the_relay(self):
+        n, ctx = make_leader()
+        n.on_message(2, creq())
+        ack_everything(n, ctx, followers=(1, 2))
+        assert [(to, m) for to, m in ctx.sent if isinstance(m, ClientResponse)] \
+            == [(2, ClientResponse("c0.1.t", "Ok", client_id="c0"))]
+
+    def test_relay_passes_the_answer_on(self):
+        n, ctx = make_follower(node_id=2)
+        resp = ClientResponse("c0.1.t", "Ok", client_id="c0")
+        n.on_message(0, resp)
+        assert ctx.sent == [("c0", resp)] and ctx.sent[0][1] is resp
+
+    def test_node_without_leader_rejects_through_the_relay(self):
+        n, ctx = make_follower(node_id=3)
+        n.leader_id = None
+        n.on_message(2, creq())
+        assert ctx.sent == [(2, ClientResponse("c0.1.t", "Rejected",
+                                               client_id="c0"))]
+
+    def test_repeated_rid_answers_the_latest_route(self):
+        # the client timed out at relay 2 and retried at relay 3
+        n, ctx = make_leader()
+        n.on_message(2, creq())
+        n.on_message(3, creq())
+        assert [n.log.get(i).request_id
+                for i in n.log.occupied_above(0)].count("c0.1.t") == 1
+        ack_everything(n, ctx, followers=(1, 2))
+        assert client_answers(ctx) == [(3, "Ok")]
 
 
 class TestFutureReplication:
@@ -167,9 +221,9 @@ class TestFutureReplication:
                 term=n.term, generation=5,
                 from_leader=from_leader, indices=[idx])
         n.handle_future_ack(1, resp(False))
-        assert not ctx.client_sent            # majority but no leader ack
+        assert not client_answers(ctx)        # majority but no leader ack
         n.handle_future_ack(0, resp(True))
-        assert [(c, r.outcome) for c, r in ctx.client_sent] == [("c1", "Ok")]
+        assert client_answers(ctx) == [("c1", "Ok")]
 
     def test_follower_stages_and_accepts(self):
         n, ctx = make_follower(node_id=3)
@@ -230,7 +284,7 @@ class TestFutureReplication:
         for frm in (0, 1):
             n.handle_future_ack(frm, FutureReplicateResponse(
                 term=n.term, generation=5, from_leader=frm == 0, indices=[kept]))
-        assert [(c, r.outcome) for c, r in ctx.client_sent] == [("c1", "Ok")]
+        assert client_answers(ctx) == [("c1", "Ok")]
 
     def test_stale_generation_rejected(self):
         n, ctx = make_follower(node_id=3)
@@ -341,13 +395,16 @@ class TestSignalFlow:
         n, ctx, fe = self._integrated_leader()
         peer = n.peers[1]
         peer.future_ack = fe.index
-        peer.inflight.add(999)
+        (sent,) = appends_to(ctx, 1)
+        ctx.take_sent()
         n.handle_append_response(1, AppendEntriesResponse(
             term=n.term, last_applied_index_report=fe.index - 1,
-            last_future_index=0, seq=999, prefix_ok=True, missing=[fe.index]))
+            last_future_index=0, seq=sent.seq, prefix_ok=True,
+            missing=[fe.index]))
         assert fe.index in peer.force_full
-        entries = n._package(peer, fe.index, fe.index)
-        assert entries[0].kind == EntryKind.FUTURE
+        (resend,) = appends_to(ctx, 1)
+        assert [(e.index, e.kind) for e in resend.entries] == [
+            (fe.index, EntryKind.FUTURE)]
 
     def test_signal_miss_lists_every_missing_signal(self):
         n, ctx = make_follower(node_id=3)
@@ -386,8 +443,8 @@ class TestSignalFlow:
                                       request_id=f"c9.{i}.nt", payload=b"I k 1"))
         peer = n.peers[1]
         peer.future_ack = 4
+        seq = appends_to(ctx, 1)[-1].seq
         ctx.take_sent()
-        seq = max(peer.inflight)
         n.handle_append_response(1, AppendEntriesResponse(
             term=n.term, last_applied_index_report=1,
             last_future_index=4, seq=seq, prefix_ok=True, missing=[2, 4]))
@@ -401,33 +458,57 @@ class TestSignalFlow:
 class TestLeaderStream:
     def test_newer_failure_resets_stream(self):
         # a follower far behind the new leader, which has two requests in
-        # flight to it, at prev indices 5 and 6
+        # flight to it, at prev indices 5 and 6, numbered 1 and 2
         n, ctx = make_new_leader(5)
         n.handle_client_request(creq())
         peer = n.peers[1]
-        sent = [m for to, m in ctx.take_sent()
-                if to == 1 and isinstance(m, AppendEntriesRequest)]
-        assert [m.prev_log_index for m in sent] == [5, 6]
-        old = {m.seq for m in sent}
-        assert peer.inflight == old
-        assert peer.opt_next == n.log.occupied_above(0)[-1] + 1
+        sent = appends_to(ctx, 1)
+        ctx.take_sent()
+        assert [(m.prev_log_index, m.seq) for m in sent] == [(5, 1), (6, 2)]
+        last = n.log.occupied_above(0)[-1]
+        assert peer.opt_next == last + 1
 
         def failure(seq):
             return AppendEntriesResponse(
                 term=n.term, last_applied_index_report=2, last_future_index=0,
                 seq=seq, prefix_ok=False)
-        # older than the newest in-flight request: a reset already covered it
-        n.handle_append_response(1, failure(min(old) - 1))
-        assert peer.inflight == old and not ctx.sent
-        # newer than every in-flight request: the follower answered a probe
-        # sent while the pipe was full, so its stream restarts at once
-        n.handle_append_response(1, failure(max(old) + 100))
+        # the first rejection restarts the stream at once
+        n.handle_append_response(1, failure(1))
         assert peer.next_index == 3
-        assert peer.inflight and min(peer.inflight) > max(old)
-        resent = [m for to, m in ctx.sent
-                  if to == 1 and isinstance(m, AppendEntriesRequest)]
-        assert [(m.prev_log_index, len(m.entries)) for m in resent] == \
-            [(2, n.log.occupied_above(0)[-1] - 2)]
+        (resent,) = appends_to(ctx, 1)
+        ctx.take_sent()
+        assert (resent.seq, resent.prev_log_index, len(resent.entries)) == \
+            (3, 2, last - 2)
+        # request 2 was sent before the restart, so its rejection is stale
+        n.handle_append_response(1, failure(2))
+        assert peer.next_index == 3 and not ctx.sent
+        # and the stream goes on after the restarted request
+        n.handle_client_request(creq("c0.2.t"))
+        assert [m.seq for m in appends_to(ctx, 1)] == [4]
+
+    def test_heartbeat_counts_against_the_pipe(self):
+        # the heartbeat goes out while MAX_FLYING requests are in flight to
+        # follower 1, so it takes the slot the first answer frees
+        ctx = FakeCtx()
+        n = Node(0, MEMBERS, NodeConfig(), ctx, bootstrap_leader=True)
+        for i in range(1, MAX_FLYING):
+            n.handle_client_request(creq(f"c0.{i}.t"))
+        pipe = appends_to(ctx, 1)        # the barrier's, then one per request
+        assert len(pipe) == MAX_FLYING
+        ctx.now = n.cfg.heartbeat_us
+        n.on_timer("heartbeat")
+        n.handle_client_request(creq(f"c0.{MAX_FLYING}.t"))
+        ctx.take_sent()
+
+        def success(req):
+            return AppendEntriesResponse(
+                term=n.term, last_future_index=0, seq=req.seq,
+                last_applied_index_report=req.prev_log_index + len(req.entries))
+        n.handle_append_response(1, success(pipe[0]))
+        assert appends_to(ctx, 1) == []
+        n.handle_append_response(1, success(pipe[1]))
+        (new,) = appends_to(ctx, 1)
+        assert [e.index for e in new.entries] == [MAX_FLYING + 1]
 
     def test_rejection_rewinds_at_once(self):
         # A (prev 0) and B (prev 1) are in flight to follower 1, and B is
@@ -437,18 +518,17 @@ class TestLeaderStream:
         n, ctx = make_leader()
         n.handle_client_request(creq())
         peer = n.peers[1]
-        (b,) = [m for to, m in ctx.take_sent()
-                if to == 1 and isinstance(m, AppendEntriesRequest)]
-        assert b.prev_log_index == 1 and len(peer.inflight) == 2   # and A
+        (b,) = appends_to(ctx, 1)
+        ctx.take_sent()
+        assert (b.prev_log_index, b.seq) == (1, 2)     # A is request 1
         ctx.now = 5_000
         n.handle_append_response(1, AppendEntriesResponse(
             term=n.term, last_applied_index_report=0,
             last_future_index=0, seq=b.seq, prefix_ok=False))
         assert (peer.next_index, peer.last_resp) == (1, 5_000)
         (resend,) = [m for to, m in ctx.sent if to == 1]
-        assert resend.prev_log_index == 0
+        assert (resend.seq, resend.prev_log_index) == (3, 0)
         assert [e.index for e in resend.entries] == [1, 2]
-        assert peer.inflight == {resend.seq}
 
     def test_far_behind_follower_walks_back(self):
         n, lctx = make_new_leader(5)
@@ -468,6 +548,19 @@ class TestLeaderStream:
         assert [(r.seq, r.success, r.last_applied_index_report)
                 for r in responses(fctx)] == [(resend.seq, True, 6)]
         assert f.log.last_contiguous_index == 6
+
+
+class TestFollowerReply:
+    def test_reply_vouches_only_for_what_the_request_verified(self):
+        # the follower's term-1 entries at 4 and 5 may not be the term-2
+        # leader's: an empty append after 3 verifies its log up to 3 only
+        n, ctx = make_follower(node_id=1, persist=noop_log(5))
+        n.handle_append_entries(0, AppendEntriesRequest(
+            term=2, generation=5, leader_id=0, prev_log_index=3,
+            prev_log_term=1, entries=[], leader_commit=5, seq=1))
+        (resp,) = responses(ctx)
+        assert resp.success and resp.last_applied_index_report == 3
+        assert n.commit_index == 3
 
 
 class TestSilentFollower:

@@ -27,6 +27,13 @@ message, so every digest moved, ``metrics.csv`` too. Under it fuzz seed 43
 still restarts two nodes and elects one leader with futures above its
 contiguous log, and case 19's LCR run still makes 6 step fills and 2
 truncations.
+
+Every digest below is also that of a relay that passes the client's request
+and the leader's answer on as they are, so a relay hop's ``send`` line names
+``ClientRequest`` or ``ClientResponse`` (it named ``ForwardedRequest`` or
+``ForwardedResponse``). Bytes and times are unchanged: each moved digest is
+the old trace with those two names replaced. gen_change's LCR digest did not
+move: its requests are all non-transactional, so none is relayed.
 """
 
 import hashlib
@@ -43,13 +50,13 @@ from test_leader_faults import _scenario, fuzz_case
 # 1,343,164).
 DIGESTS = {
     ("fig14_response_time", 2.0, "lcr"):
-        "d98de6f1b887548964f848ca40e76d4cae4c98f506bd557abfc7b69b25e70fc5",
+        "6e015f04a0a390c665ec0816ef03a5b3efc357379ba7e12d8dcd446ed87dfe70",
     ("fig14_response_time", 2.0, "raft"):
-        "a2f8bc8183795091baad7a949c3611f7c7e282ef2cb0e9779c2b58917f33f9d0",
+        "d4d38b8c35c687026825c670a6bc75daa27930bebfcdfa6de4f71a44be7ca286",
     ("gen_change", 3.0, "lcr"):
         "bee9e4c555afb2d732ca7f6f3fe2abe836659e218a19b7cf7fde89283a3e6d18",
     ("gen_change", 3.0, "raft"):
-        "00f442461e31ae1a102fa64cf97086d1c932861abb7c27242f450b753702074e",
+        "72b54d42a8e9a045ea1d0a06c6b2f2f66dbcb768d9e2daffbe4da7254bbec4b6",
 }
 
 # leader-fault case -> protocol -> digest, each run with a 1.2 s drain.
@@ -59,17 +66,17 @@ DIGESTS = {
 # 9,204 against resending the backlog at each reset).
 LEADER_FAULT_DIGESTS = {
     (19, "lcr"):
-        "a6e5f9c8cf60b2cf890373eae59adade567fd349d000d70db8b9d62c9bbdccfe",
+        "63d3e3082c22747217899e1989237ca9b1c1d5ed3f99f67717c2bab91d1ce477",
     (19, "raft"):
-        "aebd49b0cd2785e89b4908d2919ed36ae46ca3768af7736e90d44ad3f0181bd1",
+        "83e4b5f4feadce68a5b3de193f428f0c85c3c5ff574aab2052034335077c18d9",
 }
 
 # fuzz seed -> protocol -> digest, each run with a 1.2 s drain
 FUZZ_DIGESTS = {
     (43, "lcr"):
-        "0923140bd87c246bccad19522751a823c356dbc25b608559b3c0bf3c9721cfab",
+        "797fae78f71b2f1505bc000aa932a5e8cc3f2cef2defc0b2811112fa295af20d",
     (43, "raft"):
-        "a8c609f68c35395ff88bdfdb8ee0de55fa843962d4007e0c3aba22b5faf5f754",
+        "4c3f71247c1523f92d00ddd12d8f71cba7f875fa65de3b26c7c4649255e3b4e3",
 }
 
 

@@ -323,7 +323,7 @@ class TestTraceTraffic:
         sim = Simulation(1, LatencyModel(), LatencyModel(mean_us=200))
         sim.add_client(ClosedLoopClient("c0", ClientConfig(), [0], [], 1))
         sim.add_node(0, [0], NodeConfig())
-        resp = ClientResponse("c0.1.t", "Ok")
+        resp = ClientResponse("c0.1.t", "Ok", client_id="c0")
         sim.node_send(0, "c0", resp, False)
         sim.disconnect(0)
         sim.node_send(0, "c0", resp, False)
