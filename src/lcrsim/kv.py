@@ -1,9 +1,14 @@
 """Deterministic key-value state machine with at-most-once apply semantics.
 
-Payloads encode one of two operations, padded with NUL bytes to the wire size:
+Payloads encode one of two operations:
 
     I <key> <value>          insert/overwrite an integer value
     T <src> <dst> <amount>   move balance between accounts
+
+A payload is held unpadded. The wire pads it with NUL bytes to the client's
+payload size, and that padding travels as a count (``pad``, see
+``messages.py``), so ``payload_digest`` takes the count and hashes the
+payload as sent.
 
 Accounts start with an implicit balance of 100 so a deterministic mix of
 transfers succeeds and fails; an insufficient balance is recorded as a
@@ -31,18 +36,12 @@ from sys import intern
 INITIAL_BALANCE = 100
 
 
-def encode_insert(key: str, value: int, size: int = 0) -> bytes:
-    return _pad(f"I {key} {value}".encode(), size)
+def encode_insert(key: str, value: int) -> bytes:
+    return f"I {key} {value}".encode()
 
 
-def encode_transfer(src: str, dst: str, amount: int, size: int = 0) -> bytes:
-    return _pad(f"T {src} {dst} {amount}".encode(), size)
-
-
-def _pad(raw: bytes, size: int) -> bytes:
-    if size > len(raw):
-        return raw + b"\0" * (size - len(raw))
-    return raw
+def encode_transfer(src: str, dst: str, amount: int) -> bytes:
+    return f"T {src} {dst} {amount}".encode()
 
 
 def _request_identity(request_id: str) -> tuple[str, int]:
@@ -91,7 +90,7 @@ class KvStateMachine:
             s.next_seq = seq
         else:
             s.above.add(seq)
-        parts = payload.rstrip(b"\0").decode(errors="replace").split()
+        parts = payload.decode(errors="replace").split()
         if len(parts) == 3 and parts[0] == "I":
             self.store[intern(parts[1])] = int(parts[2])
         elif len(parts) == 4 and parts[0] == "T":
@@ -112,5 +111,9 @@ class KvStateMachine:
         return h.hexdigest()[:16]
 
     @staticmethod
-    def payload_digest(payload: bytes) -> str:
-        return hashlib.sha256(payload).hexdigest()[:12]
+    def payload_digest(payload: bytes, pad: int) -> str:
+        """The digest of ``payload`` followed by ``pad`` NUL bytes."""
+        h = hashlib.sha256(payload)
+        if pad > 0:
+            h.update(bytes(pad))
+        return h.hexdigest()[:12]

@@ -46,6 +46,7 @@ class Entry:
     generation: int = 0        # meaningful for future/signal kinds
     request_id: str = ""
     payload: bytes = b""
+    pad: int = 0               # NUL bytes the wire adds after ``payload``
 
     def same_record(self, other: "Entry") -> bool:
         return (self.index == other.index
@@ -111,8 +112,9 @@ def maintain_windows(normal_last_index: int, start: int, window_size: int) -> in
 class FutureStage:
     """Future entries received via future replication, not yet resolved into
     the leader-sequenced log. ``stage`` and ``drop`` are the only writers of
-    ``pending``, and they keep ``payload_bytes``, the payload total of its
-    entries. ``peak_bytes`` is the most ``bytes_held`` has been."""
+    ``pending``, and they keep ``payload_bytes``, the wire payload total of
+    its entries, padding included. ``peak_bytes`` is the most ``bytes_held``
+    has been."""
 
     pending: dict[int, Entry] = field(default_factory=dict)
     max_index_seen: int = 0
@@ -130,7 +132,7 @@ class FutureStage:
                 return StageOutcome.DUPLICATE
             return StageOutcome.CONFLICT
         self.pending[entry.index] = entry
-        self.payload_bytes += len(entry.payload)
+        self.payload_bytes += len(entry.payload) + entry.pad
         self.peak_bytes = max(self.peak_bytes, self.bytes_held(ENTRY_HEADER_BYTES))
         if entry.index > self.max_index_seen:
             self.max_index_seen = entry.index
@@ -142,7 +144,7 @@ class FutureStage:
     def drop(self, index: int) -> None:
         entry = self.pending.pop(index, None)
         if entry is not None:
-            self.payload_bytes -= len(entry.payload)
+            self.payload_bytes -= len(entry.payload) + entry.pad
 
     def bytes_held(self, entry_header_bytes: int) -> int:
         return self.payload_bytes + entry_header_bytes * len(self.pending)

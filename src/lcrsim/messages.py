@@ -4,6 +4,11 @@ Sizes on the simulated network are derived from these: a fixed per-message
 header plus a per-entry header plus exact payload bytes (signal and
 no-op-fill entries are header-only), plus a fixed width per index listed in
 a response.
+
+A payload is held unpadded, at its information size. A client pads its
+request to its configured payload size on the wire, and the request and
+every entry made from it carry that padding as a count, ``pad``: the NUL
+bytes the wire adds after ``payload``. Sizes charge ``len(payload) + pad``.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ class ClientRequest:
     kind: str                   # "t" transactional | "nt" non-transactional
     payload: bytes
     client_id: str
+    pad: int = 0                # NUL bytes the wire adds after payload
 
 
 @dataclass(slots=True)
@@ -114,7 +120,7 @@ def _entries_bytes(entries: list[Entry]) -> int:
     size = 0
     for e in entries:
         size += ENTRY_HEADER_BYTES if e.kind in _HEADER_ONLY \
-            else ENTRY_HEADER_BYTES + len(e.payload)
+            else ENTRY_HEADER_BYTES + len(e.payload) + e.pad
     return size
 
 
@@ -131,7 +137,7 @@ def message_bytes(msg) -> int:
     elif isinstance(msg, FutureReplicateResponse):
         size += INDEX_BYTES * (len(msg.indices) + len(msg.conflicts))
     elif isinstance(msg, ClientRequest):
-        size += len(msg.payload)
+        size += len(msg.payload) + msg.pad
     elif isinstance(msg, ReconcileResponse):
         size += _entries_bytes(msg.entries)
     return size

@@ -321,7 +321,8 @@ class Node:
             return
         self.pending_client[req.request_id] = (req.client_id, via)
         self._append_normal(Entry(index=0, term=self.term, kind=EntryKind.NORMAL,
-                                  request_id=req.request_id, payload=req.payload))
+                                  request_id=req.request_id, payload=req.payload,
+                                  pad=req.pad))
         for f in self._others():
             self._try_replicate(f)
 
@@ -339,8 +340,7 @@ class Node:
             self._respond(None, ClientResponse(req.request_id, "Rejected",
                                                req.client_id))
             return
-        self._stage_own_future(idx, req.request_id, req.payload, req.client_id,
-                               retransmit=False)
+        self._stage_own_future(idx, req, req.client_id, retransmit=False)
 
     def _allocate(self) -> Optional[int]:
         try:
@@ -351,14 +351,17 @@ class Node:
         except NoOpenWindow:
             return None
 
-    def _stage_own_future(self, idx: int, request_id: str, payload: bytes,
+    def _stage_own_future(self, idx: int, src: ClientRequest | Entry,
                           client_id: str, acked: bool = False,
                           retransmit: bool = True) -> None:
-        """Stage this node's own future entry at ``idx``, track it until a
-        quorum confirms it, and replicate it to every other member."""
+        """Stage this node's own future entry at ``idx`` for the request that
+        ``src`` carries (the client's request, or a pending future's entry),
+        track it until a quorum confirms it, and replicate it to every other
+        member."""
+        request_id = src.request_id
         entry = Entry(index=idx, term=self.term, kind=EntryKind.FUTURE,
                       origin=self.id, generation=self.generation,
-                      request_id=request_id, payload=payload)
+                      request_id=request_id, payload=src.payload, pad=src.pad)
         self.stage.stage(entry, self.generation)
         self.ctx.trace("alloc", detail=f"idx={idx}|gen={self.generation}")
         p = PendingFuture(entry=entry, client_id=client_id, acks={self.id},
@@ -484,8 +487,7 @@ class Node:
         if idx is None:
             self.parked_futures.append(p)
         else:
-            self._stage_own_future(idx, p.entry.request_id, p.entry.payload,
-                                   p.client_id, acked=p.acked)
+            self._stage_own_future(idx, p.entry, p.client_id, acked=p.acked)
 
     # -- generation change -------------------------------------------------
 
@@ -518,8 +520,7 @@ class Node:
         for idx, p in own:
             self.pending_futures.pop(idx, None)
             self._stage_own_future(reallocate_index(idx, old_gen, new_gen, self.id),
-                                   p.entry.request_id, p.entry.payload,
-                                   p.client_id, acked=p.acked)
+                                   p.entry, p.client_id, acked=p.acked)
 
     def request_membership_change(self, new_size: int) -> None:
         """Leader-side admin entry point: grow the cluster one server at a time."""
@@ -801,7 +802,8 @@ class Node:
             dup = not self.kv.apply(e.request_id, e.payload)
             self.ctx.trace("apply", detail=(
                 f"idx={i}|rid={e.request_id}|kind={e.kind.name}"
-                f"|digest={KvStateMachine.payload_digest(e.payload)}|dup={int(dup)}"))
+                f"|digest={KvStateMachine.payload_digest(e.payload, e.pad)}"
+                f"|dup={int(dup)}"))
             route = self.pending_client.pop(e.request_id, None)
             if route is not None and self.role == LEADER:
                 client_id, via = route

@@ -4,8 +4,10 @@ The verifier only reads the trace text. Every node must apply the same entry
 at each index (Raft's State Machine Safety), so a correct run has one applied
 history. The verifier keeps that history once: at each index, the request
 id of the first node to apply it and one int packing that apply's entry
-kind and payload digest. It replays the history once through its own state
-machine (payloads are reconstructable from request ids) and checks:
+kind and payload digest (``_pack``: a 12-digit hex digest and its kind fit
+an int of 32 bytes, and any other pair is kept as its text). It replays the
+history once through its own state machine (payloads are reconstructable
+from request ids) and checks:
 
   applied_prefix      every apply matches the history at its index, or
                       extends the history by one index
@@ -38,10 +40,12 @@ from.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .kv import KvStateMachine
+from .logcore import EntryKind
 from .workload import payload_for_rid
 
 # The only event kinds verify_trace reads.
@@ -107,14 +111,28 @@ class VerifyResult:
         self.checks.setdefault(check, True)
 
 
+_DIGEST = re.compile("[0-9a-f]{12}")
+
+
 def _pack(kind: str, digest: str) -> int:
-    """An applied entry's kind and payload digest as one int. The closing
-    ``|`` keeps trailing NUL bytes, and neither field can hold a ``|``."""
-    return int.from_bytes(f"{kind}|{digest}|".encode(), "little")
+    """An applied entry's kind and payload digest as one int.
+
+    A node's apply line gives an ``EntryKind`` name and 12 lowercase hex
+    digits, which pack into ``digest << 3 | kind``, under 2**51. Any other
+    pair, such as the ``-`` digest of fills and configs, packs as its text,
+    negated so that the two forms cannot collide; there the closing ``|``
+    keeps trailing NUL bytes, and neither field can hold a ``|``."""
+    code = EntryKind.__members__.get(kind)
+    if code is not None and _DIGEST.fullmatch(digest):
+        return int(digest, 16) << 3 | code
+    return -int.from_bytes(f"{kind}|{digest}|".encode(), "little")
 
 
 def _record(rid: str, packed: int) -> tuple[str, str, str]:
     """The ``(rid, kind, digest)`` of a history record, as error texts show it."""
+    if packed >= 0:
+        return rid, EntryKind(packed & 7).name, f"{packed >> 3:012x}"
+    packed = -packed
     kind, digest, _ = packed.to_bytes((packed.bit_length() + 7) // 8,
                                       "little").decode().split("|")
     return rid, kind, digest

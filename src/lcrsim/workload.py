@@ -25,25 +25,28 @@ def kind_of_rid(rid: str) -> str:
     return rid.rsplit(".", 1)[1]
 
 
-def payload_for_rid(rid: str, payload_bytes: int = 0) -> bytes:
-    """The unique payload a request id stands for."""
+def payload_for_rid(rid: str) -> bytes:
+    """The unique payload a request id stands for, unpadded."""
     h = hashlib.sha256(rid.encode()).digest()
     if kind_of_rid(rid) == "nt":
-        return encode_insert(f"k{h[0]}{h[1]}", h[2] % 1000, payload_bytes)
+        return encode_insert(f"k{h[0]}{h[1]}", h[2] % 1000)
     src = f"acct{h[0] % ACCOUNT_POOL}"
     dst = f"acct{h[1] % ACCOUNT_POOL}"
-    return encode_transfer(src, dst, 1 + h[2] % 50, payload_bytes)
+    return encode_transfer(src, dst, 1 + h[2] % 50)
 
 
 @dataclass(slots=True)
 class Completion:
+    """A request answered Ok; its kind and client are those its rid names."""
     rid: str
-    kind: str
-    client_id: str
     target: int
     start_us: int
     end_us: int
     attempts: int
+
+    @property
+    def kind(self) -> str:
+        return kind_of_rid(self.rid)
 
 
 @dataclass
@@ -100,10 +103,11 @@ class ClosedLoopClient:
             return
         self.attempts += 1
         self.current_target = self._pick_target(ctx)
+        payload = payload_for_rid(self.current_rid)
         ctx.send(self.current_target, ClientRequest(
             request_id=self.current_rid, kind=self.current_kind,
-            payload=payload_for_rid(self.current_rid, self.cfg.payload_bytes),
-            client_id=self.client_id))
+            payload=payload, client_id=self.client_id,
+            pad=max(0, self.cfg.payload_bytes - len(payload))))
         self.timeout_at = ctx.now + self.cfg.request_timeout_us
         ctx.set_timer("timeout", self.cfg.request_timeout_us)
 
@@ -115,8 +119,7 @@ class ClosedLoopClient:
             # every target blacklisted and the pool stuck on dead nodes
             self.blacklist.pop(self.current_target, None)
             self.completions.append(Completion(
-                rid=self.current_rid, kind=self.current_kind,
-                client_id=self.client_id, target=self.current_target,
+                rid=self.current_rid, target=self.current_target,
                 start_us=self.start_us, end_us=ctx.now, attempts=self.attempts))
             self.timeout_at = -1
             self._next_request(ctx)

@@ -1,0 +1,104 @@
+"""Where a run's memory goes: the top allocation lines at its two peaks.
+
+    PYTHONPATH=src python tests/mem_top.py fig14_response_time --protocol lcr --seed 1
+
+Runs SCENARIO, a packaged scenario name or a YAML file as ``lcrsim run``
+takes it, under tracemalloc, and prints the ``--top`` source lines whose
+live allocations hold the most memory at two points:
+
+- ``after Simulation.run``: what the cluster, the clients and the trace spool
+  hold once the simulated clock stops;
+- ``end of the verifier's parse``: the same, plus the verifier's history,
+  when its single pass over the trace ends and before its replay. This is
+  the peak of a run.
+
+A line's memory is the sum of its blocks, each rounded up to the size class
+pymalloc serves it from, so that a record that grows within its class (an
+``Entry`` of 88 or 96 bytes) shows no growth. Tracing starts after lcrsim is
+imported, so the totals leave out the interpreter and the imports. Each
+listing is headed by the total held and by the process's RSS high-water mark
+(``ru_maxrss``), read before the listing is made. tracemalloc's bookkeeping
+and the first listing raise RSS well above an untraced run's, so compare RSS
+only between runs of this tool. Pytest does
+not collect this file; it is the measurement behind a held-memory claim.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import tracemalloc
+from collections import Counter
+
+import lcrsim
+from lcrsim import verify
+from lcrsim.cli import _load
+from lcrsim.node import PROTOCOLS
+from lcrsim.runner import run_scenario
+from lcrsim.simnet import Simulation
+
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(lcrsim.__file__))
+
+
+def block_size(size: int) -> int:
+    """The bytes pymalloc hands out for a request of ``size`` bytes: blocks
+    of up to 512 bytes come in 16-byte size classes."""
+    return -(-size // 16) * 16 if size <= 512 else size
+
+
+def print_top(label: str, top: int) -> None:
+    """Print the ``top`` source lines holding the most memory now."""
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    snapshot = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.Filter(False, tracemalloc.__file__)])
+    held, blocks = Counter(), Counter()
+    for trace in snapshot.traces:
+        frame = trace.traceback[0]
+        line = frame.filename, frame.lineno
+        held[line] += block_size(trace.size)
+        blocks[line] += 1
+    print(f"== {label}: held {held.total() / 1e6:.2f} MB, "
+          f"RSS high-water {rss_mb:.2f} MB")
+    for (path, lineno), size in held.most_common(top):
+        # lcrsim's files as lcrsim/<module>.py, any other by its base name
+        name = (os.path.relpath(path, PACKAGE_ROOT)
+                if path.startswith(PACKAGE_ROOT + os.sep) else os.path.basename(path))
+        print(f"{size / 1e6:8.2f} MB {blocks[path, lineno]:9,} blocks  {name}:{lineno}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("scenario", help="packaged scenario name or YAML file")
+    ap.add_argument("--protocol", choices=PROTOCOLS,
+                    help="override the scenario's protocol")
+    ap.add_argument("--seed", type=int, help="override the scenario's seed")
+    ap.add_argument("--top", type=int, default=15, metavar="N",
+                    help="source lines per listing (default 15)")
+    args = ap.parse_args(argv)
+    sc = _load(args.scenario)
+
+    run, parse_trace = Simulation.run, verify.parse_trace
+
+    def run_then_list(sim, *a, **kw):
+        out = run(sim, *a, **kw)
+        print_top("after Simulation.run", args.top)
+        return out
+
+    def parse_then_list(*a, **kw):
+        yield from parse_trace(*a, **kw)
+        print_top("end of the verifier's parse", args.top)
+
+    Simulation.run, verify.parse_trace = run_then_list, parse_then_list
+    tracemalloc.start()
+    try:
+        result = run_scenario(sc, seed=args.seed, protocol=args.protocol)
+    finally:
+        tracemalloc.stop()
+        Simulation.run, verify.parse_trace = run, parse_trace
+    print(f"verified={'ok' if result.verdict.ok else 'FAIL'}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -172,6 +172,15 @@ class TestFutureStage:
         s.drop(7)
         assert s.bytes_held(24) == 0
 
+    def test_bytes_held_counts_padding(self):
+        s = FutureStage()
+        e = fe(7)
+        e.payload, e.pad = b"x" * 10, 70
+        s.stage(e, 5)
+        assert s.bytes_held(24) == s.peak_bytes == 24 + 80
+        s.drop(7)
+        assert s.bytes_held(24) == 0 and s.peak_bytes == 104
+
 
 class TestUnifiedLog:
     def test_gap_append(self):

@@ -12,7 +12,8 @@ import pytest
 from lcrsim.logcore import Entry, EntryKind
 from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
                              ClientRequest, ClientResponse, FutureReplicateRequest,
-                             FutureReplicateResponse, message_bytes)
+                             FutureReplicateResponse, ReconcileResponse,
+                             message_bytes)
 from lcrsim.node import Node, NodeConfig
 from lcrsim.scenario import FaultEvent, builtin_scenario_path, load_scenario
 from lcrsim.simnet import (CostModel, LatencyModel, NodeStats, Simulation, TraceLines,
@@ -71,6 +72,30 @@ class TestSizeModel:
         req = ClientRequest(request_id="r", kind="t", payload=b"z" * 30,
                             client_id="c")
         assert message_bytes(req) == 78
+
+    # a one-entry message whose payload is 7 bytes plus 73 of padding costs
+    # what it cost when the payload was held padded to 80 bytes
+    RAW = b"I k1 42"
+    PAD = 80 - len(RAW)
+
+    @pytest.mark.parametrize("build, size", [
+        (lambda raw, pad: ClientRequest(request_id="c0.1.t", kind="t", payload=raw,
+                                        client_id="c0", pad=pad), 48 + 80),
+        (lambda raw, pad: AppendEntriesRequest(
+            term=1, generation=5, leader_id=0, prev_log_index=0, prev_log_term=0,
+            entries=[Entry(index=1, term=1, kind=EntryKind.NORMAL, payload=raw,
+                           pad=pad)], leader_commit=0), 48 + 24 + 80),
+        (lambda raw, pad: FutureReplicateRequest(
+            term=1, generation=5, future_entries=[Entry(
+                index=7, term=1, kind=EntryKind.FUTURE, payload=raw, pad=pad)]),
+         48 + 24 + 80),
+        (lambda raw, pad: ReconcileResponse(term=1, entries=[Entry(
+            index=7, term=1, kind=EntryKind.FUTURE, payload=raw, pad=pad)]),
+         48 + 24 + 80),
+    ], ids=["client_request", "append", "future", "reconcile"])
+    def test_padding_is_charged(self, build, size):
+        assert message_bytes(build(self.RAW, self.PAD)) == size
+        assert message_bytes(build(self.RAW + b"\0" * self.PAD, 0)) == size
 
     def test_listed_indices_are_charged(self):
         miss = AppendEntriesResponse(term=1, last_applied_index_report=0,

@@ -1,16 +1,21 @@
 """State machine, client behaviour, metrics and trace verification."""
 
+import hashlib
+import random
+import sys
 import tracemalloc
 
 import pytest
 
 from lcrsim.kv import KvStateMachine, encode_insert, encode_transfer
+from lcrsim.messages import message_bytes
 from lcrsim.metrics import RunReport, TraceCollector
 from lcrsim.runner import run_scenario, write_outputs
 from lcrsim.scenario import builtin_scenario_path, load_scenario
 from lcrsim.simnet import NodeStats
-from lcrsim.verify import parse_trace, verify_trace
-from lcrsim.workload import Completion, kind_of_rid, payload_for_rid
+from lcrsim.verify import _pack, _record, parse_trace, verify_trace
+from lcrsim.workload import (ClientConfig, ClosedLoopClient, Completion,
+                             kind_of_rid, payload_for_rid)
 
 
 class TestKv:
@@ -19,11 +24,12 @@ class TestKv:
         sm.apply("c0.1.t", encode_insert("k1", 42))
         assert sm.store["k1"] == 42
 
-    def test_padding_is_ignored(self):
-        sm1, sm2 = KvStateMachine(), KvStateMachine()
-        sm1.apply("c0.1.t", encode_insert("k1", 42))
-        sm2.apply("c0.1.t", encode_insert("k1", 42, size=128))
-        assert sm1.digest() == sm2.digest()
+    @pytest.mark.parametrize("pad", [0, 1, 73])
+    def test_payload_digest_hashes_the_padding(self, pad):
+        # the digest of the payload as sent, the padding NULs included
+        raw = encode_insert("k1", 42)
+        assert KvStateMachine.payload_digest(raw, pad) == \
+            hashlib.sha256(raw + b"\0" * pad).hexdigest()[:12]
 
     def test_transfer_with_implicit_balance(self):
         sm = KvStateMachine()
@@ -108,27 +114,62 @@ class TestRequestIdentity:
         assert kind_of_rid("c3.17.t") == "t"
 
     def test_payload_is_deterministic(self):
-        assert payload_for_rid("c1.5.nt", 80) == payload_for_rid("c1.5.nt", 80)
+        assert payload_for_rid("c1.5.nt") == payload_for_rid("c1.5.nt")
         assert payload_for_rid("c1.5.nt") != payload_for_rid("c1.6.nt")
 
     def test_payload_matches_kind(self):
         assert payload_for_rid("c1.5.nt").startswith(b"I ")
         assert payload_for_rid("c1.5.t").startswith(b"T ")
 
-    def test_padding_to_size(self):
-        assert len(payload_for_rid("c1.5.nt", 200)) == 200
+    @pytest.mark.parametrize("payload_bytes, pad", [(80, 80 - 17), (4, 0)])
+    def test_client_pads_on_the_wire(self, payload_bytes, pad):
+        # "c0.1.t" stands for the 17-byte "T acct56 acct50 5"
+        ctx = _FakeClientCtx()
+        client = ClosedLoopClient("c0", ClientConfig(payload_bytes=payload_bytes),
+                                  [0], [], stop_at_us=10**9)
+        client._next_request(ctx)
+        (req,) = ctx.sent
+        assert req.request_id == "c0.1.t"
+        assert req.payload == payload_for_rid("c0.1.t") == b"T acct56 acct50 5"
+        assert req.pad == pad
+        assert message_bytes(req) == 48 + max(payload_bytes, 17)
+
+    def test_run_holds_payloads_unpadded(self):
+        sc = load_scenario(builtin_scenario_path("fig14_response_time").read_text())
+        sc.duration_s = 0.5
+        result = run_scenario(sc, protocol="lcr")
+        assert result.verdict.ok, result.verdict.errors
+        held = [e for n in result.sim.nodes.values()
+                for e in [*map(n.log.get, n.log.occupied_above(0)),
+                          *n.stage.pending.values()]
+                if e.request_id]
+        assert held and not [e for e in held if e.payload.endswith(b"\0")]
+        assert any(e.pad for e in held)
 
 
-def _completion(rid, kind, start, end):
-    return Completion(rid=rid, kind=kind, client_id="c0", target=0,
-                      start_us=start, end_us=end, attempts=1)
+class _FakeClientCtx:
+    def __init__(self):
+        self.now = 0
+        self.rng = random.Random(1)
+        self.sent = []
+
+    def send(self, to, msg):
+        self.sent.append(msg)
+
+    def set_timer(self, name, delay):
+        pass
+
+
+def _completion(rid, start, end):
+    return Completion(rid=rid, target=0, start_us=start, end_us=end, attempts=1)
 
 
 class TestRunReport:
     def test_means_and_windows(self):
-        comps = [_completion("c0.1.t", "t", 0, 20_000),
-                 _completion("c0.2.nt", "nt", 20_000, 30_000),
-                 _completion("c0.3.t", "t", 1_000_000, 1_040_000)]
+        comps = [_completion("c0.1.t", 0, 20_000),
+                 _completion("c0.2.nt", 20_000, 30_000),
+                 _completion("c0.3.t", 1_000_000, 1_040_000)]
+        assert [c.kind for c in comps] == ["t", "nt", "t"]
         rep = RunReport.build(2.0, comps, {0: NodeStats()}, TraceCollector())
         assert rep.rt_mean_us["t"] == 30_000
         assert rep.rt_mean_us["nt"] == 10_000
@@ -429,6 +470,23 @@ class TestVerifier:
         lines.insert(3, bad)
         with pytest.raises(ValueError, match="malformed trace line"):
             verify_trace(lines)
+
+    def test_history_code_is_a_small_int(self):
+        # 48 B when the history packed the text of every record
+        assert sys.getsizeof(_pack("NORMAL", "0123456789ab")) <= 32
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("NORMAL", "0123456789ab"), ("FUTURE", "aaa"), ("NOOP_FILL", "-"),
+        ("NORMAL", "0123456789AB"), ("NORMAL", "0x23456789ab"),
+        ("BOGUS", "0123456789ab"), ("FUTURE", "abc\0")])
+    def test_history_code_round_trips(self, kind, digest):
+        assert _record("c0.1.t", _pack(kind, digest)) == ("c0.1.t", kind, digest)
+
+    def test_history_codes_differ_with_their_records(self):
+        pairs = [("NORMAL", "0123456789ab"), ("NORMAL", "0123456789AB"),
+                 ("FUTURE", "0123456789ab"), ("NORMAL", "123456789ab"),
+                 ("NOOP_FILL", "-"), ("CONFIG", "-")]
+        assert len({_pack(k, d) for k, d in pairs}) == len(pairs)
 
     def test_parse_round_trip(self):
         (ev,) = parse_trace(["5,send,0,1,AppendEntriesRequest,152,"])
