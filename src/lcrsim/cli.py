@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import os
+import pathlib
 import sys
 
 from .node import PROTOCOLS
@@ -25,14 +26,13 @@ from .verify import verify_trace
 
 
 def _load(name_or_path: str):
-    if os.path.exists(name_or_path):
-        with open(name_or_path) as fh:
-            return load_scenario(fh)
-    builtin = builtin_scenario_path(name_or_path)
-    if builtin.is_file():
-        return load_scenario(builtin.read_text())
-    raise ScenarioError(
-        f"no scenario '{name_or_path}' (packaged: {', '.join(list_builtin_scenarios())})")
+    path = pathlib.Path(name_or_path)
+    if not path.exists():
+        path = builtin_scenario_path(name_or_path)
+        if not path.is_file():
+            raise ScenarioError(f"no scenario '{name_or_path}' "
+                                f"(packaged: {', '.join(list_builtin_scenarios())})")
+    return load_scenario(path)
 
 
 def _cmd_run(args) -> int:

@@ -16,7 +16,8 @@ rejection rather than a mutation, which keeps replays byte-for-byte equal.
 
 A request id has the form ``<client>.<seq>.<kind>`` (``workload.py`` makes
 them): three non-empty fields, with ``seq`` a positive decimal without
-leading zeros. The request is identified by its ``(client, seq)``.
+leading zeros. The request is identified by its ``(client, seq)``, and only
+this module parses a rid (``client_of_rid`` and ``kind_of_rid`` too).
 At-most-once apply keeps a session per client, as Raft's client sessions do:
 the lowest seq the client has not applied, and the seqs applied above it. A
 client issues its seqs in order and one at a time, so the set stays empty
@@ -42,6 +43,16 @@ def encode_insert(key: str, value: int) -> bytes:
 
 def encode_transfer(src: str, dst: str, amount: int) -> bytes:
     return f"T {src} {dst} {amount}".encode()
+
+
+def kind_of_rid(rid: str) -> str:
+    """The kind, ``t`` or ``nt``, that request id ``rid`` names."""
+    return rid.rpartition(".")[2]
+
+
+def client_of_rid(rid: str) -> str:
+    """The id of the client that sent request ``rid``."""
+    return rid.partition(".")[0]
 
 
 def _request_identity(request_id: str) -> tuple[str, int]:

@@ -26,7 +26,7 @@ class EntryKind(enum.IntEnum):
 class StageOutcome(enum.IntEnum):
     STAGED = 0
     DUPLICATE = 1
-    STALE_GENERATION = 2
+    STALE = 2                  # an older generation or term
     CONFLICT = 3
 
 
@@ -42,11 +42,15 @@ class Entry:
     index: int
     term: int
     kind: EntryKind
-    origin: int = 0            # data-leader id for future/signal kinds
     generation: int = 0        # meaningful for future/signal kinds
     request_id: str = ""
     payload: bytes = b""
     pad: int = 0               # NUL bytes the wire adds after ``payload``
+
+    @property
+    def origin(self) -> int:
+        """A future or signal entry's data-leader: the owner of its index."""
+        return owner_of(self.index, self.generation)
 
     def same_record(self, other: "Entry") -> bool:
         return (self.index == other.index
@@ -125,7 +129,7 @@ class FutureStage:
         if entry.kind != EntryKind.FUTURE:
             raise ValueError("only future entries can be staged")
         if entry.generation < local_generation:
-            return StageOutcome.STALE_GENERATION
+            return StageOutcome.STALE
         held = self.pending.get(entry.index)
         if held is not None:
             if held.same_record(entry):

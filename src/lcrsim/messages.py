@@ -1,8 +1,13 @@
 """Wire records exchanged between nodes and clients.
 
+A record carries only what its receiver cannot work out: the sender is the
+link's (``frm``), a rid names its client and kind (``kv``), a future's
+data-leader owns its index (``Entry.origin``), and a future replication
+carries one future, of the sender's generation.
+
 Sizes on the simulated network are derived from these: a fixed per-message
 header plus a per-entry header plus exact payload bytes (signal and
-no-op-fill entries are header-only), plus a fixed width per index listed in
+no-op-fill entries are header-only), plus a fixed width per index named in
 a response.
 
 A payload is held unpadded, at its information size. A client pads its
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .logcore import ENTRY_HEADER_BYTES, Entry, EntryKind
+from .logcore import ENTRY_HEADER_BYTES, Entry, EntryKind, StageOutcome
 
 MESSAGE_HEADER_BYTES = 48
 INDEX_BYTES = 8
@@ -25,7 +30,6 @@ INDEX_BYTES = 8
 class AppendEntriesRequest:
     term: int
     generation: int
-    leader_id: int
     prev_log_index: int
     prev_log_term: int
     entries: list[Entry]
@@ -56,8 +60,7 @@ class AppendEntriesResponse:
 @dataclass(slots=True)
 class FutureReplicateRequest:
     term: int
-    generation: int
-    future_entries: list[Entry]
+    entry: Entry               # a future of the sender's generation
 
 
 @dataclass(slots=True)
@@ -65,16 +68,13 @@ class FutureReplicateResponse:
     term: int
     generation: int
     from_leader: bool
-    # the futures the responder accepted or already held
-    indices: list[int] = field(default_factory=list)
-    # the futures the responder holds a different record at
-    conflicts: list[int] = field(default_factory=list)
+    index: int                 # the future's; not charged when STALE
+    outcome: StageOutcome
 
 
 @dataclass(slots=True)
 class VoteRequest:
     term: int
-    candidate_id: int
     last_log_index: int
     last_log_term: int
 
@@ -88,9 +88,7 @@ class VoteResponse:
 @dataclass(slots=True)
 class ClientRequest:
     request_id: str
-    kind: str                   # "t" transactional | "nt" non-transactional
     payload: bytes
-    client_id: str
     pad: int = 0                # NUL bytes the wire adds after payload
 
 
@@ -98,7 +96,6 @@ class ClientRequest:
 class ClientResponse:
     request_id: str
     outcome: str                # Ok | Rejected
-    client_id: str              # where a relay passes it on; not charged
 
 
 @dataclass(slots=True)
@@ -133,9 +130,10 @@ def message_bytes(msg) -> int:
     elif isinstance(msg, AppendEntriesResponse):
         size += INDEX_BYTES * len(msg.missing)
     elif isinstance(msg, FutureReplicateRequest):
-        size += _entries_bytes(msg.future_entries)
+        size += _entries_bytes([msg.entry])
     elif isinstance(msg, FutureReplicateResponse):
-        size += INDEX_BYTES * (len(msg.indices) + len(msg.conflicts))
+        if msg.outcome != StageOutcome.STALE:
+            size += INDEX_BYTES
     elif isinstance(msg, ClientRequest):
         size += len(msg.payload) + msg.pad
     elif isinstance(msg, ReconcileResponse):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 
+from .kv import kind_of_rid
 from .workload import Completion
 
 
@@ -49,7 +50,7 @@ class TraceCollector:
         kind, d = ev.kind, ev.detail
         if kind == "ack":
             rid = d["rid"]
-            if (rid.endswith(".nt") and rid not in self._acked
+            if (kind_of_rid(rid) == "nt" and rid not in self._acked
                     and not self._timed(rid)):
                 applied = self._applied.pop(rid, ())
                 if ev.frm in applied:
@@ -58,7 +59,7 @@ class TraceCollector:
                     self._acked[rid] = (ev.time, ev.frm)
         elif kind == "apply":
             rid = d["rid"]
-            if rid.endswith(".nt") and d["dup"] == "0":
+            if kind_of_rid(rid) == "nt" and d["dup"] == "0":
                 ack = self._acked.get(rid)
                 if ack is not None:
                     if ack[1] == ev.frm:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .kv import KvStateMachine
+from .kv import KvStateMachine, client_of_rid, kind_of_rid
 from .logcore import (Entry, EntryKind, FutureStage, NoOpenWindow, StageOutcome,
                       UnifiedLog, allocate_future_index,
                       maintain_windows, owner_of, reallocate_index)
@@ -51,7 +51,6 @@ class NodeConfig:
 @dataclass
 class PendingFuture:
     entry: Entry
-    client_id: str
     acks: set = field(default_factory=set)
     leader_ack: bool = False
     acked: bool = False
@@ -118,7 +117,8 @@ class Node:
         self.pending_by_rid: dict[str, int] = {}
         self.parked_futures: list[PendingFuture] = []
 
-        self.pending_client: dict[str, tuple[str, Optional[int]]] = {}
+        # rid -> the relay to answer through, or None to answer the client
+        self.pending_client: dict[str, Optional[int]] = {}
         self.window_start = 0   # the first open window's start; 0 for none
 
         if self.cfg.protocol == "lcr":
@@ -230,7 +230,7 @@ class Node:
         self.leader_id = None
         self.ctx.trace("elect", detail=f"candidate|term={self.term}")
         self._reset_election_timer()
-        req = VoteRequest(term=self.term, candidate_id=self.id,
+        req = VoteRequest(term=self.term,
                           last_log_index=self.log.last_contiguous_index,
                           last_log_term=self._term_at(self.log.last_contiguous_index))
         for m in self._others():
@@ -238,16 +238,13 @@ class Node:
         if len(self.votes) >= self._majority():
             self._become_leader()
 
-    def _step_down(self, term: int, leader: Optional[int] = None,
-                   reset_timer: bool = True) -> None:
+    def _step_down(self, term: int, reset_timer: bool = True) -> None:
         if term > self.term:
             self.persist.current_term = term
             self.persist.voted_for = None
         if self.role == LEADER:
             self.integrated_at.clear()
         self.role = FOLLOWER
-        if leader is not None:
-            self.leader_id = leader
         if reset_timer:
             self._reset_election_timer()
 
@@ -276,13 +273,13 @@ class Node:
             # so the timer only resets when the vote is actually granted
             self._step_down(req.term, reset_timer=False)
         granted = False
-        if req.term == self.term and self.persist.voted_for in (None, req.candidate_id):
+        if req.term == self.term and self.persist.voted_for in (None, frm):
             mine = (self._term_at(self.log.last_contiguous_index),
                     self.log.last_contiguous_index)
             theirs = (req.last_log_term, req.last_log_index)
             if theirs >= mine:
                 granted = True
-                self.persist.voted_for = req.candidate_id
+                self.persist.voted_for = frm
                 self._reset_election_timer()
         self.ctx.send(frm, VoteResponse(term=self.term, granted=granted))
 
@@ -300,26 +297,25 @@ class Node:
     def handle_client_request(self, req: ClientRequest, via: Optional[int] = None) -> None:
         """Handle ``req`` from its client, or relayed by node ``via``."""
         if self.kv.applied(req.request_id):
-            self._respond(via, ClientResponse(req.request_id, "Ok", req.client_id))
+            self._respond(via, ClientResponse(req.request_id, "Ok"))
             return
         if self.role == LEADER:
             self._leader_accept(req, via)
             return
-        if (req.kind == "nt" and self.cfg.protocol == "lcr"
+        if (kind_of_rid(req.request_id) == "nt" and self.cfg.protocol == "lcr"
                 and self.id in self.membership and self.leader_id is not None):
             self._data_leader_accept(req)
             return
         if self.leader_id is not None and self.leader_id != self.id:
             self.ctx.send(self.leader_id, req)
         else:
-            self._respond(via, ClientResponse(req.request_id, "Rejected",
-                                              req.client_id))
+            self._respond(via, ClientResponse(req.request_id, "Rejected"))
 
     def _leader_accept(self, req: ClientRequest, via: Optional[int]) -> None:
-        if req.request_id in self.pending_client:
-            self.pending_client[req.request_id] = (req.client_id, via)
+        known = req.request_id in self.pending_client
+        self.pending_client[req.request_id] = via
+        if known:
             return
-        self.pending_client[req.request_id] = (req.client_id, via)
         self._append_normal(Entry(index=0, term=self.term, kind=EntryKind.NORMAL,
                                   request_id=req.request_id, payload=req.payload,
                                   pad=req.pad))
@@ -337,10 +333,9 @@ class Node:
             return  # retransmitted request, replication already in flight
         idx = self._allocate()
         if idx is None:
-            self._respond(None, ClientResponse(req.request_id, "Rejected",
-                                               req.client_id))
+            self._respond(None, ClientResponse(req.request_id, "Rejected"))
             return
-        self._stage_own_future(idx, req, req.client_id, retransmit=False)
+        self._stage_own_future(idx, req, retransmit=False)
 
     def _allocate(self) -> Optional[int]:
         try:
@@ -352,20 +347,18 @@ class Node:
             return None
 
     def _stage_own_future(self, idx: int, src: ClientRequest | Entry,
-                          client_id: str, acked: bool = False,
-                          retransmit: bool = True) -> None:
+                          acked: bool = False, retransmit: bool = True) -> None:
         """Stage this node's own future entry at ``idx`` for the request that
         ``src`` carries (the client's request, or a pending future's entry),
         track it until a quorum confirms it, and replicate it to every other
         member."""
         request_id = src.request_id
         entry = Entry(index=idx, term=self.term, kind=EntryKind.FUTURE,
-                      origin=self.id, generation=self.generation,
-                      request_id=request_id, payload=src.payload, pad=src.pad)
+                      generation=self.generation, request_id=request_id,
+                      payload=src.payload, pad=src.pad)
         self.stage.stage(entry, self.generation)
         self.ctx.trace("alloc", detail=f"idx={idx}|gen={self.generation}")
-        p = PendingFuture(entry=entry, client_id=client_id, acks={self.id},
-                          acked=acked)
+        p = PendingFuture(entry=entry, acks={self.id}, acked=acked)
         self.pending_futures[idx] = p
         self.pending_by_rid[request_id] = idx
         self._broadcast_future(p, retransmit=retransmit)
@@ -373,29 +366,26 @@ class Node:
     def _broadcast_future(self, p: PendingFuture, retransmit: bool = False,
                           skip: set | None = None) -> None:
         p.last_sent = self.ctx.now
-        msg_targets = [m for m in self._others() if not skip or m not in skip]
-        for m in msg_targets:
-            self.ctx.send(m, FutureReplicateRequest(
-                term=self.term, generation=self.generation,
-                future_entries=[p.entry]), retransmit=retransmit)
+        msg = FutureReplicateRequest(term=self.term, entry=p.entry)
+        for m in self._others():
+            if not skip or m not in skip:
+                self.ctx.send(m, msg, retransmit=retransmit)
 
     def _respond(self, via: Optional[int], resp: ClientResponse) -> None:
         """Answer the client through the relay ``via``, or directly."""
-        self.ctx.send(resp.client_id if via is None else via, resp)
+        self.ctx.send(client_of_rid(resp.request_id) if via is None else via, resp)
 
     # -- future replication ------------------------------------------------
 
     def handle_future_replicate(self, frm: int, req: FutureReplicateRequest) -> None:
-        accepted_idx, conflicts = [], []
-        current = req.term >= self.term
-        if current:
+        fe = req.entry
+        out = StageOutcome.STALE
+        if req.term >= self.term:
             if req.term > self.term:
                 self._step_down(req.term)
-            if req.generation < self.generation:
-                current = False
-            elif req.generation > self.generation:
-                self._change_generation(req.generation, None)
-        for fe in (req.future_entries if current else []):
+            # fe.generation is the sender's: it drops or restages older futures
+            if fe.generation > self.generation:
+                self._change_generation(fe.generation, None)
             if self.role == LEADER:
                 out = self._integrate_future(fe)
             else:
@@ -403,19 +393,14 @@ class Node:
                 if out == StageOutcome.STAGED:
                     self.ctx.trace("stage", detail=(
                         f"idx={fe.index}|gen={fe.generation}|origin={fe.origin}"))
-            if out in (StageOutcome.STAGED, StageOutcome.DUPLICATE):
-                accepted_idx.append(fe.index)
-            elif out == StageOutcome.CONFLICT:
-                conflicts.append(fe.index)
         self.ctx.send(frm, FutureReplicateResponse(
             term=self.term, generation=self.generation,
-            from_leader=self.role == LEADER, indices=accepted_idx,
-            conflicts=conflicts))
+            from_leader=self.role == LEADER, index=fe.index, outcome=out))
 
     def _integrate_future(self, fe: Entry) -> StageOutcome:
         """Leader-side: adopt a future entry at its claimed index."""
         if fe.generation < self.generation:
-            return StageOutcome.STALE_GENERATION
+            return StageOutcome.STALE
         existing = self.log.get(fe.index)
         if existing is not None:
             return (StageOutcome.DUPLICATE if existing.same_record(fe)
@@ -446,21 +431,18 @@ class Node:
         if resp.generation > self.generation:
             self._change_generation(resp.generation, None)
             return
-        if resp.from_leader:
-            # only the futures the leader rejected move; the others keep
-            # their index, which the leader may already have logged
-            for idx in resp.conflicts:
-                p = self.pending_futures.get(idx)
-                if p and not p.acked and self.log.get(idx) is None:
-                    self._reallocate_pending(idx)
-        for idx in resp.indices:
-            p = self.pending_futures.get(idx)
-            if p is None:
-                continue
-            p.acks.add(frm)
-            if resp.from_leader:
-                p.leader_ack = True
-            self._check_future_ack(p)
+        p = self.pending_futures.get(resp.index)
+        if p is None or resp.outcome == StageOutcome.STALE:
+            return
+        if resp.outcome == StageOutcome.CONFLICT:
+            # only a future the leader rejects moves; the others keep their
+            # index, which the leader may already have logged
+            if resp.from_leader and not p.acked and self.log.get(resp.index) is None:
+                self._reallocate_pending(resp.index)
+            return
+        p.acks.add(frm)
+        p.leader_ack |= resp.from_leader
+        self._check_future_ack(p)
 
     def _check_future_ack(self, p: PendingFuture) -> None:
         if p.acked or not p.leader_ack:
@@ -472,7 +454,7 @@ class Node:
         p.acked = True
         self.ctx.trace("ack", detail=(
             f"rid={p.entry.request_id}|path=nt|idx={idx}"))
-        self._respond(None, ClientResponse(p.entry.request_id, "Ok", p.client_id))
+        self._respond(None, ClientResponse(p.entry.request_id, "Ok"))
 
     def _reallocate_pending(self, old_idx: int) -> None:
         p = self.pending_futures.pop(old_idx, None)
@@ -487,7 +469,7 @@ class Node:
         if idx is None:
             self.parked_futures.append(p)
         else:
-            self._stage_own_future(idx, p.entry, p.client_id, acked=p.acked)
+            self._stage_own_future(idx, p.entry, acked=p.acked)
 
     # -- generation change -------------------------------------------------
 
@@ -520,7 +502,7 @@ class Node:
         for idx, p in own:
             self.pending_futures.pop(idx, None)
             self._stage_own_future(reallocate_index(idx, old_gen, new_gen, self.id),
-                                   p.entry, p.client_id, acked=p.acked)
+                                   p.entry, acked=p.acked)
 
     def request_membership_change(self, new_size: int) -> None:
         """Leader-side admin entry point: grow the cluster one server at a time."""
@@ -563,7 +545,7 @@ class Node:
             if e.kind == EntryKind.FUTURE:
                 if p.future_ack >= i and i not in p.force_full:
                     out.append(Entry(index=i, term=e.term, kind=EntryKind.SIGNAL,
-                                     origin=e.origin, generation=e.generation))
+                                     generation=e.generation))
                     continue
             out.append(e)
         return out
@@ -578,7 +560,7 @@ class Node:
         entries = self._package(p, start, end)
         p.sent += 1
         req = AppendEntriesRequest(
-            term=self.term, generation=self.generation, leader_id=self.id,
+            term=self.term, generation=self.generation,
             prev_log_index=start - 1, prev_log_term=self._term_at(start - 1),
             entries=entries, leader_commit=self.commit_index, seq=p.sent)
         retransmit = end >= start and start <= p.max_sent
@@ -684,8 +666,8 @@ class Node:
                 seq=req.seq, prefix_ok=False))
             return
         if req.term > self.term or self.role != FOLLOWER:
-            self._step_down(req.term, leader=req.leader_id)
-        self.leader_id = req.leader_id
+            self._step_down(req.term)
+        self.leader_id = frm
         self._reset_election_timer()
         if req.generation > self.generation:
             self._change_generation(req.generation, None)
@@ -713,7 +695,6 @@ class Node:
                 if e.kind == EntryKind.SIGNAL:
                     # an already-resolved future satisfies its signal
                     if existing.kind == EntryKind.FUTURE \
-                            and existing.origin == e.origin \
                             and existing.generation == e.generation:
                         continue
                 elif existing.request_id == e.request_id:
@@ -772,7 +753,8 @@ class Node:
 
     def handle_reconcile_request(self, frm: int, req: ReconcileRequest) -> None:
         if req.term > self.term:
-            self._step_down(req.term, leader=frm)
+            self._step_down(req.term)
+            self.leader_id = frm
         self.ctx.send(frm, ReconcileResponse(
             term=self.term, entries=list(self.stage.pending.values())))
 
@@ -804,12 +786,12 @@ class Node:
                 f"idx={i}|rid={e.request_id}|kind={e.kind.name}"
                 f"|digest={KvStateMachine.payload_digest(e.payload, e.pad)}"
                 f"|dup={int(dup)}"))
-            route = self.pending_client.pop(e.request_id, None)
-            if route is not None and self.role == LEADER:
-                client_id, via = route
-                self.ctx.trace("ack", detail=(
-                    f"rid={e.request_id}|path=t|idx={i}"))
-                self._respond(via, ClientResponse(e.request_id, "Ok", client_id))
+            if e.request_id in self.pending_client:
+                via = self.pending_client.pop(e.request_id)
+                if self.role == LEADER:
+                    self.ctx.trace("ack", detail=(
+                        f"rid={e.request_id}|path=t|idx={i}"))
+                    self._respond(via, ClientResponse(e.request_id, "Ok"))
             pidx = self.pending_by_rid.pop(e.request_id, None)
             if pidx is not None:
                 p = self.pending_futures.pop(pidx, None)
@@ -822,9 +804,9 @@ class Node:
     _HANDLERS = {
         # the sender of a request is its relay, unless it is the client
         ClientRequest: lambda n, frm, m: n.handle_client_request(
-            m, via=None if frm == m.client_id else frm),
+            m, via=None if frm == client_of_rid(m.request_id) else frm),
         # a relay passes the answer on unchanged
-        ClientResponse: lambda n, frm, m: n.ctx.send(m.client_id, m),
+        ClientResponse: lambda n, frm, m: n.ctx.send(client_of_rid(m.request_id), m),
         AppendEntriesRequest: handle_append_entries,
         AppendEntriesResponse: handle_append_response,
         FutureReplicateRequest: handle_future_replicate,

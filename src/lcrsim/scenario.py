@@ -9,6 +9,7 @@ each key sets, how its value converts and what bounds it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import ClassVar
@@ -176,8 +177,10 @@ def with_node_latency(sc: Scenario, mean_ms) -> Scenario:
 def load_scenario(source) -> Scenario:
     """Parse a scenario from a YAML string, path, or open file.
 
-    Anything that is not a valid scenario raises ScenarioError."""
-    if isinstance(source, str) and "\n" not in source and source.endswith((".yaml", ".yml")):
+    A path is an ``os.PathLike`` or a one-line string ending in ``.yaml`` or
+    ``.yml``. Anything that is not a valid scenario raises ScenarioError."""
+    if isinstance(source, os.PathLike) or (isinstance(source, str) and "\n" not in source
+                                           and source.endswith((".yaml", ".yml"))):
         with open(source) as fh:
             return load_scenario(fh)
     try:
@@ -216,11 +219,16 @@ def _build(raw) -> Scenario:
             _value(f["time_s"], "faults[].time_s", _finite, (0,)), f["action"], node))
     for m in raw.get("membership_changes", []) or []:
         _take(m, "membership_changes[]", {"time_s", "new_size"}, all_required=True)
-        size = _value(m["new_size"], "membership_changes[].new_size", int)
-        if size > sc.nodes:
-            raise ScenarioError(f"membership change to {size} exceeds {sc.nodes} nodes")
         sc.membership_changes.append(MembershipChange(
-            _value(m["time_s"], "membership_changes[].time_s", _finite, (0,)), size))
+            _value(m["time_s"], "membership_changes[].time_s", _finite, (0,)),
+            _value(m["new_size"], "membership_changes[].new_size", int)))
+    # a change only grows the cluster: one that does not would do nothing
+    size = sc.nodes if sc.initial_members is None else sc.initial_members
+    for m in sorted(sc.membership_changes, key=lambda m: m.time_s):
+        if not size < m.new_size <= sc.nodes:
+            raise ScenarioError(f"membership change at {m.time_s:g} s to {m.new_size} "
+                                f"must grow {size} members to at most {sc.nodes} nodes")
+        size = m.new_size
     return sc
 
 

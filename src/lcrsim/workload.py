@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .kv import encode_insert, encode_transfer
+from .kv import encode_insert, encode_transfer, kind_of_rid
 from .messages import ClientRequest
 
 ACCOUNT_POOL = 64
@@ -19,10 +19,6 @@ REJECT_BLACKLIST_US = 500_000
 BACKOFF_MIN_US = 50_000
 BACKOFF_MAX_US = 100_000
 START_SPREAD_US = 10_000
-
-
-def kind_of_rid(rid: str) -> str:
-    return rid.rsplit(".", 1)[1]
 
 
 def payload_for_rid(rid: str) -> bytes:
@@ -67,7 +63,6 @@ class ClosedLoopClient:
         self.completions = completions
         self.seq = 0
         self.current_rid: str | None = None
-        self.current_kind = ""
         self.current_target = -1
         self.start_us = 0
         self.attempts = 0
@@ -92,7 +87,6 @@ class ClosedLoopClient:
         self.seq += 1
         kind = "nt" if ctx.rng.random() < self.cfg.nt_ratio else "t"
         self.current_rid = f"{self.client_id}.{self.seq}.{kind}"
-        self.current_kind = kind
         self.start_us = ctx.now
         self.attempts = 0
         self._send(ctx)
@@ -105,8 +99,7 @@ class ClosedLoopClient:
         self.current_target = self._pick_target(ctx)
         payload = payload_for_rid(self.current_rid)
         ctx.send(self.current_target, ClientRequest(
-            request_id=self.current_rid, kind=self.current_kind,
-            payload=payload, client_id=self.client_id,
+            request_id=self.current_rid, payload=payload,
             pad=max(0, self.cfg.payload_bytes - len(payload))))
         self.timeout_at = ctx.now + self.cfg.request_timeout_us
         ctx.set_timer("timeout", self.cfg.request_timeout_us)

@@ -1,6 +1,7 @@
 """Run the leader-fault fuzz over a range of seeds, in both protocol modes.
 
     PYTHONPATH=src python tests/fuzz_sweep.py 1 400 --jobs 2 --digests d.txt
+    PYTHONPATH=src python tests/fuzz_sweep.py --pinned --jobs 2 --digests d.txt
 
 Each seed's scenario comes from ``fuzz_case`` in ``test_leader_faults.py``
 and runs with the same 1.2 s drain as the pinned fuzz tests. Every failing
@@ -16,10 +17,17 @@ A shape says where the acked rid R sits at the end of the run:
   a majority;
 - ``lost``: logged by no node.
 
+``--pinned`` runs the pinned scenario set in place of the fuzz: fig14,
+fig18, failover and gen_change at full length with the packaged 2 s drain,
+at seeds 1 and 101, in both modes (16 runs). Their lines are keyed by
+scenario, seed and protocol, so a refactor's byte-identity claim over the
+pinned set is one ``--pinned --against FILE``.
+
 ``--digests FILE`` also writes one line per run,
-``seed protocol outputs metrics verdict``: the sha256 of ``trace.txt``
-followed by ``metrics.csv``, the sha256 of ``metrics.csv`` alone, and the
-verdict (``ok``, or the failed checks joined by commas).
+``seed protocol outputs metrics verdict`` (``scenario seed protocol ...``
+with ``--pinned``): the sha256 of ``trace.txt`` followed by ``metrics.csv``,
+the sha256 of ``metrics.csv`` alone, and the verdict (``ok``, or the failed
+checks joined by commas).
 
 ``--against FILE`` compares each run with its line in FILE, a ``--digests``
 file written by another tree. After the summary it prints how many runs'
@@ -44,6 +52,10 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from test_leader_faults import _scenario, fuzz_case  # noqa: E402
 from lcrsim.node import PROTOCOLS  # noqa: E402
 from lcrsim.runner import run_scenario, write_outputs  # noqa: E402
+from lcrsim.scenario import builtin_scenario_path, load_scenario  # noqa: E402
+
+PINNED = ("fig14_response_time", "fig18_traffic", "fig15_failover", "gen_change")
+PINNED_SEEDS = (1, 101)
 
 
 def output_digests(result) -> str:
@@ -82,41 +94,58 @@ def failure_shapes(result) -> list[str]:
     return sorted(shapes)
 
 
-def run_one(job: tuple[int, str, bool]
-            ) -> tuple[int, str, list[str], str, list[str], str]:
-    """(seed, protocol, failed checks, least error message, failure shapes,
-    output digests or "") for one run."""
-    seed, protocol, digest = job
-    result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
-                          drain_s=1.2)
+def run_one(job: tuple[tuple, str, bool]
+            ) -> tuple[tuple, str, list[str], str, list[str], str]:
+    """(key, protocol, failed checks, least error message, failure shapes,
+    output digests or "") for one run. The key is ``(seed,)`` for a fuzz
+    case and ``(scenario, seed)`` for a pinned run."""
+    key, protocol, digest = job
+    if len(key) == 1:
+        result = run_scenario(_scenario(key[0], fuzz_case(key[0])),
+                              protocol=protocol, drain_s=1.2)
+    else:
+        # read as text, as every tree's loader takes it, so that a tree
+        # from before paths were accepted can write the --against file
+        text = builtin_scenario_path(key[0]).read_text()
+        result = run_scenario(load_scenario(text), seed=key[1], protocol=protocol)
     verdict = result.verdict
     failed = sorted(name for name, ok in verdict.checks.items() if not ok)
-    return (seed, protocol, failed, min(verdict.errors, default=""),
+    return (key, protocol, failed, min(verdict.errors, default=""),
             failure_shapes(result), output_digests(result) if digest else "")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("first", type=int, help="first seed")
-    ap.add_argument("last", type=int, help="last seed, inclusive")
+    ap.add_argument("first", type=int, nargs="?", help="first seed")
+    ap.add_argument("last", type=int, nargs="?", help="last seed, inclusive")
+    ap.add_argument("--pinned", action="store_true",
+                    help="run the pinned scenario set, not fuzz seeds")
     ap.add_argument("--protocol", choices=PROTOCOLS, action="append",
                     help="one mode only (repeatable); both by default")
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes (default 1)")
     ap.add_argument("--digests", metavar="FILE",
                     help="write 'seed protocol outputs metrics verdict' "
-                         "per run to FILE")
+                         "per run to FILE, scenario first with --pinned")
     ap.add_argument("--against", metavar="FILE",
                     help="compare every run with its line in FILE, a "
                          "--digests file of another tree")
     args = ap.parse_args(argv)
-    if args.last < args.first or args.jobs < 1:
-        ap.error("need first <= last and --jobs >= 1")
+    if args.pinned:
+        if args.first is not None:
+            ap.error("--pinned takes no seeds")
+    elif args.last is None or args.last < args.first:
+        ap.error("need first and last seeds, first <= last, or --pinned")
+    if args.jobs < 1:
+        ap.error("need --jobs >= 1")
 
     protocols = args.protocol or list(PROTOCOLS)
     theirs = read_digests(args.against) if args.against else None
-    jobs = [(s, p, bool(args.digests or args.against))
-            for s in range(args.first, args.last + 1) for p in protocols]
+    keys = ([(name, seed) for name in PINNED for seed in PINNED_SEEDS]
+            if args.pinned else
+            [(seed,) for seed in range(args.first, args.last + 1)])
+    jobs = [(k, p, bool(args.digests or args.against))
+            for k in keys for p in protocols]
     failures = {p: [] for p in protocols}
     shape_counts = {p: Counter() for p in protocols}
     mine = {}
@@ -128,16 +157,18 @@ def main(argv=None) -> int:
         results = pool.imap(run_one, jobs)
     digests = open(args.digests, "w") if args.digests else None
     try:
-        for seed, protocol, failed, error, shapes, digest in results:
+        for key, protocol, failed, error, shapes, digest in results:
             verdict = ",".join(failed) or "ok"
+            run = " ".join(map(str, key))
             if digests:
-                digests.write(f"{seed} {protocol} {digest} {verdict}\n")
+                digests.write(f"{run} {protocol} {digest} {verdict}\n")
             if theirs is not None:
-                mine[(seed, protocol)] = (*digest.split(), verdict)
+                mine[(*map(str, key), protocol)] = (*digest.split(), verdict)
             if failed:
-                failures[protocol].append(seed)
+                failures[protocol].append(run)
                 shape_counts[protocol].update(shapes)
-                print(f"seed {seed} {protocol}: {','.join(failed)}: {error}"
+                print(f"{'' if args.pinned else 'seed '}{run} {protocol}: "
+                      f"{','.join(failed)}: {error}"
                       + (f" [{','.join(shapes)}]" if shapes else ""),
                       flush=True)
     finally:
@@ -146,12 +177,12 @@ def main(argv=None) -> int:
         if pool is not None:
             pool.close()
             pool.join()
-    n = args.last - args.first + 1
+    runs = "runs" if args.pinned else "seeds"
     for protocol in protocols:
-        seeds = failures[protocol]
+        failed = failures[protocol]
         shapes = shape_counts[protocol]
-        print(f"{protocol}: {len(seeds)} of {n} seeds fail"
-              + (f": {' '.join(map(str, seeds))}" if seeds else "")
+        print(f"{protocol}: {len(failed)} of {len(keys)} {runs} fail"
+              + (f": {', '.join(failed)}" if failed else "")
               + (f"; shapes: {', '.join(f'{k} {shapes[k]}' for k in sorted(shapes))}"
                  if shapes else ""))
     if theirs is not None:
@@ -160,15 +191,16 @@ def main(argv=None) -> int:
 
 
 def read_digests(path: str) -> dict:
-    """(seed, protocol) -> (outputs, metrics, verdict) from a --digests file."""
+    """The run's key fields, ``seed protocol`` or ``scenario seed
+    protocol``, -> (outputs, metrics, verdict) from a --digests file."""
     with open(path) as fh:
-        return {(int(seed), protocol): tuple(rest)
-                for seed, protocol, *rest in map(str.split, fh)}
+        return {tuple(fields[:-3]): tuple(fields[-3:])
+                for fields in map(str.split, fh)}
 
 
 def compare(mine: dict, theirs: dict, path: str) -> bool:
     """Print what moved against ``theirs``; True when a verdict moved."""
-    both = sorted(k for k in mine if k in theirs)
+    both = [k for k in mine if k in theirs]
     outputs = [k for k in both if mine[k][0] != theirs[k][0]]
     metrics = [k for k in both if mine[k][1] != theirs[k][1]]
     verdicts = [k for k in both if mine[k][2] != theirs[k][2]]
@@ -176,10 +208,10 @@ def compare(mine: dict, theirs: dict, path: str) -> bool:
           + (f"; {len(mine) - len(both)} runs not in it"
              if len(both) < len(mine) else ""))
     print("metrics moved: "
-          + (" ".join(f"{s} {p}" for s, p in metrics) or "none"))
+          + (", ".join(" ".join(k) for k in metrics) or "none"))
     print("verdict moved: "
-          + (", ".join(f"{s} {p} {theirs[(s, p)][2]} -> {mine[(s, p)][2]}"
-                       for s, p in verdicts) or "none"))
+          + (", ".join(f"{' '.join(k)} {theirs[k][2]} -> {mine[k][2]}"
+                       for k in verdicts) or "none"))
     return bool(verdicts)
 
 

@@ -12,10 +12,8 @@ from lcrsim.logcore import (CommittedMutation, Entry, EntryKind, FutureStage,
                             reallocate_index)
 
 
-def fe(index, gen=5, origin=None, rid="r", term=1):
-    if origin is None:
-        origin = index % gen
-    return Entry(index=index, term=term, kind=EntryKind.FUTURE, origin=origin,
+def fe(index, gen=5, rid="r", term=1):
+    return Entry(index=index, term=term, kind=EntryKind.FUTURE,
                  generation=gen, request_id=rid)
 
 
@@ -105,6 +103,9 @@ class TestOwner:
         assert owner_of(15, 5) == 0
         assert owner_of(23, 7) == 2
 
+    def test_entry_origin_is_the_owner_of_its_index(self):
+        assert fe(17).origin == 2 and fe(22, gen=3).origin == 1
+
     def test_rejects_bad_generation(self):
         with pytest.raises(ValueError):
             owner_of(10, 0)
@@ -154,7 +155,7 @@ class TestFutureStage:
         e = fe(17)
         assert s.stage(e, 5) == StageOutcome.STAGED
         assert s.stage(fe(17), 5) == StageOutcome.DUPLICATE
-        assert s.stage(fe(12, gen=3, origin=0), 5) == StageOutcome.STALE_GENERATION
+        assert s.stage(fe(12, gen=3), 5) == StageOutcome.STALE
         assert s.stage(fe(17, rid="other"), 5) == StageOutcome.CONFLICT
         assert s.max_index_seen == 17
 
@@ -197,7 +198,7 @@ class TestUnifiedLog:
 
     def test_gap_fills_in(self):
         log = UnifiedLog()
-        log.append(fe(2, gen=2, origin=0))
+        log.append(fe(2, gen=2))
         for i in (1, 3):
             log.append(Entry(index=i, term=1, kind=EntryKind.NORMAL))
         assert log.last_contiguous_index == 3

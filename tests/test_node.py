@@ -8,7 +8,7 @@ from lcrsim.logcore import Entry, EntryKind, StageOutcome
 from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
                              ClientRequest, ClientResponse,
                              FutureReplicateRequest, FutureReplicateResponse,
-                             ReconcileResponse, VoteRequest)
+                             ReconcileResponse, VoteRequest, message_bytes)
 from lcrsim.node import (FOLLOWER, LEADER, MAX_FLYING, Node, NodeConfig,
                          PersistentState)
 
@@ -77,7 +77,7 @@ def make_new_leader(last):
 def append_req(prev, last, seq):
     """A term-1 append of no-op fills ``prev + 1``..``last`` after ``prev``."""
     return AppendEntriesRequest(
-        term=1, generation=5, leader_id=0, prev_log_index=prev,
+        term=1, generation=5, prev_log_index=prev,
         prev_log_term=1 if prev else 0, leader_commit=0, seq=seq,
         entries=[Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
                  for i in range(prev + 1, last + 1)])
@@ -98,9 +98,8 @@ def appends_to(ctx, f):
             if to == f and isinstance(m, AppendEntriesRequest)]
 
 
-def creq(rid="c0.1.t", kind="t", payload=b"T a b 1"):
-    return ClientRequest(request_id=rid, kind=kind, payload=payload,
-                         client_id=rid.split(".")[0])
+def creq(rid="c0.1.t", payload=b"T a b 1"):
+    return ClientRequest(request_id=rid, payload=payload)
 
 
 def ack_everything(leader, ctx, followers=(1, 2, 3, 4)):
@@ -147,7 +146,7 @@ class TestLeaderClientPath:
     def test_normal_entries_fill_below_held_future(self):
         n, ctx = make_leader()
         n._integrate_future(Entry(index=7, term=1, kind=EntryKind.FUTURE,
-                                  origin=2, generation=5, request_id="x.1.nt"))
+                                  generation=5, request_id="x.1.nt"))
         start = n.log.last_contiguous_index
         n.handle_client_request(creq())
         assert n.log.last_contiguous_index == start + 1
@@ -173,20 +172,24 @@ class TestRelay:
         n.on_message(2, creq())
         ack_everything(n, ctx, followers=(1, 2))
         assert [(to, m) for to, m in ctx.sent if isinstance(m, ClientResponse)] \
-            == [(2, ClientResponse("c0.1.t", "Ok", client_id="c0"))]
+            == [(2, ClientResponse("c0.1.t", "Ok"))]
 
     def test_relay_passes_the_answer_on(self):
         n, ctx = make_follower(node_id=2)
-        resp = ClientResponse("c0.1.t", "Ok", client_id="c0")
+        resp = ClientResponse("c0.1.t", "Ok")
         n.on_message(0, resp)
         assert ctx.sent == [("c0", resp)] and ctx.sent[0][1] is resp
+
+    def test_relay_reads_the_client_from_the_rid(self):
+        n, ctx = make_follower(node_id=2)
+        n.on_message(0, ClientResponse("c7.3.t", "Ok"))
+        assert [to for to, _ in ctx.sent] == ["c7"]
 
     def test_node_without_leader_rejects_through_the_relay(self):
         n, ctx = make_follower(node_id=3)
         n.leader_id = None
         n.on_message(2, creq())
-        assert ctx.sent == [(2, ClientResponse("c0.1.t", "Rejected",
-                                               client_id="c0"))]
+        assert ctx.sent == [(2, ClientResponse("c0.1.t", "Rejected"))]
 
     def test_repeated_rid_answers_the_latest_route(self):
         # the client timed out at relay 2 and retried at relay 3
@@ -202,7 +205,7 @@ class TestRelay:
 class TestFutureReplication:
     def test_data_leader_allocates_and_broadcasts(self):
         n, ctx = make_follower()
-        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
         assert len(n.stage.pending) == 1
         (idx,) = n.stage.pending
         assert idx % 5 == 2
@@ -214,12 +217,12 @@ class TestFutureReplication:
 
     def test_ack_requires_leader_and_majority(self):
         n, ctx = make_follower()
-        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
         (idx,) = n.stage.pending
         def resp(from_leader):
             return FutureReplicateResponse(
                 term=n.term, generation=5,
-                from_leader=from_leader, indices=[idx])
+                from_leader=from_leader, index=idx, outcome=StageOutcome.STAGED)
         n.handle_future_ack(1, resp(False))
         assert not client_answers(ctx)        # majority but no leader ack
         n.handle_future_ack(0, resp(True))
@@ -227,21 +230,21 @@ class TestFutureReplication:
 
     def test_follower_stages_and_accepts(self):
         n, ctx = make_follower(node_id=3)
-        fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n.handle_future_replicate(2, FutureReplicateRequest(
-            term=n.term, generation=5, future_entries=[fe]))
+            term=n.term, entry=fe))
         ((to, resp),) = ctx.take_sent()
         assert to == 2 and not resp.from_leader
-        assert resp.indices == [17] and resp.conflicts == []
+        assert (resp.index, resp.outcome) == (17, StageOutcome.STAGED)
         assert n.stage.peek(17) is not None
 
     def test_leader_integrates_future(self):
         n, ctx = make_leader()
-        fe = Entry(index=17, term=n.term - 1, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=17, term=n.term - 1, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n.handle_future_replicate(2, FutureReplicateRequest(
-            term=n.term, generation=5, future_entries=[fe]))
+            term=n.term, entry=fe))
         got = n.log.get(17)
         assert (got.index, got.kind, got.origin, got.generation, got.request_id,
                 got.payload) == (17, EntryKind.FUTURE, 2, 5, "c9.1.nt", b"I k 1")
@@ -249,51 +252,79 @@ class TestFutureReplication:
         assert got.term == n.term and fe.term == n.term - 1
         resp = [m for to, m in ctx.sent
                 if isinstance(m, FutureReplicateResponse)][0]
-        assert resp.indices == [17] and resp.conflicts == [] and resp.from_leader
+        assert (resp.index, resp.outcome) == (17, StageOutcome.STAGED)
+        assert resp.from_leader
 
     def test_leader_rejects_conflicting_future(self):
         n, ctx = make_leader()
         occupied = n.log.occupied_above(0)[-1]
-        fe = Entry(index=occupied, term=n.term, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=occupied, term=n.term, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt")
         assert n._integrate_future(fe) == StageOutcome.CONFLICT
         n.handle_future_replicate(2, FutureReplicateRequest(
-            term=n.term, generation=5, future_entries=[fe]))
+            term=n.term, entry=fe))
         ((to, resp),) = ctx.take_sent()
         assert to == 2 and resp.from_leader
-        assert resp.indices == [] and resp.conflicts == [occupied]
+        assert (resp.index, resp.outcome) == (occupied, StageOutcome.CONFLICT)
 
     def test_leader_conflict_moves_only_the_rejected_future(self):
         n, ctx = make_follower(node_id=2)
-        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
-        n.handle_client_request(creq("c3.1.nt", kind="nt", payload=b"I j 2"))
+        n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c3.1.nt", payload=b"I j 2"))
         kept, rejected = n.pending_by_rid["c1.1.nt"], n.pending_by_rid["c3.1.nt"]
         staged = n.stage.peek(kept)
         ctx.take_sent()
         n.handle_future_ack(0, FutureReplicateResponse(
-            term=n.term, generation=5, from_leader=True, conflicts=[rejected]))
+            term=n.term, generation=5, from_leader=True, index=rejected,
+            outcome=StageOutcome.CONFLICT))
         # the rejected future moves to a fresh index and is sent again
         moved = n.pending_by_rid["c3.1.nt"]
         assert moved > rejected and moved % 5 == 2
         assert rejected not in n.pending_futures and n.stage.peek(rejected) is None
-        assert {m.future_entries[0].index for _, m in ctx.take_sent()
+        assert {m.entry.index for _, m in ctx.take_sent()
                 if isinstance(m, FutureReplicateRequest)} == {moved}
         # the other keeps its index and staged entry, and completes on acks
         assert n.pending_by_rid["c1.1.nt"] == kept
         assert n.stage.peek(kept) is staged
         for frm in (0, 1):
             n.handle_future_ack(frm, FutureReplicateResponse(
-                term=n.term, generation=5, from_leader=frm == 0, indices=[kept]))
+                term=n.term, generation=5, from_leader=frm == 0, index=kept,
+                outcome=StageOutcome.STAGED))
         assert client_answers(ctx) == [("c1", "Ok")]
 
     def test_stale_generation_rejected(self):
         n, ctx = make_follower(node_id=3)
-        fe = Entry(index=8, term=n.term, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=8, term=n.term, kind=EntryKind.FUTURE,
                    generation=3, request_id="c9.1.nt")
         n.handle_future_replicate(2, FutureReplicateRequest(
-            term=n.term, generation=5, future_entries=[fe]))
+            term=n.term, entry=fe))
         ((_, resp),) = ctx.take_sent()
-        assert resp.indices == [] and resp.conflicts == []
+        assert (resp.index, resp.outcome) == (8, StageOutcome.STALE)
+        assert n.stage.peek(8) is None
+
+    def test_leader_answers_an_older_generation_stale(self):
+        n, ctx = make_leader()
+        fe = Entry(index=8, term=n.term, kind=EntryKind.FUTURE,
+                   generation=3, request_id="c9.1.nt", payload=b"I k 1")
+        n.handle_future_replicate(2, FutureReplicateRequest(term=n.term, entry=fe))
+        ((to, resp),) = ctx.take_sent()
+        assert (to, resp.index, resp.outcome) == (2, 8, StageOutcome.STALE)
+        assert message_bytes(resp) == 48
+        assert n.log.get(8) is None and 8 not in n.integrated_at
+
+    def test_follower_learns_a_newer_generation_from_a_future(self):
+        ctx = FakeCtx()
+        n = Node(1, [0, 1, 2], NodeConfig(), ctx)
+        n.leader_id = 0
+        fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE,
+                   generation=5, request_id="c9.1.nt", payload=b"I k 1")
+        n.handle_future_replicate(2, FutureReplicateRequest(term=n.term, entry=fe))
+        assert n.generation == 5 and n.stage.peek(17) is fe
+        ((to, resp),) = ctx.take_sent()
+        assert (to, resp.generation, resp.index, resp.outcome) == \
+            (2, 5, 17, StageOutcome.STAGED)
+        assert [k for k, _ in ctx.traced if k in ("generation", "stage")] == \
+            ["generation", "stage"]
 
 
 class TestEntrySharing:
@@ -301,14 +332,14 @@ class TestEntrySharing:
     as a copy under a newer one; logged entries are never written to."""
 
     def _staged(self, term):
-        return Entry(index=2, term=term, kind=EntryKind.FUTURE, origin=2,
+        return Entry(index=2, term=term, kind=EntryKind.FUTURE,
                      generation=5, request_id="c9.1.nt", payload=b"I k 1")
 
     def _signal(self, n, term):
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=term, generation=5, leader_id=0, prev_log_index=1,
+            term=term, generation=5, prev_log_index=1,
             prev_log_term=1, leader_commit=0, seq=2,
-            entries=[Entry(index=2, term=term, kind=EntryKind.SIGNAL, origin=2,
+            entries=[Entry(index=2, term=term, kind=EntryKind.SIGNAL,
                            generation=5)]))
 
     def test_leader_logs_staged_entry_under_same_term(self):
@@ -345,7 +376,7 @@ class TestEntrySharing:
 class TestSignalFlow:
     def _integrated_leader(self):
         n, ctx = make_leader()
-        fe = Entry(index=2, term=n.term, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=2, term=n.term, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n._integrate_future(fe)
         return n, ctx, fe
@@ -365,12 +396,12 @@ class TestSignalFlow:
 
     def test_follower_resolves_signal(self):
         n, ctx = make_follower(node_id=3)
-        fe = Entry(index=1, term=1, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=1, term=1, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n.stage.stage(fe, 5)
-        sig = Entry(index=1, term=1, kind=EntryKind.SIGNAL, origin=2, generation=5)
+        sig = Entry(index=1, term=1, kind=EntryKind.SIGNAL, generation=5)
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=1, generation=5, leader_id=0, prev_log_index=0,
+            term=1, generation=5, prev_log_index=0,
             prev_log_term=0, entries=[sig], leader_commit=0, seq=1))
         resp = [m for _, m in ctx.take_sent()
                 if isinstance(m, AppendEntriesResponse)][0]
@@ -381,9 +412,9 @@ class TestSignalFlow:
 
     def test_signal_miss_reports_previous_index(self):
         n, ctx = make_follower(node_id=3)
-        sig = Entry(index=1, term=1, kind=EntryKind.SIGNAL, origin=2, generation=5)
+        sig = Entry(index=1, term=1, kind=EntryKind.SIGNAL, generation=5)
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=1, generation=5, leader_id=0, prev_log_index=0,
+            term=1, generation=5, prev_log_index=0,
             prev_log_term=0, entries=[sig], leader_commit=0, seq=1))
         resp = [m for _, m in ctx.take_sent()
                 if isinstance(m, AppendEntriesResponse)][0]
@@ -408,12 +439,12 @@ class TestSignalFlow:
 
     def test_signal_miss_lists_every_missing_signal(self):
         n, ctx = make_follower(node_id=3)
-        n.stage.stage(Entry(index=2, term=1, kind=EntryKind.FUTURE, origin=2,
+        n.stage.stage(Entry(index=2, term=1, kind=EntryKind.FUTURE,
                             generation=5, request_id="c9.2.nt"), 5)
-        sigs = [Entry(index=i, term=1, kind=EntryKind.SIGNAL, origin=i,
+        sigs = [Entry(index=i, term=1, kind=EntryKind.SIGNAL,
                       generation=5) for i in (1, 2, 3)]
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=1, generation=5, leader_id=0, prev_log_index=0,
+            term=1, generation=5, prev_log_index=0,
             prev_log_term=0, entries=sigs, leader_commit=0, seq=1))
         (resp,) = responses(ctx)
         assert not resp.success and resp.prefix_ok
@@ -426,9 +457,9 @@ class TestSignalFlow:
         # there cannot be resolved, so the stale entry is not part of the
         # prefix this request verified, and it must not be applied
         n, ctx = make_follower(node_id=3, persist=noop_log(2))
-        sig = Entry(index=2, term=2, kind=EntryKind.SIGNAL, origin=2, generation=5)
+        sig = Entry(index=2, term=2, kind=EntryKind.SIGNAL, generation=5)
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=2, generation=5, leader_id=0, prev_log_index=1,
+            term=2, generation=5, prev_log_index=1,
             prev_log_term=1, entries=[sig], leader_commit=2, seq=1))
         (resp,) = responses(ctx)
         assert (resp.prefix_ok, resp.missing) == (True, [2])
@@ -439,7 +470,7 @@ class TestSignalFlow:
         n, ctx = make_leader()
         for i in (2, 3, 4):
             n._integrate_future(Entry(index=i, term=n.term, kind=EntryKind.FUTURE,
-                                      origin=i, generation=5,
+                                      generation=5,
                                       request_id=f"c9.{i}.nt", payload=b"I k 1"))
         peer = n.peers[1]
         peer.future_ack = 4
@@ -556,7 +587,7 @@ class TestFollowerReply:
         # leader's: an empty append after 3 verifies its log up to 3 only
         n, ctx = make_follower(node_id=1, persist=noop_log(5))
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=2, generation=5, leader_id=0, prev_log_index=3,
+            term=2, generation=5, prev_log_index=3,
             prev_log_term=1, entries=[], leader_commit=5, seq=1))
         (resp,) = responses(ctx)
         assert resp.success and resp.last_applied_index_report == 3
@@ -615,7 +646,7 @@ class TestSilentFollower:
         n, ctx = self._silent_leader()
         (probe,) = self._appends_to(ctx, 1)
         n.peers[1].next_index = confirmed + 1
-        fe = Entry(index=4, term=n.term, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=4, term=n.term, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n._integrate_future(fe)
         n.peers[1].future_ack = fe.index
@@ -646,9 +677,9 @@ class TestSilentFollower:
 class TestReconcile:
     def test_new_leader_integrates_reconciled_entry(self):
         n, _ = make_leader()
-        fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
-        old_gen = Entry(index=22, term=n.term, kind=EntryKind.FUTURE, origin=1,
+        old_gen = Entry(index=22, term=n.term, kind=EntryKind.FUTURE,
                         generation=3, request_id="c9.2.nt", payload=b"I k 2")
         n.handle_reconcile_response(2, ReconcileResponse(
             term=n.term, entries=[fe, old_gen]))
@@ -662,7 +693,7 @@ class TestReconcile:
 class TestConflictResolution:
     def test_displaced_own_future_is_reallocated(self):
         n, ctx = make_follower(node_id=2)
-        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
         (old_idx,) = list(n.stage.pending)
         ctx.take_sent()
         normal = Entry(index=old_idx, term=1, kind=EntryKind.NORMAL,
@@ -670,22 +701,22 @@ class TestConflictResolution:
         entries = [Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
                    for i in range(1, old_idx)] + [normal]
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=1, generation=5, leader_id=0, prev_log_index=0,
+            term=1, generation=5, prev_log_index=0,
             prev_log_term=0, entries=entries, leader_commit=0, seq=1))
         assert n.log.get(old_idx).request_id == "c0.9.t"
         (new_idx,) = list(n.stage.pending)
         assert new_idx > old_idx and new_idx % 5 == 2
         rebroadcast = [m for _, m in ctx.sent
                        if isinstance(m, FutureReplicateRequest)]
-        assert rebroadcast and rebroadcast[0].future_entries[0].index == new_idx
+        assert rebroadcast and rebroadcast[0].entry.index == new_idx
 
     def test_displaced_future_parks_until_a_window_opens(self):
         n, ctx = make_follower(node_id=2)
-        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
         (old_idx,) = list(n.stage.pending)
         n.pending_futures[old_idx].acked = True   # client already answered
         # a foreign future far ahead pushes every candidate past the windows
-        n.stage.stage(Entry(index=303, term=1, kind=EntryKind.FUTURE, origin=3,
+        n.stage.stage(Entry(index=303, term=1, kind=EntryKind.FUTURE,
                             generation=5, request_id="c9.1.nt"), 5)
         ctx.take_sent()
         entries = [Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
@@ -693,13 +724,13 @@ class TestConflictResolution:
             Entry(index=old_idx, term=1, kind=EntryKind.NORMAL,
                   request_id="c0.9.t", payload=b"T a b 1")]
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=1, generation=5, leader_id=0, prev_log_index=0,
+            term=1, generation=5, prev_log_index=0,
             prev_log_term=0, entries=entries, leader_commit=0, seq=1))
         assert not n.pending_futures and len(n.parked_futures) == 1
         assert not any(isinstance(m, FutureReplicateRequest) for _, m in ctx.sent)
         # the log moves on and the windows roll forward past index 303
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=1, generation=5, leader_id=0, prev_log_index=old_idx,
+            term=1, generation=5, prev_log_index=old_idx,
             prev_log_term=1, leader_commit=0, seq=2,
             entries=[Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
                      for i in range(old_idx + 1, 151)]))
@@ -710,13 +741,13 @@ class TestConflictResolution:
         assert new_idx > 303 and new_idx % 5 == 2 and n.stage.peek(new_idx)
         assert p.acked and p.entry.request_id == "c1.1.nt"
         assert n.pending_by_rid == {"c1.1.nt": new_idx}
-        resent = [(to, m.future_entries[0].index) for to, m in ctx.retransmitted
+        resent = [(to, m.entry.index) for to, m in ctx.retransmitted
                   if isinstance(m, FutureReplicateRequest)]
         assert resent == [(to, new_idx) for to in (0, 1, 3, 4)]
 
     def test_foreign_staged_copy_is_dropped(self):
         n, ctx = make_follower(node_id=3)
-        fe = Entry(index=7, term=1, kind=EntryKind.FUTURE, origin=2,
+        fe = Entry(index=7, term=1, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt")
         n.stage.stage(fe, 5)
         entries = [Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
@@ -724,7 +755,7 @@ class TestConflictResolution:
             Entry(index=7, term=1, kind=EntryKind.NORMAL, request_id="c0.9.t",
                   payload=b"T a b 1")]
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=1, generation=5, leader_id=0, prev_log_index=0,
+            term=1, generation=5, prev_log_index=0,
             prev_log_term=0, entries=entries, leader_commit=0, seq=1))
         assert not n.stage.pending
         assert n.log.get(7).request_id == "c0.9.t"
@@ -743,7 +774,7 @@ class TestCommit:
     def test_commit_stops_at_gap(self):
         n, ctx = make_leader()
         n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
-                                  origin=4, generation=5, request_id="c9.1.nt"))
+                                  generation=5, request_id="c9.1.nt"))
         contig = n.log.last_contiguous_index
         for f in (1, 2, 3, 4):
             n.peers[f].match_index = 9
@@ -757,7 +788,7 @@ class TestStepFill:
         n, ctx = make_leader(cfg)
         n.ctx.now = 10_000
         n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
-                                  origin=4, generation=5, request_id="c9.1.nt"))
+                                  generation=5, request_id="c9.1.nt"))
         n.ctx.now = 20_000
         n._step_fill()
         assert n.log.last_contiguous_index >= 9
@@ -770,7 +801,7 @@ class TestStepFill:
         n, ctx = make_leader(cfg)
         n.ctx.now = 10_000
         n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
-                                  origin=4, generation=5, request_id="c9.1.nt"))
+                                  generation=5, request_id="c9.1.nt"))
         n.ctx.now = 20_000
         before = n.log.last_contiguous_index
         n._step_fill()
@@ -781,10 +812,10 @@ class TestStepFill:
         n, ctx = make_leader(cfg)
         n.ctx.now = 10_000
         n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
-                                  origin=4, generation=5, request_id="c9.1.nt"))
+                                  generation=5, request_id="c9.1.nt"))
         n.ctx.now = 19_500
         n._integrate_future(Entry(index=15, term=n.term, kind=EntryKind.FUTURE,
-                                  origin=0, generation=5, request_id="c9.2.nt"))
+                                  generation=5, request_id="c9.2.nt"))
         # 9 was past its grace and got filled up to; 15 is not yet
         assert n.log.last_contiguous_index == 9
         assert not any(n.log.occupied(j) for j in range(10, 15))
@@ -802,20 +833,20 @@ class TestElections:
     def test_step_down_on_higher_term(self):
         n, ctx = make_leader()
         n.handle_append_entries(3, AppendEntriesRequest(
-            term=n.term + 1, generation=5, leader_id=3, prev_log_index=0,
+            term=n.term + 1, generation=5, prev_log_index=0,
             prev_log_term=0, entries=[], leader_commit=0, seq=1))
         assert n.role == FOLLOWER
         assert n.leader_id == 3
 
     def test_vote_granted_once_per_term(self):
         n, ctx = make_follower(node_id=1)
-        req = VoteRequest(term=5, candidate_id=3, last_log_index=0,
-                          last_log_term=0)
+        req = VoteRequest(term=5, last_log_index=0, last_log_term=0)
         n.handle_vote_request(3, req)
         granted = [m.granted for _, m in ctx.take_sent()]
         assert granted == [True]
-        n.handle_vote_request(4, VoteRequest(term=5, candidate_id=4,
-                                             last_log_index=0, last_log_term=0))
+        # the vote is recorded against the link's sender
+        assert n.persist.voted_for == 3
+        n.handle_vote_request(4, req)
         granted = [m.granted for _, m in ctx.take_sent()]
         assert granted == [False]
 
@@ -830,7 +861,7 @@ class TestElections:
 class TestGenerationChange:
     def test_own_pending_reallocated(self):
         n, ctx = make_follower(node_id=2)
-        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
         (old_idx,) = list(n.stage.pending)
         ctx.take_sent()
         n._change_generation(7, [0, 1, 2, 3, 4, 5, 6])
@@ -843,7 +874,7 @@ class TestGenerationChange:
 
     def test_foreign_old_generation_dropped(self):
         n, ctx = make_follower(node_id=3)
-        n.stage.stage(Entry(index=7, term=1, kind=EntryKind.FUTURE, origin=2,
+        n.stage.stage(Entry(index=7, term=1, kind=EntryKind.FUTURE,
                             generation=5, request_id="c9.1.nt"), 5)
         n._change_generation(7, None)
         assert not n.stage.pending
@@ -878,7 +909,7 @@ class TestWindows:
                           for s in (1, 101, 201, 301, 401)]
         assert n.window_start == 501
         # so the next future lands in the open span above the log
-        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
         (idx,) = n.stage.pending
         assert 501 <= idx <= 700 and idx % 5 == 2
 
@@ -886,7 +917,7 @@ class TestWindows:
         n, ctx = make_follower(node_id=2)
         n._change_generation(7, [0, 1, 2, 3, 4, 5, 6])
         n.handle_append_entries(0, AppendEntriesRequest(
-            term=1, generation=7, leader_id=0, prev_log_index=0,
+            term=1, generation=7, prev_log_index=0,
             prev_log_term=0, leader_commit=0, seq=1,
             entries=[Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
                      for i in range(1, 151)]))
@@ -898,7 +929,7 @@ class TestRaftMode:
     def test_non_transactional_forwarded(self):
         cfg = NodeConfig(protocol="raft")
         n, ctx = make_follower(node_id=2, cfg=cfg)
-        n.handle_client_request(creq("c1.1.nt", kind="nt", payload=b"I k 1"))
+        n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
         assert not n.stage.pending
         fwd = [(to, m) for to, m in ctx.sent]
         assert fwd and fwd[0][0] == 0

@@ -127,6 +127,19 @@ class TestLoader:
         ("faults:\n- {time_s: .inf, action: crash, node: 0}\n", "time_s"),
         ("membership_changes:\n- {time_s: -1, new_size: 5}\n", "time_s"),
         ("membership_changes:\n- {time_s: .nan, new_size: 5}\n", "time_s"),
+        # a change only grows the cluster: one that does not would do nothing
+        ("initial_members: 3\nmembership_changes:\n- {time_s: 1, new_size: 2}\n",
+         "must grow"),
+        ("initial_members: 3\nmembership_changes:\n- {time_s: 1, new_size: 0}\n",
+         "must grow"),
+        ("initial_members: 3\nmembership_changes:\n- {time_s: 1, new_size: -1}\n",
+         "must grow"),
+        ("initial_members: 3\nmembership_changes:\n- {time_s: 1, new_size: 3}\n",
+         "must grow"),
+        ("membership_changes:\n- {time_s: 1, new_size: 5}\n", "must grow"),
+        ("initial_members: 3\nmembership_changes:\n"
+         "- {time_s: 2, new_size: 4}\n- {time_s: 1, new_size: 5}\n",
+         "at 2 s to 4 must grow 5 members"),
     ], ids=["fault-no-action", "fault-node-out-of-range",
             "membership-above-nodes", "nodes-not-int", "fault-not-mapping",
             "window-size-zero", "open-window-count-zero",
@@ -141,10 +154,27 @@ class TestLoader:
             "repl-request-cost-negative", "repl-response-cost-negative",
             "duration-inf", "latency-inf", "heartbeat-inf", "nodes-inf",
             "fault-time-nan", "fault-time-negative", "fault-time-inf",
-            "membership-time-negative", "membership-time-nan"])
+            "membership-time-negative", "membership-time-nan",
+            "membership-shrinks", "membership-to-zero", "membership-negative",
+            "membership-same-size", "membership-same-as-all-nodes",
+            "membership-below-earlier-change"])
     def test_malformed_input(self, text, match):
         with pytest.raises(ScenarioError, match=match):
             load_scenario("name: x\n" + text)
+
+    def test_growth_is_checked_in_time_order(self):
+        sc = load_scenario("name: x\ninitial_members: 3\nmembership_changes:\n"
+                           "- {time_s: 2, new_size: 5}\n- {time_s: 1, new_size: 4}\n")
+        assert [m.new_size for m in sc.membership_changes] == [5, 4]
+
+    def test_path_objects_load(self, tmp_path):
+        assert load_scenario(builtin_scenario_path("fig14_response_time")).name \
+            == "fig14_response_time"
+        small = tmp_path / "small.txt"
+        small.write_text(SMALL)
+        assert load_scenario(small).name == "small"
+        with pytest.raises(OSError):
+            load_scenario(tmp_path / "missing.yaml")
 
     def test_members_exceed_nodes(self):
         with pytest.raises(ScenarioError, match="initial_members"):
@@ -170,6 +200,15 @@ class TestCli:
 
     def test_missing_scenario_is_exit_2(self, capsys):
         assert main(["run", "no_such_scenario"]) == 2
+
+    def test_missing_scenario_file_is_exit_2(self, tmp_path):
+        assert main(["run", str(tmp_path / "missing.yaml")]) == 2
+
+    def test_scenario_file_without_yaml_suffix_runs(self, tmp_path, capsys):
+        small = tmp_path / "small"
+        small.write_text(SMALL)
+        assert main(["run", str(small)]) == 0
+        assert "scenario=small" in capsys.readouterr().out
 
     def test_bad_scenario_file_is_exit_2(self, tmp_path):
         bad = tmp_path / "bad.yaml"

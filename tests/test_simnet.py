@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from lcrsim.logcore import Entry, EntryKind
+from lcrsim.logcore import Entry, EntryKind, StageOutcome
 from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
                              ClientRequest, ClientResponse, FutureReplicateRequest,
                              FutureReplicateResponse, ReconcileResponse,
@@ -56,7 +56,7 @@ class TestSizeModel:
         e_full = Entry(index=1, term=1, kind=EntryKind.NORMAL, payload=b"x" * 80)
         e_sig = Entry(index=2, term=1, kind=EntryKind.SIGNAL)
         e_noop = Entry(index=3, term=1, kind=EntryKind.NOOP_FILL)
-        req = AppendEntriesRequest(term=1, generation=5, leader_id=0,
+        req = AppendEntriesRequest(term=1, generation=5,
                                    prev_log_index=0, prev_log_term=0,
                                    entries=[e_full, e_sig, e_noop],
                                    leader_commit=0, seq=1)
@@ -65,12 +65,11 @@ class TestSizeModel:
 
     def test_future_request_carries_payload(self):
         fe = Entry(index=7, term=1, kind=EntryKind.FUTURE, payload=b"y" * 10)
-        req = FutureReplicateRequest(term=1, generation=5, future_entries=[fe])
+        req = FutureReplicateRequest(term=1, entry=fe)
         assert message_bytes(req) == 48 + 34
 
     def test_client_request_payload(self):
-        req = ClientRequest(request_id="r", kind="t", payload=b"z" * 30,
-                            client_id="c")
+        req = ClientRequest(request_id="r", payload=b"z" * 30)
         assert message_bytes(req) == 78
 
     # a one-entry message whose payload is 7 bytes plus 73 of padding costs
@@ -79,15 +78,15 @@ class TestSizeModel:
     PAD = 80 - len(RAW)
 
     @pytest.mark.parametrize("build, size", [
-        (lambda raw, pad: ClientRequest(request_id="c0.1.t", kind="t", payload=raw,
-                                        client_id="c0", pad=pad), 48 + 80),
+        (lambda raw, pad: ClientRequest(request_id="c0.1.t", payload=raw,
+                                        pad=pad), 48 + 80),
         (lambda raw, pad: AppendEntriesRequest(
-            term=1, generation=5, leader_id=0, prev_log_index=0, prev_log_term=0,
+            term=1, generation=5, prev_log_index=0, prev_log_term=0,
             entries=[Entry(index=1, term=1, kind=EntryKind.NORMAL, payload=raw,
                            pad=pad)], leader_commit=0), 48 + 24 + 80),
         (lambda raw, pad: FutureReplicateRequest(
-            term=1, generation=5, future_entries=[Entry(
-                index=7, term=1, kind=EntryKind.FUTURE, payload=raw, pad=pad)]),
+            term=1, entry=Entry(
+                index=7, term=1, kind=EntryKind.FUTURE, payload=raw, pad=pad)),
          48 + 24 + 80),
         (lambda raw, pad: ReconcileResponse(term=1, entries=[Entry(
             index=7, term=1, kind=EntryKind.FUTURE, payload=raw, pad=pad)]),
@@ -100,17 +99,23 @@ class TestSizeModel:
     def test_listed_indices_are_charged(self):
         miss = AppendEntriesResponse(term=1, last_applied_index_report=0,
                                      last_future_index=0, missing=[1, 3])
+        assert message_bytes(miss) == 48 + 16
+
+    @pytest.mark.parametrize("outcome, size", [
+        (StageOutcome.STAGED, 48 + 8), (StageOutcome.DUPLICATE, 48 + 8),
+        (StageOutcome.CONFLICT, 48 + 8), (StageOutcome.STALE, 48)])
+    def test_future_reply_names_its_index_unless_stale(self, outcome, size):
         ack = FutureReplicateResponse(term=1, generation=5, from_leader=True,
-                                      indices=[17], conflicts=[22, 27])
-        assert (message_bytes(miss), message_bytes(ack)) == (48 + 16, 48 + 24)
+                                      index=17, outcome=outcome)
+        assert message_bytes(ack) == size
 
 
 class TestCostModel:
     def test_classification(self):
         c = CostModel(client_request_us=50, repl_request_us=10,
                       repl_response_us=30)
-        assert c.cost_of(ClientRequest("r", "t", b"", "c")) == 50
-        req = AppendEntriesRequest(term=1, generation=5, leader_id=0,
+        assert c.cost_of(ClientRequest("r", b"")) == 50
+        req = AppendEntriesRequest(term=1, generation=5,
                                    prev_log_index=0, prev_log_term=0,
                                    entries=[], leader_commit=0, seq=1)
         assert c.cost_of(req) == 10
@@ -348,7 +353,7 @@ class TestTraceTraffic:
         sim = Simulation(1, LatencyModel(), LatencyModel(mean_us=200))
         sim.add_client(ClosedLoopClient("c0", ClientConfig(), [0], [], 1))
         sim.add_node(0, [0], NodeConfig())
-        resp = ClientResponse("c0.1.t", "Ok", client_id="c0")
+        resp = ClientResponse("c0.1.t", "Ok")
         sim.node_send(0, "c0", resp, False)
         sim.disconnect(0)
         sim.node_send(0, "c0", resp, False)
@@ -445,6 +450,34 @@ class TestRetransmission:
         r = run_scenario(sc, seed=1, protocol="lcr")
         assert r.verdict.ok, r.verdict.errors[:3]
         assert missing == []
+
+
+class TestDerivedFields:
+    """What a receiver works out instead of being sent holds over a run that
+    changes generation (gen_change cut to 3 s, past its change at 2.5 s)."""
+
+    def test_futures_carry_their_senders_generation(self, monkeypatch):
+        sc = load_scenario(builtin_scenario_path("gen_change"))
+        sc.duration_s = 3.0
+        sent = []   # (the sender's generation, the entry's) per replication
+        send = _NodeCtx.send
+
+        def logged_send(ctx, to, msg, retransmit=False):
+            if isinstance(msg, FutureReplicateRequest):
+                sent.append((ctx.sim.nodes[ctx.node_id].generation,
+                             msg.entry.generation))
+            send(ctx, to, msg, retransmit)
+
+        monkeypatch.setattr(_NodeCtx, "send", logged_send)
+        r = run_scenario(sc, seed=1, protocol="lcr")
+        assert r.verdict.ok, r.verdict.errors[:3]
+        assert {mine for mine, _ in sent} == {3, 5}
+        assert all(mine == theirs for mine, theirs in sent)
+        # so a future's data-leader is the owner of its index
+        allocs = [(int(e.detail["idx"]), int(e.detail["gen"]), int(e.frm))
+                  for e in parse_trace(r.sim.trace, {"alloc"})]
+        assert {gen for _, gen, _ in allocs} == {3, 5}
+        assert all(idx % gen == node for idx, gen, node in allocs)
 
 
 class TestFaults:
