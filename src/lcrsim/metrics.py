@@ -2,7 +2,10 @@
 
 The trace verifier's one pass over the run trace feeds the collector, so
 everything reported here is derived from the trace text plus the client-side
-completion records. The collector keeps only what the report reads: event
+completion records. A run reports the prefix of its ``CompletionLog`` that
+ended within the scenario's duration; ``RunReport.build`` reads any sized
+iterable of ``Completion`` records, and a log builds each record only as
+it is iterated. The collector keeps only what the report reads: event
 counts, the verifier's map of committed rids (shared, not copied), and a
 running sum of apply lags. An nt rid's ack or apply times are held only
 until its first ack meets the apply at the node that acked it.
@@ -11,6 +14,7 @@ until its first ack meets the apply at the node that acked it.
 from __future__ import annotations
 
 import csv
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .kv import kind_of_rid
@@ -78,7 +82,7 @@ class TraceCollector:
 @dataclass
 class RunReport:
     duration_s: float
-    completions: list[Completion]
+    completions: Collection[Completion]
     node_stats: dict
     collector: TraceCollector
     committed_requests: int = 0
@@ -89,7 +93,7 @@ class RunReport:
     mean_attempts: float = 1.0
 
     @classmethod
-    def build(cls, duration_s: float, completions: list[Completion],
+    def build(cls, duration_s: float, completions: Collection[Completion],
               node_stats: dict, collector: TraceCollector) -> "RunReport":
         r = cls(duration_s, completions, node_stats, collector)
         sums: dict[str, float] = {"t": 0.0, "nt": 0.0, "all": 0.0}

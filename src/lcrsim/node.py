@@ -457,9 +457,7 @@ class Node:
         self._respond(None, ClientResponse(p.entry.request_id, "Ok"))
 
     def _reallocate_pending(self, old_idx: int) -> None:
-        p = self.pending_futures.pop(old_idx, None)
-        if p is None:
-            return
+        p = self.pending_futures.pop(old_idx)
         self.stage.drop(old_idx)
         self.pending_by_rid.pop(p.entry.request_id, None)
         self._restage_pending(p)
@@ -612,8 +610,8 @@ class Node:
         self._try_replicate(frm)
 
     def _advance_commit(self) -> None:
-        if self.role != LEADER:
-            return
+        """Commit the highest own-term index a majority holds. Leader only:
+        every caller has checked the role."""
         marks = sorted(self.log.last_contiguous_index if m == self.id
                        else self.peers[m].match_index
                        for m in self.membership)
@@ -630,9 +628,8 @@ class Node:
     def _step_fill(self) -> None:
         """Fill the gaps below the newest integrated future that is past its
         grace period, once futures lead too far or have waited too long.
-        Every future above that one is younger, so one pass suffices."""
-        if self.role != LEADER:
-            return
+        Every future above that one is younger, so one pass suffices.
+        Leader only: every caller has checked the role."""
         contig = self.log.last_contiguous_index
         for i in [i for i in self.integrated_at if i <= contig]:
             del self.integrated_at[i]

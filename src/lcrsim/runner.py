@@ -11,7 +11,7 @@ from .metrics import RunReport, TraceCollector
 from .scenario import Scenario
 from .simnet import Simulation
 from .verify import VerifyResult, verify_trace
-from .workload import ClosedLoopClient, Completion
+from .workload import ClosedLoopClient, CompletionLog
 
 
 @dataclass
@@ -21,7 +21,7 @@ class RunResult:
     sim: Simulation
     report: RunReport
     verdict: VerifyResult
-    completions: list[Completion]
+    completions: CompletionLog
 
 
 def run_scenario(sc: Scenario, seed: int | None = None,
@@ -40,7 +40,7 @@ def run_scenario(sc: Scenario, seed: int | None = None,
                      bootstrap_leader=(nid == sc.bootstrap_leader))
 
     duration_us = int(sc.duration_s * 1_000_000)
-    completions: list[Completion] = []
+    completions = CompletionLog()
     for i in range(sc.clients):
         sim.add_client(ClosedLoopClient(f"c{i}", sc.client_cfg, members,
                                         completions, duration_us))
@@ -64,8 +64,8 @@ def run_scenario(sc: Scenario, seed: int | None = None,
 
     collector = TraceCollector()
     verdict = verify_trace(sim.trace, collector)
-    measured = [c for c in completions if c.end_us <= duration_us]
-    report = RunReport.build(sc.duration_s, measured, sim.stats, collector)
+    report = RunReport.build(sc.duration_s, completions.ended_by(duration_us),
+                             sim.stats, collector)
     return RunResult(scenario=sc, seed=seed, sim=sim, report=report,
                      verdict=verdict, completions=completions)
 

@@ -5,7 +5,7 @@ at each index (Raft's State Machine Safety), so a correct run has one applied
 history. The verifier keeps that history once: at each index, the request
 id of the first node to apply it and one int packing that apply's entry
 kind and payload digest (``_pack``: a 12-digit hex digest and its kind fit
-an int of 32 bytes, and any other pair is kept as its text). It replays the
+in 51 bits, and any other pair is kept as its text). It replays the
 history once through its own state machine (payloads are reconstructable
 from request ids) and checks:
 
@@ -29,11 +29,14 @@ the file lazily. Every line is still split and checked, but only ``apply``,
 ``metrics.TraceCollector.KINDS`` when a collector is given: a run's verdict
 and its metrics come from one parse.
 
-What the verifier keeps: per applied index, a rid and a packed int, and for
-each rid that mutated, its lowest mutating index, keyed by the history's own
-rid string; an acknowledged rid only while it is not yet in the history; and
-a last index and final state per node. So its memory grows with the number
-of applied indices, not with the number of nodes or the length of the trace.
+What the verifier keeps: per applied index, a rid and a packed code in an
+int64 column (a code past 64 bits, such as the text of a fill's ``-``
+digest, goes in a side map keyed by index and leaves ``_WIDE`` in the
+column); for each rid that mutated, its lowest mutating index, keyed by the
+history's own rid string; an acknowledged rid only while it is not yet in
+the history; and a last index and final state per node. So its memory
+grows with the number of applied indices, not with the number of nodes or
+the length of the trace.
 Errors show a history record as the ``(rid, kind, digest)`` text it came
 from.
 """
@@ -41,6 +44,7 @@ from.
 from __future__ import annotations
 
 import re
+from array import array
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 
@@ -128,6 +132,11 @@ def _pack(kind: str, digest: str) -> int:
     return -int.from_bytes(f"{kind}|{digest}|".encode(), "little")
 
 
+# A history slot whose code is in the side map: no _pack code is -1, since a
+# text code is at least the two bytes of "||".
+_WIDE = -1
+
+
 def _record(rid: str, packed: int) -> tuple[str, str, str]:
     """The ``(rid, kind, digest)`` of a history record, as error texts show it."""
     if packed >= 0:
@@ -149,7 +158,13 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
         res.passed(name)
 
     rids: list[str] = []             # index - 1 -> rid of the history
-    packed: list[int] = []           # index - 1 -> _pack(kind, digest)
+    packed = array("q")              # index - 1 -> _pack(kind, digest), or _WIDE
+    wide: dict[int, int] = {}        # index - 1 -> a _pack code past 64 bits
+
+    def code_at(i: int) -> int:
+        code = packed[i]
+        return wide[i] if code == _WIDE else code
+
     last: dict[str, int] = {}        # node -> index it applied last
     off_history: set[str] = set()    # nodes that applied something else
     # rid -> lowest index it mutated at; its keys are the history's rids
@@ -172,14 +187,18 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
             last[node] = idx
             if idx == len(rids) + 1:
                 rids.append(rid)
-                packed.append(code)
+                try:
+                    packed.append(code)
+                except OverflowError:
+                    packed.append(_WIDE)
+                    wide[idx - 1] = code
                 if rid:
                     acked.discard(rid)
             elif 0 < idx <= len(rids) and rids[idx - 1] == rid \
-                    and packed[idx - 1] == code:
+                    and code_at(idx - 1) == code:
                 rid = rids[idx - 1]  # one string per rid, shared with mutated_at
             else:
-                have = (_record(rids[idx - 1], packed[idx - 1])
+                have = (_record(rids[idx - 1], code_at(idx - 1))
                         if 0 < idx <= len(rids) else None)
                 off_history.add(node)
                 res.fail("applied_prefix",
@@ -206,7 +225,7 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
 
     # final digests against one replay of the history, in order of length;
     # the replay reads only the rids, so the packed records go first
-    del packed
+    del packed, wide
     if not finals:
         res.fail("digest_replay", "the trace has no final_state line")
     for node in sorted(last.keys() - finals.keys()):

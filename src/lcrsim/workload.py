@@ -4,12 +4,21 @@ Each client keeps exactly one request outstanding. Retries reuse the request
 id so the cluster can deduplicate; everything about a request (operation kind,
 keys, amounts) is derived deterministically from its request id, which lets an
 independent replay reconstruct the state machine from the trace alone.
+
+A run's completed requests are held as columns in one ``CompletionLog``: per
+request, a reference to its rid string (the one the replicas' entries hold
+too) and four fixed-width numbers. A ``Completion`` record is built only
+while the log is iterated.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
-from dataclasses import dataclass, field
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import islice, starmap
 
 from .kv import encode_insert, encode_transfer, kind_of_rid
 from .messages import ClientRequest
@@ -45,6 +54,49 @@ class Completion:
         return kind_of_rid(self.rid)
 
 
+class CompletionLog:
+    """The requests answered Ok, in the order they were answered.
+
+    Each field of ``Completion`` is one column; iterating yields the
+    records. Clients append at the simulated clock, which never goes back,
+    so ``end_us`` never decreases down the log and ``ended_by`` finds the
+    completions of a time span by bisection."""
+
+    __slots__ = ("_rid", "_target", "_start_us", "_end_us", "_attempts", "_stop")
+
+    def __init__(self) -> None:
+        self._rid: list[str] = []
+        self._target = array("i")
+        self._start_us = array("q")
+        self._end_us = array("q")
+        self._attempts = array("i")
+        self._stop: int | None = None    # a prefix's length; None: the whole log
+
+    def append(self, rid: str, target: int, start_us: int, end_us: int,
+               attempts: int) -> None:
+        self._rid.append(rid)
+        self._target.append(target)
+        self._start_us.append(start_us)
+        self._end_us.append(end_us)
+        self._attempts.append(attempts)
+
+    def __len__(self) -> int:
+        return len(self._rid) if self._stop is None else self._stop
+
+    def __iter__(self):
+        columns = zip(self._rid, self._target, self._start_us, self._end_us,
+                      self._attempts)
+        return starmap(Completion, islice(columns, len(self)))
+
+    def ended_by(self, t_us: int) -> CompletionLog:
+        """The prefix of completions with ``end_us <= t_us``. It shares this
+        log's columns, so it costs no copy, and keeps its length if the log
+        grows."""
+        prefix = copy.copy(self)
+        prefix._stop = bisect_right(self._end_us, t_us, 0, len(self))
+        return prefix
+
+
 @dataclass
 class ClientConfig:
     nt_ratio: float = 0.0
@@ -55,7 +107,7 @@ class ClientConfig:
 
 class ClosedLoopClient:
     def __init__(self, client_id: str, cfg: ClientConfig, targets: list[int],
-                 completions: list[Completion], stop_at_us: int):
+                 completions: CompletionLog, stop_at_us: int):
         self.client_id = client_id
         self.cfg = cfg
         self.stop_at_us = stop_at_us   # quiesce point: no new request from here
@@ -111,9 +163,8 @@ class ClosedLoopClient:
             # the node works again; without this, one bad spell could leave
             # every target blacklisted and the pool stuck on dead nodes
             self.blacklist.pop(self.current_target, None)
-            self.completions.append(Completion(
-                rid=self.current_rid, target=self.current_target,
-                start_us=self.start_us, end_us=ctx.now, attempts=self.attempts))
+            self.completions.append(self.current_rid, self.current_target,
+                                    self.start_us, ctx.now, self.attempts)
             self.timeout_at = -1
             self._next_request(ctx)
         else:

@@ -16,11 +16,13 @@ A line's memory is the sum of its blocks, each rounded up to the size class
 pymalloc serves it from, so that a record that grows within its class (an
 ``Entry`` of 88 or 96 bytes) shows no growth. Tracing starts after lcrsim is
 imported, so the totals leave out the interpreter and the imports. Each
-listing is headed by the total held and by the process's RSS high-water mark
-(``ru_maxrss``), read before the listing is made. tracemalloc's bookkeeping
-and the first listing raise RSS well above an untraced run's, so compare RSS
-only between runs of this tool. Pytest does
-not collect this file; it is the measurement behind a held-memory claim.
+listing is headed by the total held, by tracemalloc's peak of traced bytes
+since the previous listing ended (or since tracing started), and by the
+process's RSS high-water mark (``ru_maxrss``), all read before the listing
+is made. tracemalloc's bookkeeping and the first listing raise RSS well
+above an untraced run's, so compare RSS only between runs of this tool.
+Pytest does not collect this file; it is the measurement behind a
+held-memory claim.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ def block_size(size: int) -> int:
 def print_top(label: str, top: int) -> None:
     """Print the ``top`` source lines holding the most memory now."""
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    peak = tracemalloc.get_traced_memory()[1]
     snapshot = tracemalloc.take_snapshot().filter_traces(
         [tracemalloc.Filter(False, tracemalloc.__file__)])
     held, blocks = Counter(), Counter()
@@ -59,12 +62,14 @@ def print_top(label: str, top: int) -> None:
         held[line] += block_size(trace.size)
         blocks[line] += 1
     print(f"== {label}: held {held.total() / 1e6:.2f} MB, "
-          f"RSS high-water {rss_mb:.2f} MB")
+          f"traced peak {peak / 1e6:.2f} MB, RSS high-water {rss_mb:.2f} MB")
     for (path, lineno), size in held.most_common(top):
         # lcrsim's files as lcrsim/<module>.py, any other by its base name
         name = (os.path.relpath(path, PACKAGE_ROOT)
                 if path.startswith(PACKAGE_ROOT + os.sep) else os.path.basename(path))
         print(f"{size / 1e6:8.2f} MB {blocks[path, lineno]:9,} blocks  {name}:{lineno}")
+    # the listing's own allocations are no part of the run's next peak
+    tracemalloc.reset_peak()
 
 
 def main(argv=None) -> int:

@@ -65,3 +65,17 @@ def test_node_0_starts_as_leader():
     assert Scenario.bootstrap_leader == 0
     sc = load_scenario("name: x\nclients: 0\nduration_s: 0.1\n")
     assert run_scenario(sc, drain_s=0).sim.current_leader().id == 0
+
+
+def test_worker_reads_the_completions():
+    # simulated_figures takes len() of result.completions, sums its attempts,
+    # and reads each measured completion's times and kind
+    sc = load_scenario("name: x\nclients: 4\nduration_s: 0.3\n")
+    result = run_scenario(sc, drain_s=0.1)
+    measured = list(result.report.completions)
+    assert 0 < len(result.report.completions) == len(measured) \
+        <= len(result.completions)
+    assert sum(c.attempts for c in result.completions) >= len(result.completions)
+    for c in measured:
+        assert c.kind in ("t", "nt") and isinstance(c.attempts, int)
+        assert 0 <= c.start_us <= c.end_us <= 300_000

@@ -15,7 +15,7 @@ from lcrsim.scenario import builtin_scenario_path, load_scenario
 from lcrsim.simnet import NodeStats
 from lcrsim.verify import _pack, _record, parse_trace, verify_trace
 from lcrsim.workload import (ClientConfig, ClosedLoopClient, Completion,
-                             kind_of_rid, payload_for_rid)
+                             CompletionLog, kind_of_rid, payload_for_rid)
 
 
 class TestKv:
@@ -179,6 +179,61 @@ class TestRunReport:
     def test_csv_stable(self):
         rep = RunReport.build(1.0, [], {0: NodeStats()}, TraceCollector())
         assert list(rep.csv_rows()) == list(rep.csv_rows())
+
+    def test_same_report_from_a_completion_log(self):
+        comps = [Completion("c0.1.t", 0, 0, 20_000, 1),
+                 Completion("c1.1.nt", 2, 5_000, 1_000_000, 3),
+                 Completion("c0.2.t", 1, 20_000, 1_500_000, 2)]
+        stats, collector = {0: NodeStats()}, TraceCollector()
+        from_list = RunReport.build(2.0, comps, stats, collector)
+        from_log = RunReport.build(2.0, _log(comps), stats, collector)
+        for attr in ("rt_mean_us", "counts", "tps_windows", "mean_attempts"):
+            assert getattr(from_log, attr) == getattr(from_list, attr)
+        assert list(from_log.csv_rows()) == list(from_list.csv_rows())
+        assert from_log.tps() == 1.5 and list(from_log.completions) == comps
+
+
+def _log(comps) -> CompletionLog:
+    log = CompletionLog()
+    for c in comps:
+        log.append(c.rid, c.target, c.start_us, c.end_us, c.attempts)
+    return log
+
+
+class TestCompletionLog:
+    COMPS = [Completion("c0.1.t", 0, 0, 10, 1),
+             Completion("c1.1.nt", 4, 3, 999_999, 2),
+             Completion("c2.1.t", 1, 7, 1_000_000, 1),     # exactly at d
+             Completion("c0.2.nt", 2, 10, 1_000_001, 5),   # just after d
+             Completion("c1.2.t", 3, 999_999, 2**40, 1)]
+
+    def test_iterates_what_was_appended_in_order(self):
+        log = _log(self.COMPS)
+        assert list(log) == self.COMPS
+        assert list(log) == self.COMPS   # a second pass sees the same
+        assert [c.kind for c in log] == ["t", "nt", "t", "nt", "t"]
+
+    def test_len(self):
+        log = CompletionLog()
+        assert len(log) == 0 and not log and list(log) == []
+        for n, c in enumerate(self.COMPS, 1):
+            log.append(c.rid, c.target, c.start_us, c.end_us, c.attempts)
+            assert len(log) == n
+
+    @pytest.mark.parametrize("d", [-1, 0, 10, 999_999, 1_000_000, 1_000_001, 2**41])
+    def test_ended_by_is_the_old_filter(self, d):
+        log = _log(self.COMPS)
+        prefix = log.ended_by(d)
+        expected = [c for c in self.COMPS if c.end_us <= d]
+        assert list(prefix) == expected and len(prefix) == len(expected)
+        assert len(log) == len(self.COMPS)
+
+    def test_prefix_keeps_its_length_as_the_log_grows(self):
+        log = _log(self.COMPS)
+        prefix = log.ended_by(1_000_000)
+        log.append("c3.1.t", 0, 2**40, 2**41, 1)
+        assert list(prefix) == self.COMPS[:3]
+        assert len(log) == len(self.COMPS) + 1
 
 
 COLLECTED_TRACE = """\
@@ -487,6 +542,34 @@ class TestVerifier:
                  ("FUTURE", "0123456789ab"), ("NORMAL", "123456789ab"),
                  ("NOOP_FILL", "-"), ("CONFIG", "-")]
         assert len({_pack(k, d) for k, d in pairs}) == len(pairs)
+
+    def test_history_codes_outside_the_hex_form(self):
+        # a fill's "-" digest and an 11-byte text code pass 64 bits and go to
+        # the side map; the 4-byte text code of X stays in the int64 column.
+        # Node 1 applies each record again, node 2 a different one; the
+        # errors are those of the history of (rid, kind, digest) tuples
+        history = [("", "NOOP_FILL", "-", "CONFIG", "-"),
+                   ("c0.1.t", "NORMAL", "xyz", "NORMAL", "xyw"),
+                   ("c0.2.t", "X", "-", "Y", "-")]
+        lines = []
+        for node in range(3):
+            for idx, (rid, kind, digest, other, other_digest) in enumerate(history, 1):
+                if node == 2:
+                    kind, digest = other, other_digest
+                lines.append(f"{idx},apply,{node},-,-,0,idx={idx}|rid={rid}"
+                             f"|kind={kind}|digest={digest}|dup={int(node > 0)}")
+        res = verify_trace(lines)
+        assert res.errors == [
+            "applied_prefix: node 2 applied ('', 'CONFIG', '-') at index 1; "
+            "the history of 3 has ('', 'NOOP_FILL', '-')",
+            "applied_prefix: node 2 applied ('c0.1.t', 'NORMAL', 'xyw') at index 2; "
+            "the history of 3 has ('c0.1.t', 'NORMAL', 'xyz')",
+            "applied_prefix: node 2 applied ('c0.2.t', 'Y', '-') at index 3; "
+            "the history of 3 has ('c0.2.t', 'X', '-')",
+            "digest_replay: the trace has no final_state line",
+            "digest_replay: node 0 applied but has no final_state line",
+            "digest_replay: node 1 applied but has no final_state line",
+            "digest_replay: node 2 applied but has no final_state line"]
 
     def test_parse_round_trip(self):
         (ev,) = parse_trace(["5,send,0,1,AppendEntriesRequest,152,"])
