@@ -17,7 +17,8 @@ rejection rather than a mutation, which keeps replays byte-for-byte equal.
 A request id has the form ``<client>.<seq>.<kind>`` (``workload.py`` makes
 them): three non-empty fields, with ``seq`` a positive decimal without
 leading zeros. The request is identified by its ``(client, seq)``, and only
-this module parses a rid (``client_of_rid`` and ``kind_of_rid`` too).
+this module parses a rid (``client_of_rid``, ``kind_of_rid`` and
+``RidCodec`` too, the codec with the same parser as the state machine).
 At-most-once apply keeps a session per client, as Raft's client sessions do:
 the lowest seq the client has not applied, and the seqs applied above it. A
 client issues its seqs in order and one at a time, so the set stays empty
@@ -55,14 +56,71 @@ def client_of_rid(rid: str) -> str:
     return rid.partition(".")[0]
 
 
-def _request_identity(request_id: str) -> tuple[str, int]:
-    """The ``(client, seq)`` that request id ``<client>.<seq>.<kind>`` names."""
-    parts = request_id.split(".")
+def _rid_fields(rid: str) -> tuple[str, int, str] | None:
+    """The ``(client, seq, kind)`` of request id ``<client>.<seq>.<kind>``,
+    or None for a text outside that form."""
+    parts = rid.split(".")
     if len(parts) == 3:
         client, seq, kind = parts
         if client and kind and seq.isascii() and seq.isdigit() and seq[0] != "0":
-            return client, int(seq)
-    raise ValueError(f"request id {request_id!r} is not <client>.<seq>.<kind>")
+            return client, int(seq), kind
+    return None
+
+
+def _request_identity(request_id: str) -> tuple[str, int]:
+    """The ``(client, seq)`` that request id ``<client>.<seq>.<kind>`` names."""
+    fields = _rid_fields(request_id)
+    if fields is None:
+        raise ValueError(f"request id {request_id!r} is not <client>.<seq>.<kind>")
+    client, seq, _ = fields
+    return client, seq
+
+
+_SEQ_LIMIT = 1 << 31          # a coded seq is below this
+_KIND_BIT = {"t": 0, "nt": 1}
+
+
+class RidCodec:
+    """Request ids as int64 codes, and each code back to its exact text.
+
+    A rid ``<client>.<seq>.<t|nt>`` whose seq is below 2**31 codes as
+    ``client number << 32 | seq << 1 | kind bit`` (``nt`` is 1), where a
+    client's number is its place in the order the codec first met the
+    client names: a positive code, below 2**63 while there are fewer than
+    2**31 names. The empty rid of fills and configs codes as 0, and any
+    other text as a negative index into a side list of texts. So two rids
+    of one codec have equal codes exactly when their texts are equal."""
+
+    def __init__(self) -> None:
+        self._numbers: dict[str, int] = {}    # client name -> number
+        self._clients: list[str] = []         # number -> client name
+        self._others: dict[str, int] = {}     # text outside the form -> code
+        self._texts: list[str] = []           # ~code -> text outside the form
+
+    def code(self, rid: str) -> int:
+        """The code of request id ``rid``."""
+        if not rid:
+            return 0
+        fields = _rid_fields(rid)
+        if fields is not None and fields[1] < _SEQ_LIMIT and fields[2] in _KIND_BIT:
+            client, seq, kind = fields
+            number = self._numbers.get(client)
+            if number is None:
+                number = self._numbers[client] = len(self._clients)
+                self._clients.append(client)
+            return number << 32 | seq << 1 | _KIND_BIT[kind]
+        code = self._others.get(rid)
+        if code is None:
+            code = self._others[rid] = ~len(self._texts)
+            self._texts.append(rid)
+        return code
+
+    def text(self, code: int) -> str:
+        """The request id that ``code`` stands for."""
+        if code > 0:
+            seq = (code & 0xFFFFFFFF) >> 1
+            return f"{self._clients[code >> 32]}.{seq}.{'nt' if code & 1 else 't'}"
+        return self._texts[~code] if code else ""
 
 
 @dataclass(slots=True)

@@ -4,11 +4,11 @@ The trace verifier's one pass over the run trace feeds the collector, so
 everything reported here is derived from the trace text plus the client-side
 completion records. A run reports the prefix of its ``CompletionLog`` that
 ended within the scenario's duration; ``RunReport.build`` reads any sized
-iterable of ``Completion`` records, and a log builds each record only as
-it is iterated. The collector keeps only what the report reads: event
-counts, the verifier's map of committed rids (shared, not copied), and a
-running sum of apply lags. An nt rid's ack or apply times are held only
-until its first ack meets the apply at the node that acked it.
+iterable of ``Completion`` records, and a log builds each record only as it
+is iterated. The collector keeps only what the report reads: event counts,
+the verifier's map of committed rids (a ``verify.MutationMap``, shared, not
+copied), and a running sum of apply lags. An nt rid's ack or apply times are
+held only until its first ack meets the apply at the node that acked it.
 """
 
 from __future__ import annotations
@@ -18,13 +18,16 @@ from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .kv import kind_of_rid
+from .verify import MutationMap
 from .workload import Completion
 
 
 class TraceCollector:
     """The trace facts behind the metrics. ``verify.verify_trace`` feeds it
     each parsed event of ``KINDS`` and keeps its mutation map in
-    ``committed`` (rid -> lowest index applied without ``dup``). Apply lag is
+    ``committed``, a ``verify.MutationMap`` (rid -> lowest index applied
+    without ``dup``, held as rid codes; it takes ``in``, ``len``, ``get``
+    and ``==``, and ``items`` gives the rids as text). Apply lag is
     summed as each nt rid's first ack meets the apply at the acking node;
     until then the rid waits in ``_acked`` or ``_applied``. A rid in
     ``committed`` and in neither is timed, and its later acks and applies
@@ -33,7 +36,7 @@ class TraceCollector:
     KINDS = frozenset({"ack", "apply", "window_close", "conflict", "elect"})
 
     def __init__(self) -> None:
-        self.committed: dict[str, int] = {}
+        self.committed = MutationMap()
         self._acked: dict[str, tuple[int, str]] = {}    # nt rid -> (us, node)
         self._applied: dict[str, dict[str, int]] = {}   # nt rid -> node -> us
         self.lag_sum_us = 0

@@ -29,26 +29,32 @@ the file lazily. Every line is still split and checked, but only ``apply``,
 ``metrics.TraceCollector.KINDS`` when a collector is given: a run's verdict
 and its metrics come from one parse.
 
-What the verifier keeps: per applied index, a rid and a packed code in an
-int64 column (a code past 64 bits, such as the text of a fill's ``-``
-digest, goes in a side map keyed by index and leaves ``_WIDE`` in the
-column); for each rid that mutated, its lowest mutating index, keyed by the
-history's own rid string; an acknowledged rid only while it is not yet in
-the history; and a last index and final state per node. So its memory
-grows with the number of applied indices, not with the number of nodes or
-the length of the trace.
-Errors show a history record as the ``(rid, kind, digest)`` text it came
-from.
+What the verifier keeps holds each rid as an int64 code of ``kv.RidCodec``,
+which packs a ``<client>.<seq>.<t|nt>`` rid as its client number, seq and
+kind and lists any other text once. Per applied index it keeps a rid code
+and a packed code in two int64 columns (a packed code past 64 bits, such as
+the text of a fill's ``-`` digest, goes in a side map keyed by index and
+leaves ``_WIDE`` in the column); for each rid that mutated, its lowest
+mutating index in a ``MutationMap``, 16 B per rid in sorted per-client
+columns; an acknowledged rid code only while it is not yet in the history;
+and a last index and final state per node. So its memory grows with the
+number of applied indices, not with the number of nodes or the length of the
+trace. The map remembers the code and lowest index of the last few hundred
+rid texts it was given, so a rid that every node applies and acks is parsed
+and searched for once. Errors show a rid and a history record as the text
+the trace gave; the ``ack_durability`` errors come in the order of their
+rids' texts.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from bisect import bisect_left
 from collections.abc import Container, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .kv import KvStateMachine
+from .kv import KvStateMachine, RidCodec
 from .logcore import EntryKind
 from .workload import payload_for_rid
 
@@ -116,6 +122,7 @@ class VerifyResult:
 
 
 _DIGEST = re.compile("[0-9a-f]{12}")
+_KIND_CODES = {kind.name: kind.value for kind in EntryKind}
 
 
 def _pack(kind: str, digest: str) -> int:
@@ -126,7 +133,7 @@ def _pack(kind: str, digest: str) -> int:
     pair, such as the ``-`` digest of fills and configs, packs as its text,
     negated so that the two forms cannot collide; there the closing ``|``
     keeps trailing NUL bytes, and neither field can hold a ``|``."""
-    code = EntryKind.__members__.get(kind)
+    code = _KIND_CODES.get(kind)
     if code is not None and _DIGEST.fullmatch(digest):
         return int(digest, 16) << 3 | code
     return -int.from_bytes(f"{kind}|{digest}|".encode(), "little")
@@ -147,6 +154,115 @@ def _record(rid: str, packed: int) -> tuple[str, str, str]:
     return rid, kind, digest
 
 
+class MutationMap:
+    """Each request id that mutated state -> the lowest index it mutated at.
+
+    Request ids are held as the int64 codes of ``codec`` (``kv.RidCodec``):
+    a client's codes, ``client number << 32 | seq << 1 | kind bit``, keep
+    their low 32 bits and lowest indices in a pair of int64 columns sorted
+    by those bits and searched by bisection, so a client's entries cost
+    16 B each whatever its seqs are. A code outside the form (0 or
+    negative), and a code whose index does not fit in 64 bits, is kept in a
+    side map. ``get`` and ``in`` take a rid's text, ``recall`` gives the
+    verifier a rid's code and lowest index, and ``items`` gives back the
+    texts.
+
+    ``recall`` remembers the entries of the last ``RECENT`` to
+    ``2 * RECENT`` rids it was given: every node applies and acks a rid
+    within a short stretch of a trace, and the metrics collector looks it
+    up there too, so the rid is parsed and searched for once."""
+
+    RECENT = 256
+
+    def __init__(self) -> None:
+        self.codec = RidCodec()
+        # client number -> (low 32 bits of its codes, sorted; lowest indices)
+        self._columns: dict[int, tuple[array, array]] = {}
+        self._side: dict[int, int] = {}       # code -> lowest index
+        self._recent: dict[str, list] = {}    # rid -> its entry, the newest rids
+        self._older: dict[str, list] = {}     # the generation before them
+
+    def recall(self, rid: str) -> list:
+        """The entry ``[code, lowest index or None]`` of request id ``rid``.
+        ``lower`` keeps it up to date, so use it before the next ``recall``."""
+        entry = self._recent.get(rid)
+        if entry is None:
+            entry = self._older.get(rid)
+            if entry is None:
+                code = self.codec.code(rid)
+                entry = [code, self._lowest(code)]
+            if len(self._recent) >= self.RECENT:
+                self._older, self._recent = self._recent, {}
+            self._recent[rid] = entry
+        return entry
+
+    def _lowest(self, code: int) -> int | None:
+        low = self._side.get(code)
+        if low is None and code > 0:
+            column = self._columns.get(code >> 32)
+            if column is not None:
+                keys, lows = column
+                key = code & 0xFFFFFFFF
+                i = bisect_left(keys, key)
+                if i < len(keys) and keys[i] == key:
+                    return lows[i]
+        return low
+
+    def lower(self, entry: list, idx: int) -> int:
+        """Record that the rid of ``entry`` (from ``recall``) mutated at
+        ``idx``, and return the lowest index it mutated at."""
+        code, low = entry
+        if low is not None and low <= idx:
+            return low
+        entry[1] = idx
+        side = self._side
+        if code <= 0 or code in side:
+            side[code] = idx
+            return idx
+        column = self._columns.get(code >> 32)
+        if column is None:
+            column = self._columns[code >> 32] = array("q"), array("q")
+        keys, lows = column
+        key = code & 0xFFFFFFFF
+        i = bisect_left(keys, key)
+        found = i < len(keys) and keys[i] == key
+        try:
+            if found:
+                lows[i] = idx
+            else:
+                lows.insert(i, idx)
+                keys.insert(i, key)
+        except OverflowError:           # idx goes to the side map
+            if found:
+                del keys[i], lows[i]
+            side[code] = idx
+        return idx
+
+    def __len__(self) -> int:
+        return len(self._side) + sum(len(keys) for keys, _ in self._columns.values())
+
+    def get(self, rid: str, default: int | None = None) -> int | None:
+        low = self.recall(rid)[1]
+        return default if low is None else low
+
+    def __contains__(self, rid: str) -> bool:
+        return self.recall(rid)[1] is not None
+
+    def items(self) -> Iterator[tuple[str, int]]:
+        """Every ``(rid, lowest index)``, the rid as its text."""
+        text = self.codec.text
+        for number, (keys, lows) in self._columns.items():
+            for key, low in zip(keys, lows):
+                yield text(number << 32 | key), low
+        for code, low in self._side.items():
+            yield text(code), low
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MutationMap):
+            return NotImplemented
+        return dict(self.items()) == dict(other.items())
+
+
 def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
     """Check a trace in one pass over ``lines``, which may be any iterable
     of lines, an open file among them. A ``metrics.TraceCollector`` given as
@@ -157,7 +273,11 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
                  "ack_durability", "commit_monotone"):
         res.passed(name)
 
-    rids: list[str] = []             # index - 1 -> rid of the history
+    # The history's and the acked rids are held as the codes that the
+    # mutation map's recall gives. An error shows the text the trace gave.
+    mutated_at = MutationMap() if collector is None else collector.committed
+    codec = mutated_at.codec
+    rids = array("q")                # index - 1 -> rid code of the history
     packed = array("q")              # index - 1 -> _pack(kind, digest), or _WIDE
     wide: dict[int, int] = {}        # index - 1 -> a _pack code past 64 bits
 
@@ -167,9 +287,7 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
 
     last: dict[str, int] = {}        # node -> index it applied last
     off_history: set[str] = set()    # nodes that applied something else
-    # rid -> lowest index it mutated at; its keys are the history's rids
-    mutated_at: dict[str, int] = {} if collector is None else collector.committed
-    acked: set[str] = set()          # acked rids not (yet) in the history
+    acked: set[int] = set()          # acked rids not (yet) in the history
     finals: dict[str, dict] = {}
 
     collected = collector.KINDS if collector is not None else frozenset()
@@ -179,7 +297,8 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
         if ev.kind == "apply":
             node, d = ev.frm, ev.detail
             idx = int(d["idx"])
-            rid, code = d["rid"], _pack(d["kind"], d["digest"])
+            entry, code = mutated_at.recall(d["rid"]), _pack(d["kind"], d["digest"])
+            rid = entry[0]
             prev = last.get(node, 0)
             if idx != prev + 1:
                 res.fail("commit_monotone",
@@ -194,33 +313,31 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
                     wide[idx - 1] = code
                 if rid:
                     acked.discard(rid)
-            elif 0 < idx <= len(rids) and rids[idx - 1] == rid \
-                    and code_at(idx - 1) == code:
-                rid = rids[idx - 1]  # one string per rid, shared with mutated_at
-            else:
-                have = (_record(rids[idx - 1], code_at(idx - 1))
+            elif not (0 < idx <= len(rids) and rids[idx - 1] == rid
+                      and code_at(idx - 1) == code):
+                have = (_record(codec.text(rids[idx - 1]), code_at(idx - 1))
                         if 0 < idx <= len(rids) else None)
                 off_history.add(node)
                 res.fail("applied_prefix",
-                         f"node {node} applied {_record(rid, code)} at index "
+                         f"node {node} applied {_record(d['rid'], code)} at index "
                          f"{idx}; the history of {len(rids)} has {have}")
             if rid and d["dup"] == "0":
-                low = mutated_at[rid] = min(idx, mutated_at.get(rid, idx))
+                low = mutated_at.lower(entry, idx)
                 if idx > low:
                     res.fail("at_most_once",
-                             f"node {node} mutated for {rid} at {idx}, "
+                             f"node {node} mutated for {d['rid']} at {idx}, "
                              f"above its mutation at {low}")
         elif ev.kind == "ack":
-            rid = ev.detail["rid"]
-            low = mutated_at.get(rid, 0)
+            rid, low = mutated_at.recall(ev.detail["rid"])
+            low = low or 0
             if not (0 < low <= len(rids) and rids[low - 1] == rid):
                 acked.add(rid)       # not known to be in the history yet
         elif ev.kind == "final_state":
             finals[ev.frm] = ev.detail
 
-    # acknowledged requests must be in the history
+    # acknowledged requests must be in the history, reported in rid order
     acked.difference_update(filter(None, rids))
-    for rid in acked:
+    for rid in sorted(map(codec.text, acked)):
         res.fail("ack_durability", f"acked {rid} never applied")
 
     # final digests against one replay of the history, in order of length;
@@ -243,8 +360,8 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
             res.fail("digest_replay", f"node {node} applied off the history")
             continue
         while replayed < n_applied:
-            rid = rids[replayed]
-            if rid:
+            if rids[replayed]:
+                rid = codec.text(rids[replayed])
                 sm.apply(rid, payload_for_rid(rid))
             replayed += 1
         digest = finals[node].get("digest")

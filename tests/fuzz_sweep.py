@@ -24,16 +24,21 @@ scenario, seed and protocol, so a refactor's byte-identity claim over the
 pinned set is one ``--pinned --against FILE``.
 
 ``--digests FILE`` also writes one line per run,
-``seed protocol outputs metrics verdict`` (``scenario seed protocol ...``
-with ``--pinned``): the sha256 of ``trace.txt`` followed by ``metrics.csv``,
-the sha256 of ``metrics.csv`` alone, and the verdict (``ok``, or the failed
-checks joined by commas).
+``seed protocol outputs metrics verdict_json verdict``
+(``scenario seed protocol ...`` with ``--pinned``): the sha256 of
+``trace.txt`` followed by ``metrics.csv``, the sha256 of ``metrics.csv``
+alone, the sha256 of ``verdict.json`` (its checks and error texts), and the
+verdict (``ok``, or the failed checks joined by commas).
 
 ``--against FILE`` compares each run with its line in FILE, a ``--digests``
-file written by another tree. After the summary it prints how many runs'
-outputs moved, then the runs whose metrics digest moved and the runs whose
-verdict moved. The exit status is then 1 when a verdict moved, instead of
-when a run fails.
+file written by another tree; to compare with an older tree, run this script
+with ``PYTHONPATH`` set to that tree's ``src``. After the summary it prints
+how many runs' outputs moved, then the runs whose metrics digest moved, the
+runs whose verdict moved and the runs whose error texts moved (their
+``verdict.json``). A line in the older format, without the ``verdict.json``
+digest, compares as before: its error texts are not compared. The exit
+status is then 1 when a verdict or an error text moved, instead of when a
+run fails.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ PINNED_SEEDS = (1, 101)
 
 def output_digests(result) -> str:
     """The sha256 of the run's ``trace.txt`` followed by its ``metrics.csv``,
-    then the sha256 of ``metrics.csv`` alone, separated by a space."""
+    the sha256 of ``metrics.csv`` alone and that of ``verdict.json``,
+    separated by spaces."""
     outputs = hashlib.sha256()
     with tempfile.TemporaryDirectory() as outdir:
         write_outputs(result, outdir)
@@ -68,8 +74,10 @@ def output_digests(result) -> str:
             with open(os.path.join(outdir, name), "rb") as fh:
                 data = fh.read()
             outputs.update(data)
+        with open(os.path.join(outdir, "verdict.json"), "rb") as fh:
+            verdict = hashlib.sha256(fh.read()).hexdigest()
     # ``data`` holds metrics.csv, read last
-    return f"{outputs.hexdigest()} {hashlib.sha256(data).hexdigest()}"
+    return f"{outputs.hexdigest()} {hashlib.sha256(data).hexdigest()} {verdict}"
 
 
 ACKED_NEVER_APPLIED = re.compile(r"ack_durability: acked (\S+) never applied")
@@ -125,8 +133,8 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=1,
                     help="worker processes (default 1)")
     ap.add_argument("--digests", metavar="FILE",
-                    help="write 'seed protocol outputs metrics verdict' "
-                         "per run to FILE, scenario first with --pinned")
+                    help="write 'seed protocol outputs metrics verdict_json "
+                         "verdict' per run to FILE, scenario first with --pinned")
     ap.add_argument("--against", metavar="FILE",
                     help="compare every run with its line in FILE, a "
                          "--digests file of another tree")
@@ -192,27 +200,40 @@ def main(argv=None) -> int:
 
 def read_digests(path: str) -> dict:
     """The run's key fields, ``seed protocol`` or ``scenario seed
-    protocol``, -> (outputs, metrics, verdict) from a --digests file."""
+    protocol``, -> (outputs, metrics, verdict_json, verdict) from a
+    --digests file; verdict_json is None on a line in the older format."""
+    runs = {}
     with open(path) as fh:
-        return {tuple(fields[:-3]): tuple(fields[-3:])
-                for fields in map(str.split, fh)}
+        for fields in map(str.split, fh):
+            end = next(i for i, f in enumerate(fields) if f in PROTOCOLS) + 1
+            outputs, metrics, *verdict_json, verdict = fields[end:]
+            runs[tuple(fields[:end])] = (outputs, metrics,
+                                         *(verdict_json or [None]), verdict)
+    return runs
 
 
 def compare(mine: dict, theirs: dict, path: str) -> bool:
-    """Print what moved against ``theirs``; True when a verdict moved."""
+    """Print what moved against ``theirs``; True when a verdict or an error
+    text moved."""
     both = [k for k in mine if k in theirs]
     outputs = [k for k in both if mine[k][0] != theirs[k][0]]
     metrics = [k for k in both if mine[k][1] != theirs[k][1]]
-    verdicts = [k for k in both if mine[k][2] != theirs[k][2]]
+    verdicts = [k for k in both if mine[k][3] != theirs[k][3]]
+    texts = [k for k in both if theirs[k][2] not in (None, mine[k][2])]
+    old_format = sum(theirs[k][2] is None for k in both)
     print(f"against {path}: outputs moved in {len(outputs)} of {len(both)} runs"
           + (f"; {len(mine) - len(both)} runs not in it"
              if len(both) < len(mine) else ""))
     print("metrics moved: "
           + (", ".join(" ".join(k) for k in metrics) or "none"))
     print("verdict moved: "
-          + (", ".join(f"{' '.join(k)} {theirs[k][2]} -> {mine[k][2]}"
+          + (", ".join(f"{' '.join(k)} {theirs[k][3]} -> {mine[k][3]}"
                        for k in verdicts) or "none"))
-    return bool(verdicts)
+    print("error texts moved: "
+          + (", ".join(" ".join(k) for k in texts) or "none")
+          + (f" ({old_format} lines of {path} have no verdict.json digest)"
+             if old_format else ""))
+    return bool(verdicts or texts)
 
 
 if __name__ == "__main__":

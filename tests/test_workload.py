@@ -7,13 +7,13 @@ import tracemalloc
 
 import pytest
 
-from lcrsim.kv import KvStateMachine, encode_insert, encode_transfer
+from lcrsim.kv import KvStateMachine, RidCodec, encode_insert, encode_transfer
 from lcrsim.messages import message_bytes
 from lcrsim.metrics import RunReport, TraceCollector
 from lcrsim.runner import run_scenario, write_outputs
 from lcrsim.scenario import builtin_scenario_path, load_scenario
 from lcrsim.simnet import NodeStats
-from lcrsim.verify import _pack, _record, parse_trace, verify_trace
+from lcrsim.verify import MutationMap, _pack, _record, parse_trace, verify_trace
 from lcrsim.workload import (ClientConfig, ClosedLoopClient, Completion,
                              CompletionLog, kind_of_rid, payload_for_rid)
 
@@ -145,6 +145,46 @@ class TestRequestIdentity:
                 if e.request_id]
         assert held and not [e for e in held if e.payload.endswith(b"\0")]
         assert any(e.pad for e in held)
+
+
+# rids outside <client>.<seq>.<t|nt> with a seq below 2**31: a leading zero,
+# another kind, two or four fields, an empty client or seq, a non-ASCII
+# digit, a 10-digit seq, and the empty rid of fills and configs
+RIDS_OUTSIDE = ["c0.01.t", "c0.1.x", "c0.1", "c0..t", "c0.1.t.x", ".1.t",
+                "c0.\u0661.t", "c0.9999999999.t", ""]
+
+
+class TestRidCodec:
+    @pytest.mark.parametrize("rid", ["c0.1.t", "c0.1.nt", "c39.2147483647.nt",
+                                     "client-7.12.t", "c0.1.t"])
+    def test_canonical_rid_round_trips(self, rid):
+        codec = RidCodec()
+        codec.code("c5.3.t")
+        code = codec.code(rid)
+        assert 0 < code < 2**63
+        assert codec.text(code) == rid
+
+    @pytest.mark.parametrize("rid", RIDS_OUTSIDE)
+    def test_rid_outside_the_form_keeps_its_text(self, rid):
+        codec = RidCodec()
+        code = codec.code(rid)
+        assert code < 0 if rid else code == 0
+        assert codec.text(code) == rid
+
+    def test_seq_must_fit_in_31_bits(self):
+        codec = RidCodec()
+        assert codec.code("c0.2147483647.t") > 0
+        assert codec.code("c0.2147483648.t") < 0
+        assert codec.text(codec.code("c0.2147483648.t")) == "c0.2147483648.t"
+
+    def test_codes_are_equal_exactly_when_texts_are(self):
+        codec = RidCodec()
+        rids = (RIDS_OUTSIDE + [f"c{i % 7}.{i}.{'nt' if i % 3 else 't'}"
+                                for i in range(1, 1000)])
+        first = [codec.code(rid) for rid in rids]
+        assert len(set(first)) == len(rids)
+        assert [codec.code(rid) for rid in rids] == first
+        assert [codec.text(code) for code in first] == rids
 
 
 class _FakeClientCtx:
@@ -313,6 +353,52 @@ class TestTraceCollector:
                     run.window_closes, run.conflicts))
 
 
+class TestMutationMap:
+    def _filled(self, order):
+        m = MutationMap()
+        for rid, idx in order:
+            m.lower(m.recall(rid), idx)
+        return m
+
+    def test_keeps_the_lowest_index(self):
+        m = MutationMap()
+        entry = m.recall("c0.5.t")
+        assert (m.lower(entry, 9), m.lower(entry, 12), m.lower(entry, 4)) == (9, 9, 4)
+        assert entry == [m.codec.code("c0.5.t"), 4] and m.get("c0.5.t") == 4
+        assert "c0.5.t" in m and "c0.5.nt" not in m and "c0.6.t" not in m
+        assert m.get("c0.6.t", 0) == 0 and len(m) == 1
+
+    def test_items_are_texts(self):
+        pairs = [("c1.7.nt", 3), ("c0.2.t", 1), ("c1.2.t", 2), ("c0.01.t", 5),
+                 ("c0.1.t", 2**70), ("c0.1.nt", -2**70)]
+        m = self._filled(pairs)
+        assert dict(m.items()) == dict(pairs) and len(m) == len(pairs)
+
+    def test_index_past_64_bits_moves_to_the_side_map(self):
+        m = self._filled([("c0.1.t", 5), ("c0.2.t", 6), ("c0.1.t", -2**70)])
+        assert m.get("c0.1.t") == -2**70 and m.get("c0.2.t") == 6
+        assert m.lower(m.recall("c0.1.t"), 1) == -2**70 and len(m) == 2
+
+    def test_recall_past_the_memo(self):
+        # a rid the memo has forgotten is searched for again, and an entry
+        # recalled after a rid is lowered holds the new index
+        rids = [f"c{i % 3}.{i}.t" for i in range(1, 4 * MutationMap.RECENT)]
+        m = self._filled((rid, i + 10) for i, rid in enumerate(rids))
+        m.lower(m.recall(rids[-1]), 1)
+        assert [m.get(rid) for rid in rids] == [i + 10 for i in range(len(rids) - 1)] + [1]
+        assert m.recall(rids[0]) == [m.codec.code(rids[0]), 10]
+        assert m.recall("c0.1.nt") == [m.codec.code("c0.1.nt"), None]
+        assert len(m) == len(rids)
+
+    def test_equal_exactly_when_every_rid_and_index_is(self):
+        pairs = [("c0.1.t", 1), ("c1.1.t", 2), ("c1.2.nt", 4), ("", 0), ("r1", 3)]
+        a = self._filled(pairs)
+        assert a == self._filled(reversed(pairs))
+        assert a != self._filled(pairs + [("c1.2.nt", 3)])
+        assert a != self._filled(pairs + [("c1.3.nt", 5)])
+        assert a != {rid: idx for rid, idx in pairs}
+
+
 GOOD_TRACE = """\
 0,ack,1,-,-,0,rid=c0.1.nt|path=nt|idx=5
 10,apply,0,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
@@ -404,6 +490,14 @@ class TestVerifier:
     def test_unapplied_ack_fails(self):
         res = verify_trace(_variants()["unapplied_ack"])
         assert not res.checks["ack_durability"]
+
+    def test_unapplied_acks_come_in_rid_order(self):
+        # in the order of the rids' texts, not the order the trace met them
+        res = verify_trace([f"{t},ack,1,-,-,0,rid={rid}|path=nt|idx=5" for t, rid
+                            in enumerate(["x", "c9.1.nt", "c10.2.nt", "c10.1.nt"])])
+        assert [e for e in res.errors if e.startswith("ack_durability")] == [
+            f"ack_durability: acked {rid} never applied"
+            for rid in ["c10.1.nt", "c10.2.nt", "c9.1.nt", "x"]]
 
     def test_double_mutation_fails(self):
         res = verify_trace(_variants()["double_mutation"])
@@ -497,6 +591,104 @@ class TestVerifier:
             assert res.ok, res.errors
         assert peaks[1] <= 1.25 * peaks[0], peaks
         assert peaks[1] < 400 * n, peaks[1] / n
+
+    def test_memory_of_dense_seqs(self):
+        # 20,000 applied indices over 40 clients, each client's seqs 1, 2, 3,
+        # ...: the history and the mutation map hold int64 codes (a dict
+        # keyed by a copy of each rid string took about 150 B an index)
+        n = 20_000
+        rids = [f"c{i % 40}.{i // 40 + 1}.nt" for i in range(n)]
+        sm = KvStateMachine()
+        for rid in rids:
+            sm.apply(rid, payload_for_rid(rid))
+        digest = sm.digest()
+
+        def lines():
+            for idx, rid in enumerate(rids, 1):
+                yield f"{idx},ack,0,-,-,0,rid={rid}|path=nt|idx={idx}"
+                yield (f"{idx},apply,0,-,-,0,idx={idx}|rid={rid}"
+                       f"|kind=FUTURE|digest=abcdef012345|dup=0")
+            yield (f"{n + 1},final_state,0,-,-,0,alive=1|term=1|gen=5"
+                   f"|applied={n}|contig={n}|digest={digest}")
+
+        tracemalloc.start()
+        try:
+            res = verify_trace(lines(), TraceCollector())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok, res.errors
+        assert peak < 120 * n, peak / n
+
+    def test_memory_of_a_huge_seq(self):
+        # a sparse or huge seq allocates no column indexed by seq
+        rid = "c0.999999999.t"
+        sm = KvStateMachine()
+        sm.apply(rid, payload_for_rid(rid))
+        tracemalloc.start()
+        try:
+            res = verify_trace([
+                f"1,apply,0,-,-,0,idx=1|rid={rid}|kind=NORMAL|digest=abcdef012345|dup=0",
+                f"2,final_state,0,-,-,0,alive=1|term=1|gen=5|applied=1|contig=1"
+                f"|digest={sm.digest()}"], TraceCollector())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.ok, res.errors
+        assert peak < 1024 * 1024, peak
+
+    def test_rids_outside_the_form(self):
+        # every rid of RIDS_OUTSIDE in the history, applied again by a second
+        # node, extended, applied off the history, mutated at an index past
+        # 64 bits and acked; errors, checks and mutation map as the verifier
+        # gave them when it held rid strings
+        sm = KvStateMachine()
+        sm.apply("c0.1.t", payload_for_rid("c0.1.t"))
+        history = ["c0.1.t", *RIDS_OUTSIDE, "c0.2147483647.nt"]
+        lines = ["0,ack,0,-,-,0,rid=.1.t|path=t|idx=7"]
+        for node in range(2):
+            for idx, rid in enumerate(history, 1):
+                record = "NOOP_FILL|digest=-" if not rid else "NORMAL|digest=0123456789ab"
+                lines.append(f"{idx},apply,{node},-,-,0,idx={idx}|rid={rid}|kind={record}"
+                             f"|dup={int(node > 0 and idx % 2 == 0)}")
+        record = "kind=NORMAL|digest=0123456789ab"
+        lines += [
+            f"20,apply,1,-,-,0,idx=12|rid=c0.01.t|{record}|dup=0",
+            f"21,apply,2,-,-,0,idx=1|rid=c0.1.t.x|{record}|dup=0",
+            f"22,apply,2,-,-,0,idx=99999999999999999999|rid=c0.9999999999.t|{record}|dup=0",
+            f"23,apply,3,-,-,0,idx=-99999999999999999999|rid=c0.1.t|{record}|dup=0",
+            f"24,apply,4,-,-,0,idx=1|rid=c0.1.t|{record}|dup=0",
+            "25,ack,1,-,-,0,rid=c0..t|path=t|idx=5",
+            "26,ack,1,-,-,0,rid=c0.\u0661.t|path=t|idx=5",
+            "27,ack,1,-,-,0,rid=c0.01.nt|path=nt|idx=5",
+            f"30,final_state,4,-,-,0,alive=1|term=1|gen=5|applied=1|contig=1"
+            f"|digest={sm.digest()}"]
+        c = TraceCollector()
+        res = verify_trace(lines, c)
+        assert res.errors == [
+            "at_most_once: node 1 mutated for c0.01.t at 12, above its mutation at 2",
+            "applied_prefix: node 2 applied ('c0.1.t.x', 'NORMAL', '0123456789ab') at "
+            "index 1; the history of 12 has ('c0.1.t', 'NORMAL', '0123456789ab')",
+            "commit_monotone: node 2 applied 99999999999999999999 after 1",
+            "applied_prefix: node 2 applied ('c0.9999999999.t', 'NORMAL', '0123456789ab') "
+            "at index 99999999999999999999; the history of 12 has None",
+            "at_most_once: node 2 mutated for c0.9999999999.t at 99999999999999999999, "
+            "above its mutation at 9",
+            "commit_monotone: node 3 applied -99999999999999999999 after 0",
+            "applied_prefix: node 3 applied ('c0.1.t', 'NORMAL', '0123456789ab') at "
+            "index -99999999999999999999; the history of 12 has None",
+            "at_most_once: node 4 mutated for c0.1.t at 1, above its mutation at "
+            "-99999999999999999999",
+            "ack_durability: acked c0.01.nt never applied",
+            "digest_replay: node 0 applied but has no final_state line",
+            "digest_replay: node 1 applied but has no final_state line",
+            "digest_replay: node 2 applied but has no final_state line",
+            "digest_replay: node 3 applied but has no final_state line"]
+        assert res.checks == dict.fromkeys(_PASS, False)
+        assert dict(c.committed.items()) == {
+            ".1.t": 7, "c0..t": 5, "c0.01.t": 2, "c0.1": 4,
+            "c0.1.t": -99999999999999999999, "c0.1.t.x": 1, "c0.1.x": 3,
+            "c0.2147483647.nt": 11, "c0.9999999999.t": 9, "c0.\u0661.t": 8}
 
     def test_ack_of_a_rid_applied_at_a_bad_index(self):
         # the ack's rid mutated only at index -5, which the history does
