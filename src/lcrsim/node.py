@@ -5,6 +5,13 @@ mode ("raft") and the follower-led future-log mode ("lcr"). A node is a pure
 event handler: the harness delivers one message or timer at a time and the
 node reacts by mutating its own state and emitting messages through the
 context. Nothing here touches wall-clock time or global state.
+
+Raft's rule for all servers, that a higher term makes a node a follower of
+that term, runs once at dispatch (``on_message``), before any handler sees
+the message; the handlers deal with messages of the node's term or older. A
+vote request at a higher term does not reset the election timer: a
+candidate with a stale log must not postpone this node's own election, so
+the timer resets only when the vote is granted.
 """
 
 from __future__ import annotations
@@ -238,10 +245,8 @@ class Node:
         if len(self.votes) >= self._majority():
             self._become_leader()
 
-    def _step_down(self, term: int, reset_timer: bool = True) -> None:
-        if term > self.term:
-            self.persist.current_term = term
-            self.persist.voted_for = None
+    def _step_down(self, reset_timer: bool = True) -> None:
+        """Become a follower of the current term."""
         if self.role == LEADER:
             self.integrated_at.clear()
         self.role = FOLLOWER
@@ -268,10 +273,6 @@ class Node:
         self.ctx.set_timer("heartbeat", self.cfg.heartbeat_us)
 
     def handle_vote_request(self, frm: int, req: VoteRequest) -> None:
-        if req.term > self.term:
-            # a candidate with a stale log must not postpone our own election,
-            # so the timer only resets when the vote is actually granted
-            self._step_down(req.term, reset_timer=False)
         granted = False
         if req.term == self.term and self.persist.voted_for in (None, frm):
             mine = (self._term_at(self.log.last_contiguous_index),
@@ -284,9 +285,6 @@ class Node:
         self.ctx.send(frm, VoteResponse(term=self.term, granted=granted))
 
     def handle_vote_response(self, frm: int, resp: VoteResponse) -> None:
-        if resp.term > self.term:
-            self._step_down(resp.term)
-            return
         if self.role == CANDIDATE and resp.term == self.term and resp.granted:
             self.votes.add(frm)
             if len(self.votes) >= self._majority():
@@ -380,9 +378,7 @@ class Node:
     def handle_future_replicate(self, frm: int, req: FutureReplicateRequest) -> None:
         fe = req.entry
         out = StageOutcome.STALE
-        if req.term >= self.term:
-            if req.term > self.term:
-                self._step_down(req.term)
+        if req.term == self.term:
             # fe.generation is the sender's: it drops or restages older futures
             if fe.generation > self.generation:
                 self._change_generation(fe.generation, None)
@@ -405,8 +401,6 @@ class Node:
         if existing is not None:
             return (StageOutcome.DUPLICATE if existing.same_record(fe)
                     else StageOutcome.CONFLICT)
-        if fe.index <= self.commit_index:
-            return StageOutcome.CONFLICT
         # log it under this leader's term, as a copy if its term is older:
         # that term's leader may have logged a different entry at this index,
         # and (index, term) must name one entry for the prev_log_term check to
@@ -426,8 +420,6 @@ class Node:
         return StageOutcome.STAGED
 
     def handle_future_ack(self, frm: int, resp: FutureReplicateResponse) -> None:
-        if resp.term > self.term:
-            self._step_down(resp.term)
         if resp.generation > self.generation:
             self._change_generation(resp.generation, None)
             return
@@ -474,14 +466,12 @@ class Node:
     def _change_generation(self, new_gen: int, new_membership: Optional[list[int]]) -> None:
         if new_gen < self.generation:
             return
+        if new_membership is not None:
+            self.persist.membership = list(new_membership)
         if new_gen == self.generation:
-            if new_membership is not None:
-                self.persist.membership = list(new_membership)
             return
         old_gen = self.generation
         self.persist.generation = new_gen
-        if new_membership is not None:
-            self.persist.membership = list(new_membership)
         self.ctx.trace("generation", detail=f"old={old_gen}|new={new_gen}")
         if self.cfg.protocol != "lcr":
             return
@@ -569,9 +559,6 @@ class Node:
         p.last_sent = self.ctx.now
 
     def handle_append_response(self, frm: int, resp: AppendEntriesResponse) -> None:
-        if resp.term > self.term:
-            self._step_down(resp.term)
-            return
         p = self.peers.get(frm)
         if self.role != LEADER or resp.term < self.term or p is None:
             return
@@ -594,17 +581,15 @@ class Node:
             p.force_full.update(i for i in range(report + 1,
                                                  self.log.last_contiguous_index + 1)
                                 if self.log.get(i).kind == EntryKind.FUTURE)
-        if resp.success:
+        if resp.prefix_ok:
             p.match_index = max(p.match_index, report)
-            p.next_index = report + 1
+        p.next_index = report + 1
+        if resp.success:
             p.opt_next = max(p.opt_next, report + 1)
         else:
             p.force_full.update(resp.missing)
-            p.next_index = report + 1
             p.opt_next = report + 1
             p.answered = p.sent
-            if resp.prefix_ok:
-                p.match_index = max(p.match_index, report)
         p.force_full = {i for i in p.force_full if i > p.match_index}
         self._advance_commit()
         self._try_replicate(frm)
@@ -655,32 +640,21 @@ class Node:
     # -- append-entries: follower side ------------------------------------
 
     def handle_append_entries(self, frm: int, req: AppendEntriesRequest) -> None:
+        """Check the prefix ``req`` extends, log its entries and answer it."""
         if req.term < self.term:
-            self.ctx.send(frm, AppendEntriesResponse(
-                term=self.term,
-                last_applied_index_report=self.log.last_contiguous_index,
-                last_future_index=self.stage.max_index_seen,
-                seq=req.seq, prefix_ok=False))
+            self._answer_append(frm, req, self.log.last_contiguous_index, False, [])
             return
-        if req.term > self.term or self.role != FOLLOWER:
-            self._step_down(req.term)
+        if self.role != FOLLOWER:
+            self._step_down()
         self.leader_id = frm
         self._reset_election_timer()
         if req.generation > self.generation:
             self._change_generation(req.generation, None)
-        self._append_slice(frm, req)
-
-    def _append_slice(self, frm: int, req: AppendEntriesRequest) -> None:
-        """Check the prefix ``req`` extends, log its entries and answer it."""
         prev = req.prev_log_index
         if prev > 0 and (prev > self.log.last_contiguous_index
                          or self._term_at(prev) != req.prev_log_term):
-            self.ctx.send(frm, AppendEntriesResponse(
-                term=self.term,
-                last_applied_index_report=min(self.log.last_contiguous_index,
-                                              prev - 1),
-                last_future_index=self.stage.max_index_seen,
-                seq=req.seq, prefix_ok=False))
+            self._answer_append(frm, req, min(self.log.last_contiguous_index,
+                                              prev - 1), False, [])
             return
 
         missing = []
@@ -719,10 +693,14 @@ class Node:
         # first miss
         report = missing[0] - 1 if missing else prev + len(req.entries)
         self._commit_to(min(req.leader_commit, report))
+        self._answer_append(frm, req, report, True, missing)
+
+    def _answer_append(self, frm: int, req: AppendEntriesRequest, report: int,
+                       prefix_ok: bool, missing: list[int]) -> None:
         self.ctx.send(frm, AppendEntriesResponse(
             term=self.term, last_applied_index_report=report,
             last_future_index=self.stage.max_index_seen,
-            seq=req.seq, prefix_ok=True, missing=missing))
+            seq=req.seq, prefix_ok=prefix_ok, missing=missing))
 
     def _confirm_own_future(self, index: int) -> None:
         """The leader has sequenced this index; any matching pending record of
@@ -749,21 +727,14 @@ class Node:
     # -- reconcile (new leader pulls staged futures) -----------------------
 
     def handle_reconcile_request(self, frm: int, req: ReconcileRequest) -> None:
-        if req.term > self.term:
-            self._step_down(req.term)
-            self.leader_id = frm
         self.ctx.send(frm, ReconcileResponse(
             term=self.term, entries=list(self.stage.pending.values())))
 
     def handle_reconcile_response(self, frm: int, resp: ReconcileResponse) -> None:
-        if resp.term > self.term:
-            self._step_down(resp.term)
-            return
         if self.role != LEADER:
             return
         for e in resp.entries:
-            if e.generation == self.generation and self.log.get(e.index) is None \
-                    and e.index > self.commit_index:
+            if e.generation == self.generation:
                 self._integrate_future(e)
 
     # -- apply -------------------------------------------------------------
@@ -818,4 +789,14 @@ class Node:
         handler = self._HANDLERS.get(type(msg))
         if handler is None:
             raise TypeError(f"unhandled message {type(msg)!r}")
+        # Raft's rule for all servers: a higher term makes this node a
+        # follower of that term before the message is handled. Client
+        # records carry no term.
+        term = getattr(msg, "term", 0)
+        if term > self.term:
+            self.persist.current_term = term
+            self.persist.voted_for = None
+            self._step_down(reset_timer=type(msg) is not VoteRequest)
+            if type(msg) is ReconcileRequest:
+                self.leader_id = frm     # only that term's leader sends one
         handler(self, frm, msg)

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from lcrsim.node import Node
 from lcrsim.runner import run_scenario
 from lcrsim.scenario import load_scenario
 
@@ -156,3 +157,31 @@ def test_fuzz_acked_future_lost(protocol):
     result = run_scenario(_scenario(1015, fuzz_case(1015)), protocol=protocol,
                           drain_s=1.2)
     assert result.verdict.ok, result.verdict.errors[:2]
+
+
+# The node relies on a live node's commit point never passing its contiguous
+# log: every index up to the commit point then holds an entry, so a leader
+# that finds no entry at a future's index has not committed past it. Case 19
+# crashes the leader; fuzz seed 43 restarts two nodes and elects a leader
+# with futures above its contiguous log.
+@pytest.mark.parametrize("protocol", ["lcr", "raft"])
+@pytest.mark.parametrize("seed, case", [(19, None), (43, fuzz_case(43))],
+                         ids=["case19", "fuzz43"])
+def test_commit_never_passes_the_contiguous_log(monkeypatch, seed, case,
+                                                protocol):
+    handled = []
+
+    def checked(method):
+        def wrapper(self, *args):
+            method(self, *args)
+            handled.append(None)
+            for n in self.ctx.sim.nodes.values():
+                if n.ctx.alive:
+                    assert n.commit_index <= n.log.last_contiguous_index, \
+                        (n.id, n.ctx.now)
+        return wrapper
+
+    for name in ("on_message", "on_timer"):
+        monkeypatch.setattr(Node, name, checked(getattr(Node, name)))
+    result = run_scenario(_scenario(seed, case), protocol=protocol, drain_s=1.2)
+    assert handled and result.verdict.ok, result.verdict.errors[:2]

@@ -253,3 +253,22 @@ class TestUnifiedLog:
                        commit_index=2)
         with pytest.raises(CommittedMutation):
             log.truncate_from(2, commit_index=2)
+
+    @given(st.lists(st.tuples(st.booleans(), st.integers(-1, 40),
+                              st.integers(0, 40)), max_size=60))
+    @settings(max_examples=300)
+    def test_contiguous_prefix_has_no_gap(self, ops):
+        # the node relies on this: an index at or below the commit point,
+        # which never passes the contiguous index, always holds an entry
+        log = UnifiedLog()
+        for is_append, index, commit in ops:
+            try:
+                if is_append:
+                    log.append(Entry(index=index, term=1, kind=EntryKind.NORMAL),
+                               commit)
+                else:
+                    log.truncate_from(index, commit)
+            except (ValueError, CommittedMutation):
+                continue
+            assert all(log.get(i) is not None
+                       for i in range(1, log.last_contiguous_index + 1))

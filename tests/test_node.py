@@ -8,7 +8,8 @@ from lcrsim.logcore import Entry, EntryKind, StageOutcome
 from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
                              ClientRequest, ClientResponse,
                              FutureReplicateRequest, FutureReplicateResponse,
-                             ReconcileResponse, VoteRequest, message_bytes)
+                             ReconcileRequest, ReconcileResponse, VoteRequest,
+                             VoteResponse, message_bytes)
 from lcrsim.node import (FOLLOWER, LEADER, MAX_FLYING, Node, NodeConfig,
                          PersistentState)
 
@@ -567,7 +568,7 @@ class TestLeaderStream:
         first = next(m for to, m in lctx.take_sent()
                      if to == 1 and isinstance(m, AppendEntriesRequest))
         assert first.prev_log_index == 5
-        f.handle_append_entries(0, first)
+        f.on_message(0, first)
         (rej,) = responses(fctx)
         assert (rej.success, rej.prefix_ok, rej.last_applied_index_report) == \
             (False, False, 2)
@@ -575,7 +576,7 @@ class TestLeaderStream:
         assert n.peers[1].next_index == 3
         (resend,) = [m for to, m in lctx.take_sent() if to == 1]
         assert resend.prev_log_index == 2 and len(resend.entries) == 4
-        f.handle_append_entries(0, resend)
+        f.on_message(0, resend)
         assert [(r.seq, r.success, r.last_applied_index_report)
                 for r in responses(fctx)] == [(resend.seq, True, 6)]
         assert f.log.last_contiguous_index == 6
@@ -829,10 +830,63 @@ class TestStepFill:
         assert all(n.log.get(j).kind == EntryKind.NOOP_FILL for j in range(10, 15))
 
 
+# every wire record that carries a term, built at term ``t``
+TERMED_RECORDS = {
+    AppendEntriesRequest: lambda t: AppendEntriesRequest(
+        term=t, generation=5, prev_log_index=0, prev_log_term=0, entries=[],
+        leader_commit=0, seq=1),
+    AppendEntriesResponse: lambda t: AppendEntriesResponse(
+        term=t, last_applied_index_report=0, last_future_index=0, seq=1,
+        prefix_ok=False),
+    FutureReplicateRequest: lambda t: FutureReplicateRequest(
+        term=t, entry=Entry(index=22, term=t, kind=EntryKind.FUTURE,
+                            generation=5, request_id="c8.1.nt")),
+    FutureReplicateResponse: lambda t: FutureReplicateResponse(
+        term=t, generation=5, from_leader=False, index=17,
+        outcome=StageOutcome.STALE),
+    VoteRequest: lambda t: VoteRequest(term=t, last_log_index=0, last_log_term=0),
+    VoteResponse: lambda t: VoteResponse(term=t, granted=False),
+    ReconcileRequest: lambda t: ReconcileRequest(term=t),
+    ReconcileResponse: lambda t: ReconcileResponse(term=t, entries=[]),
+}
+
+
+class TestTermRule:
+    """A higher term makes a node a follower of that term at dispatch, before
+    the record's handler runs."""
+
+    @pytest.mark.parametrize("record", TERMED_RECORDS, ids=lambda r: r.__name__)
+    def test_higher_term_makes_a_leader_follow(self, record):
+        n, ctx = make_leader()
+        n.persist.voted_for = 0
+        fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE, generation=5,
+                   request_id="c9.1.nt")
+        n.handle_future_replicate(2, FutureReplicateRequest(term=n.term, entry=fe))
+        assert n.integrated_at
+        t = n.term
+        n.on_message(3, TERMED_RECORDS[record](t + 1))
+        assert (n.role, n.term, n.persist.voted_for, n.integrated_at) == \
+            (FOLLOWER, t + 1, None, {})
+        # only the new term's leader sends these
+        sets_leader = record in (AppendEntriesRequest, ReconcileRequest)
+        assert n.leader_id == (3 if sets_leader else 0)
+
+    def test_client_records_change_no_term(self):
+        n, ctx = make_leader()
+        t = n.term
+        n.on_message("c0", creq())
+        assert (n.role, n.term) == (LEADER, t)
+        f, fctx = make_follower(node_id=1)
+        t = f.term
+        f.on_message(0, ClientResponse("c0.1.t", "Ok"))
+        assert (f.role, f.term, fctx.sent) == \
+            (FOLLOWER, t, [("c0", ClientResponse("c0.1.t", "Ok"))])
+
+
 class TestElections:
     def test_step_down_on_higher_term(self):
         n, ctx = make_leader()
-        n.handle_append_entries(3, AppendEntriesRequest(
+        n.on_message(3, AppendEntriesRequest(
             term=n.term + 1, generation=5, prev_log_index=0,
             prev_log_term=0, entries=[], leader_commit=0, seq=1))
         assert n.role == FOLLOWER
@@ -841,12 +895,12 @@ class TestElections:
     def test_vote_granted_once_per_term(self):
         n, ctx = make_follower(node_id=1)
         req = VoteRequest(term=5, last_log_index=0, last_log_term=0)
-        n.handle_vote_request(3, req)
+        n.on_message(3, req)
         granted = [m.granted for _, m in ctx.take_sent()]
         assert granted == [True]
         # the vote is recorded against the link's sender
         assert n.persist.voted_for == 3
-        n.handle_vote_request(4, req)
+        n.on_message(4, req)
         granted = [m.granted for _, m in ctx.take_sent()]
         assert granted == [False]
 

@@ -5,6 +5,9 @@ A refactor that is meant to keep behaviour must leave ``trace.txt`` and
 and compares the sha256 of ``trace.txt`` followed by ``metrics.csv`` (the
 digest perfbench records) with the value the code gave before. gen_change is
 cut after its membership change at 2.5 s, so the generation change is covered.
+fig15_failover, the benchmark's failover workload, is cut at 32 s: it keeps
+the follower's crash and restart, the leader's crash at 25 s and the election
+of node 2 at 30.3 s with its reconcile pull.
 Leader-fault case 19 crashes the leader, so a new election, the reconcile
 pull and step fills under the new leader are covered too. Fuzz seed 43
 restarts the crashed leader and a follower with their persisted logs and
@@ -57,6 +60,8 @@ DIGESTS = {
         "bee9e4c555afb2d732ca7f6f3fe2abe836659e218a19b7cf7fde89283a3e6d18",
     ("gen_change", 3.0, "raft"):
         "72b54d42a8e9a045ea1d0a06c6b2f2f66dbcb768d9e2daffbe4da7254bbec4b6",
+    ("fig15_failover", 32.0, "lcr"):
+        "54e7e7646818d0579b5588d46bcc0392ad5ca6a3d14108bbd97494526bb0f222",
 }
 
 # leader-fault case -> protocol -> digest, each run with a 1.2 s drain.
