@@ -246,9 +246,12 @@ class Node:
             self._become_leader()
 
     def _step_down(self, reset_timer: bool = True) -> None:
-        """Become a follower of the current term."""
+        """Become a follower of the current term. A leader's election timer
+        is not armed, or fires while it leads and is not re-armed, so a
+        leader that steps down always resets it."""
         if self.role == LEADER:
             self.integrated_at.clear()
+            reset_timer = True
         self.role = FOLLOWER
         if reset_timer:
             self._reset_election_timer()

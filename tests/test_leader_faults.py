@@ -185,3 +185,40 @@ def test_commit_never_passes_the_contiguous_log(monkeypatch, seed, case,
         monkeypatch.setattr(Node, name, checked(getattr(Node, name)))
     result = run_scenario(_scenario(seed, case), protocol=protocol, drain_s=1.2)
     assert handled and result.verdict.ok, result.verdict.errors[:2]
+
+
+# Three nodes: node 1 crashes at 0.5 s and node 2 is cut off from 1 s. Node 2
+# campaigns alone, and on reconnecting its higher-term vote request deposes
+# leader node 0, which refuses the vote: node 2's log is stale. A leader has
+# no armed election timer, and a vote request does not reset it, so node 0
+# once stayed a follower with no timer and no leader was ever elected again:
+# raft completed no request after the reconnect and LCR failed
+# ack_durability. Now node 0 is re-elected within the run.
+VOTE_REFUSED = """
+name: vote_refused
+seed: 1
+duration_s: 4.0
+nodes: 3
+clients: 5
+workload:
+  nt_ratio: 0.5
+  payload_bytes: 60
+  request_timeout_ms: 300
+  blacklist_ms: 1500
+network:
+  node_latency: {mean_ms: 5.0, fluct_prob: 0.3, fluct_magnitude_ms: 0.2}
+timers: {election_timeout_ms: 600, heartbeat_ms: 150, max_await_ms: 400}
+faults:
+  - {time_s: 0.5, action: crash, node: 1}
+  - {time_s: 1.0, action: disconnect, node: 2}
+  - {time_s: 2.9, action: reconnect, node: 2}
+"""
+
+
+@pytest.mark.parametrize("protocol", ["lcr", "raft"])
+def test_leader_deposed_by_a_refused_vote_is_reelected(protocol):
+    result = run_scenario(load_scenario(VOTE_REFUSED), protocol=protocol)
+    assert result.verdict.ok, result.verdict.errors[:2]
+    assert any(n.ctx.alive and n.role == "leader"
+               for n in result.sim.nodes.values())
+    assert any(c.end_us > 2_900_000 for c in result.completions)

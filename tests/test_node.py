@@ -904,6 +904,16 @@ class TestElections:
         granted = [m.granted for _, m in ctx.take_sent()]
         assert granted == [False]
 
+    def test_leader_refusing_a_higher_term_vote_arms_its_election_timer(self):
+        # a leader has no election timer armed; a refused vote resets none,
+        # so the step-down itself must arm one
+        n, ctx = make_leader()
+        assert "election" not in ctx.timers
+        n.on_message(3, VoteRequest(term=n.term + 1, last_log_index=0,
+                                    last_log_term=0))
+        assert [m.granted for _, m in ctx.take_sent()] == [False]
+        assert n.role == FOLLOWER and "election" in ctx.timers
+
     def test_election_on_timeout(self):
         n, ctx = make_follower(node_id=1)
         ctx.now = ctx.timers["election"]
