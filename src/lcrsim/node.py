@@ -7,11 +7,9 @@ node reacts by mutating its own state and emitting messages through the
 context. Nothing here touches wall-clock time or global state.
 
 Raft's rule for all servers, that a higher term makes a node a follower of
-that term, runs once at dispatch (``on_message``), before any handler sees
-the message; the handlers deal with messages of the node's term or older. A
-vote request at a higher term does not reset the election timer: a
-candidate with a stale log must not postpone this node's own election, so
-the timer resets only when the vote is granted.
+that term, runs once, in ``on_message``, before the message's handler. A
+vote request at a higher term leaves the election timer alone: a candidate
+with a stale log must not postpone this node's own election.
 """
 
 from __future__ import annotations
@@ -246,9 +244,8 @@ class Node:
             self._become_leader()
 
     def _step_down(self, reset_timer: bool = True) -> None:
-        """Become a follower of the current term. A leader's election timer
-        is not armed, or fires while it leads and is not re-armed, so a
-        leader that steps down always resets it."""
+        """Become a follower of the current term. Nothing re-arms a leader's
+        election timer while it leads, so a leader always resets it."""
         if self.role == LEADER:
             self.integrated_at.clear()
             reset_timer = True
@@ -792,9 +789,7 @@ class Node:
         handler = self._HANDLERS.get(type(msg))
         if handler is None:
             raise TypeError(f"unhandled message {type(msg)!r}")
-        # Raft's rule for all servers: a higher term makes this node a
-        # follower of that term before the message is handled. Client
-        # records carry no term.
+        # the higher-term rule of the module docstring; client records carry none
         term = getattr(msg, "term", 0)
         if term > self.term:
             self.persist.current_term = term
