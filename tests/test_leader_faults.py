@@ -190,10 +190,10 @@ def test_commit_never_passes_the_contiguous_log(monkeypatch, seed, case,
 # Three nodes: node 1 crashes at 0.5 s and node 2 is cut off from 1 s. Node 2
 # campaigns alone, and on reconnecting its higher-term vote request deposes
 # leader node 0, which refuses the vote: node 2's log is stale. A leader has
-# no armed election timer, and a vote request does not reset it, so node 0
-# once stayed a follower with no timer and no leader was ever elected again:
-# raft completed no request after the reconnect and LCR failed
-# ack_durability. Now node 0 is re-elected within the run.
+# no armed election timer, and a vote request does not reset it; unless the
+# step-down arms one, node 0 stays a follower with no timer, no leader is
+# elected again, raft completes no request after the reconnect and LCR fails
+# ack_durability.
 VOTE_REFUSED = """
 name: vote_refused
 seed: 1
