@@ -142,9 +142,6 @@ class FutureStage:
             self.max_index_seen = entry.index
         return StageOutcome.STAGED
 
-    def peek(self, index: int) -> Optional[Entry]:
-        return self.pending.get(index)
-
     def drop(self, index: int) -> None:
         entry = self.pending.pop(index, None)
         if entry is not None:
@@ -202,9 +199,6 @@ class UnifiedLog:
             raise CommittedMutation(f"truncate at {index} crosses commit {commit_index}")
         del self._entries[index:]
         self.last_contiguous_index = min(self.last_contiguous_index, index - 1)
-
-    def occupied(self, index: int) -> bool:
-        return self.get(index) is not None
 
     def occupied_above(self, index: int) -> list[int]:
         """The indices above ``index`` that hold an entry, in order."""

@@ -10,6 +10,17 @@ Raft's rule for all servers, that a higher term makes a node a follower of
 that term, runs once, in ``on_message``, before the message's handler. A
 vote request at a higher term leaves the election timer alone: a candidate
 with a stale log must not postpone this node's own election.
+
+The handlers rely on three invariants and do not test them again. Log
+Matching: one (index, term) names one entry on every node, so an entry a
+follower holds at a request entry's index and term is that entry; a signal
+resolves only to the staged copy of its own generation to keep it so. The
+contiguous prefix: every index up to ``last_contiguous_index`` holds an
+entry, and a live node's commit point never passes it. The pending maps:
+every ``pending_by_rid`` value is a key of ``pending_futures`` whose future
+carries that rid. ``test_commit_never_passes_the_contiguous_log`` in
+``tests/test_leader_faults.py`` checks all three as runs go, and
+``TestUnifiedLog::test_contiguous_prefix_has_no_gap`` the log's prefix.
 """
 
 from __future__ import annotations
@@ -36,6 +47,10 @@ ELECTION_JITTER = 0.2        # election timeout drawn from [T, (1+jitter)T]
 HOUSEKEEPING_US = 100_000
 MAX_FLYING = 16              # unanswered append requests per follower
 MAX_ENTRIES = 5000           # entries per append request
+STEP_THRESHOLD = 400         # future-index lead before gap filling
+# never fill around futures integrated more recently than this: their
+# neighbours' replication may still be in flight from slower peers
+STEP_GRACE_US = 50_000
 
 
 @dataclass
@@ -46,11 +61,7 @@ class NodeConfig:
     max_await_us: int = 1_000_000
     window_size: int = 100
     open_window_count: int = 2
-    step_threshold: int = 400          # future-index lead before gap filling
     step_timeout_us: int = 1_000_000
-    # never fill around futures integrated more recently than this: their
-    # neighbours' replication may still be in flight from slower peers
-    step_grace_us: int = 50_000
 
 
 @dataclass
@@ -161,10 +172,8 @@ class Node:
         return [m for m in self.membership if m != self.id]
 
     def _term_at(self, index: int) -> int:
-        if index <= 0:
-            return 0
-        e = self.log.get(index)
-        return e.term if e else 0
+        """The term at ``index``, at most the contiguous log; 0 before it."""
+        return self.log.get(index).term if index > 0 else 0
 
     def _refresh_windows(self) -> None:
         # windows close against leader-sequenced progress only
@@ -414,7 +423,7 @@ class Node:
         if self.log.last_contiguous_index >= fe.index:
             for f in self._others():
                 self._try_replicate(f)
-        elif fe.index - self.log.last_contiguous_index > self.cfg.step_threshold:
+        elif fe.index - self.log.last_contiguous_index > STEP_THRESHOLD:
             self._step_fill()
         self._advance_commit()
         return StageOutcome.STAGED
@@ -478,10 +487,8 @@ class Node:
         # own unconfirmed entries move to fresh indices; foreign staged copies
         # with the old generation are dropped (a later signal miss makes the
         # leader re-send raw content, so this is safe)
-        own = []
-        for idx, p in list(self.pending_futures.items()):
-            if idx > self.log.last_contiguous_index and self.log.get(idx) is None:
-                own.append((idx, p))
+        own = [(idx, p) for idx, p in self.pending_futures.items()
+               if self.log.get(idx) is None]
         for idx, e in list(self.stage.pending.items()):
             if e.generation < new_gen:
                 self.stage.drop(idx)
@@ -493,9 +500,8 @@ class Node:
                                    p.entry, acked=p.acked)
 
     def request_membership_change(self, new_size: int) -> None:
-        """Leader-side admin entry point: grow the cluster one server at a time."""
-        if self.role != LEADER:
-            return
+        """Leader-side admin entry point: grow the cluster one server at a
+        time. Leader only: the runner calls it on ``current_leader()``."""
         size = len(self.membership)
         while size < new_size:
             size += 1
@@ -559,9 +565,9 @@ class Node:
         p.last_sent = self.ctx.now
 
     def handle_append_response(self, frm: int, resp: AppendEntriesResponse) -> None:
-        p = self.peers.get(frm)
-        if self.role != LEADER or resp.term < self.term or p is None:
+        if self.role != LEADER or resp.term < self.term:
             return
+        p = self.peers[frm]     # this term's replies answer this leader's sends
         report = resp.last_applied_index_report
         p.last_resp = self.ctx.now
         if not resp.success and resp.seq <= p.answered:
@@ -603,8 +609,7 @@ class Node:
         n = marks[len(marks) - self._majority()]
         n = min(n, self.log.last_contiguous_index)
         for cand in range(n, self.commit_index, -1):
-            e = self.log.get(cand)
-            if e is not None and e.term == self.term:
+            if self.log.get(cand).term == self.term:
                 self._commit_to(cand)
                 break
 
@@ -621,15 +626,15 @@ class Node:
         if not self.integrated_at:
             return
         now = self.ctx.now
-        if max(self.integrated_at) - contig <= self.cfg.step_threshold and \
+        if max(self.integrated_at) - contig <= STEP_THRESHOLD and \
                 now - min(self.integrated_at.values()) <= self.cfg.step_timeout_us:
             return
         eligible = [i for i, t in self.integrated_at.items()
-                    if now - t >= self.cfg.step_grace_us]
+                    if now - t >= STEP_GRACE_US]
         if not eligible:
             return
         for j in range(contig + 1, max(eligible)):
-            if not self.log.occupied(j):
+            if self.log.get(j) is None:
                 self.log.append(Entry(index=j, term=self.term,
                                       kind=EntryKind.NOOP_FILL), self.commit_index)
         self._refresh_windows()
@@ -663,15 +668,12 @@ class Node:
                 continue
             existing = self.log.get(e.index)
             if existing is not None and existing.term == e.term:
-                if e.kind == EntryKind.SIGNAL:
-                    # an already-resolved future satisfies its signal
-                    if existing.kind == EntryKind.FUTURE \
-                            and existing.generation == e.generation:
-                        continue
-                elif existing.request_id == e.request_id:
-                    continue
-            staged = self.stage.peek(e.index)
-            if e.kind == EntryKind.SIGNAL and staged is None:
+                continue   # Log Matching: it is this entry (Raft's rule 3)
+            # an index's owner allocates it once per generation: a staged
+            # copy of another generation is another request's future
+            staged = self.stage.pending.get(e.index)
+            if e.kind == EntryKind.SIGNAL and (staged is None or
+                                              staged.generation != e.generation):
                 missing.append(e.index)   # ask the leader for the raw content
             if missing:
                 continue   # nothing is logged above the first miss
@@ -684,7 +686,7 @@ class Node:
                 self._resolve_stage_conflict(staged)
             self.log.append(e, self.commit_index)
             self.stage.drop(e.index)
-            self._confirm_own_future(e.index)
+            self._confirm_own_future(e)
             if e.kind == EntryKind.CONFIG:
                 self._apply_config(int(e.payload.decode()))
         self._refresh_windows()
@@ -702,16 +704,13 @@ class Node:
             last_future_index=self.stage.max_index_seen,
             seq=req.seq, prefix_ok=prefix_ok, missing=missing))
 
-    def _confirm_own_future(self, index: int) -> None:
-        """The leader has sequenced this index; any matching pending record of
-        ours is confirmed (the quorum ack may still be owed to the client)."""
-        p = self.pending_futures.get(index)
-        if p is None:
-            return
-        logged = self.log.get(index)
-        if logged is not None and logged.request_id == p.entry.request_id:
+    def _confirm_own_future(self, logged: Entry) -> None:
+        """The leader has sequenced ``logged``; a pending record of ours for
+        it is confirmed (the quorum ack may still be owed to the client)."""
+        p = self.pending_futures.get(logged.index)
+        if p is not None and logged.request_id == p.entry.request_id:
             p.leader_ack = True
-            p.acks.add(self.leader_id if self.leader_id is not None else self.id)
+            p.acks.add(self.leader_id)
             self._check_future_ack(p)
 
     def _resolve_stage_conflict(self, staged: Entry) -> None:
@@ -762,8 +761,8 @@ class Node:
                     self._respond(via, ClientResponse(e.request_id, "Ok"))
             pidx = self.pending_by_rid.pop(e.request_id, None)
             if pidx is not None:
-                p = self.pending_futures.pop(pidx, None)
-                if p is not None and not p.acked:
+                p = self.pending_futures.pop(pidx)
+                if not p.acked:
                     self._ack_future(p, i)
 
     # -- dispatch ----------------------------------------------------------

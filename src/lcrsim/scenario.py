@@ -110,9 +110,7 @@ _SECTIONS = {
         # with no open window no future can be allocated, and an LCR run
         # would silently sequence every request at the leader
         "open_window_count": ("open_window_count", int, (1,)),
-        "step_threshold": ("step_threshold", int, None),
-        "step_timeout_ms": ("step_timeout_us", _ms, _POSITIVE),
-        "step_grace_ms": ("step_grace_us", _ms, None)}),
+        "step_timeout_ms": ("step_timeout_us", _ms, _POSITIVE)}),
 }
 _NETWORK = ("node_latency", "client_latency")
 

@@ -14,9 +14,10 @@ import random
 
 import pytest
 
+from lcrsim.logcore import UnifiedLog
 from lcrsim.node import Node
 from lcrsim.runner import run_scenario
-from lcrsim.scenario import load_scenario
+from lcrsim.scenario import builtin_scenario_path, load_scenario
 
 TMPL = """
 name: leader_faults
@@ -159,17 +160,32 @@ def test_fuzz_acked_future_lost(protocol):
     assert result.verdict.ok, result.verdict.errors[:2]
 
 
-# The node relies on a live node's commit point never passing its contiguous
-# log: every index up to the commit point then holds an entry, so a leader
-# that finds no entry at a future's index has not committed past it. Case 19
-# crashes the leader; fuzz seed 43 restarts two nodes and elects a leader
-# with futures above its contiguous log.
+def _gen_change_3s():
+    sc = load_scenario(builtin_scenario_path("gen_change"))
+    sc.duration_s = 3.0
+    return sc
+
+
+# The node relies on three invariants that this test checks as a run goes
+# (the ``node.py`` docstring names them):
+# - Log Matching: every append of an (index, term), on any node, logs the
+#   same (kind, rid, generation);
+# - a live node's commit point never passes its contiguous log, so every
+#   index up to the commit point holds an entry and a leader that finds no
+#   entry at a future's index has not committed past it;
+# - every ``pending_by_rid`` value of the node that handled an event is a
+#   key of ``pending_futures`` whose future carries that rid.
+# Case 19 crashes the leader; fuzz seed 43 restarts two nodes and elects a
+# leader with futures above its contiguous log; gen_change grows the cluster
+# from 3 to 5 members at 2.5 s while futures are staged.
 @pytest.mark.parametrize("protocol", ["lcr", "raft"])
-@pytest.mark.parametrize("seed, case", [(19, None), (43, fuzz_case(43))],
-                         ids=["case19", "fuzz43"])
-def test_commit_never_passes_the_contiguous_log(monkeypatch, seed, case,
+@pytest.mark.parametrize("scenario", [
+    lambda: _scenario(19), lambda: _scenario(43, fuzz_case(43)),
+    _gen_change_3s], ids=["case19", "fuzz43", "gen_change3s"])
+def test_commit_never_passes_the_contiguous_log(monkeypatch, scenario,
                                                 protocol):
     handled = []
+    logged = {}     # (index, term) -> (kind, rid, generation)
 
     def checked(method):
         def wrapper(self, *args):
@@ -179,11 +195,24 @@ def test_commit_never_passes_the_contiguous_log(monkeypatch, seed, case,
                 if n.ctx.alive:
                     assert n.commit_index <= n.log.last_contiguous_index, \
                         (n.id, n.ctx.now)
+            for rid, idx in self.pending_by_rid.items():
+                p = self.pending_futures.get(idx)
+                assert p is not None and p.entry.request_id == rid, \
+                    (self.id, self.ctx.now, rid, idx)
+        return wrapper
+
+    def matched(append):
+        def wrapper(log, entry, *args):
+            rec = (entry.kind, entry.request_id, entry.generation)
+            first = logged.setdefault((entry.index, entry.term), rec)
+            assert first == rec, (entry.index, entry.term, first, rec)
+            append(log, entry, *args)
         return wrapper
 
     for name in ("on_message", "on_timer"):
         monkeypatch.setattr(Node, name, checked(getattr(Node, name)))
-    result = run_scenario(_scenario(seed, case), protocol=protocol, drain_s=1.2)
+    monkeypatch.setattr(UnifiedLog, "append", matched(UnifiedLog.append))
+    result = run_scenario(scenario(), protocol=protocol, drain_s=1.2)
     assert handled and result.verdict.ok, result.verdict.errors[:2]
 
 

@@ -238,7 +238,7 @@ class TestFutureReplication:
         ((to, resp),) = ctx.take_sent()
         assert to == 2 and not resp.from_leader
         assert (resp.index, resp.outcome) == (17, StageOutcome.STAGED)
-        assert n.stage.peek(17) is not None
+        assert n.stage.pending.get(17) is not None
 
     def test_leader_integrates_future(self):
         n, ctx = make_leader()
@@ -273,7 +273,7 @@ class TestFutureReplication:
         n.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
         n.handle_client_request(creq("c3.1.nt", payload=b"I j 2"))
         kept, rejected = n.pending_by_rid["c1.1.nt"], n.pending_by_rid["c3.1.nt"]
-        staged = n.stage.peek(kept)
+        staged = n.stage.pending.get(kept)
         ctx.take_sent()
         n.handle_future_ack(0, FutureReplicateResponse(
             term=n.term, generation=5, from_leader=True, index=rejected,
@@ -281,12 +281,13 @@ class TestFutureReplication:
         # the rejected future moves to a fresh index and is sent again
         moved = n.pending_by_rid["c3.1.nt"]
         assert moved > rejected and moved % 5 == 2
-        assert rejected not in n.pending_futures and n.stage.peek(rejected) is None
+        assert rejected not in n.pending_futures
+        assert n.stage.pending.get(rejected) is None
         assert {m.entry.index for _, m in ctx.take_sent()
                 if isinstance(m, FutureReplicateRequest)} == {moved}
         # the other keeps its index and staged entry, and completes on acks
         assert n.pending_by_rid["c1.1.nt"] == kept
-        assert n.stage.peek(kept) is staged
+        assert n.stage.pending.get(kept) is staged
         for frm in (0, 1):
             n.handle_future_ack(frm, FutureReplicateResponse(
                 term=n.term, generation=5, from_leader=frm == 0, index=kept,
@@ -301,7 +302,7 @@ class TestFutureReplication:
             term=n.term, entry=fe))
         ((_, resp),) = ctx.take_sent()
         assert (resp.index, resp.outcome) == (8, StageOutcome.STALE)
-        assert n.stage.peek(8) is None
+        assert n.stage.pending.get(8) is None
 
     def test_leader_answers_an_older_generation_stale(self):
         n, ctx = make_leader()
@@ -320,7 +321,7 @@ class TestFutureReplication:
         fe = Entry(index=17, term=n.term, kind=EntryKind.FUTURE,
                    generation=5, request_id="c9.1.nt", payload=b"I k 1")
         n.handle_future_replicate(2, FutureReplicateRequest(term=n.term, entry=fe))
-        assert n.generation == 5 and n.stage.peek(17) is fe
+        assert n.generation == 5 and n.stage.pending.get(17) is fe
         ((to, resp),) = ctx.take_sent()
         assert (to, resp.generation, resp.index, resp.outcome) == \
             (2, 5, 17, StageOutcome.STAGED)
@@ -438,6 +439,32 @@ class TestSignalFlow:
         assert [(e.index, e.kind) for e in resend.entries] == [
             (fe.index, EntryKind.FUTURE)]
 
+    def test_signal_misses_a_staged_copy_of_another_generation(self):
+        # after a 3 -> 5 change node 1 remaps its future 7 to 11, and this
+        # follower stages it; the leader's signal at 11 names node 2's
+        # generation-3 future there, whose copy the follower dropped
+        n, ctx = make_follower(node_id=3, persist=noop_log(10))
+        staged = Entry(index=11, term=1, kind=EntryKind.FUTURE, generation=5,
+                       request_id="c1.1.nt", payload=b"I k 1")
+        n.stage.stage(staged, 5)
+
+        def append(entry, seq):
+            n.handle_append_entries(0, AppendEntriesRequest(
+                term=1, generation=5, prev_log_index=10, prev_log_term=1,
+                entries=[entry], leader_commit=0, seq=seq))
+            (resp,) = responses(ctx)
+            return resp
+
+        resp = append(Entry(index=11, term=1, kind=EntryKind.SIGNAL,
+                            generation=3), seq=1)
+        assert (resp.prefix_ok, resp.success, resp.missing) == (True, False, [11])
+        assert n.log.get(11) is None and n.stage.pending.get(11) is staged
+        # the entry the leader then sends in full displaces the staged copy
+        full = Entry(index=11, term=1, kind=EntryKind.FUTURE, generation=3,
+                     request_id="c2.1.nt", payload=b"I j 2")
+        assert append(full, seq=2).success
+        assert n.log.get(11) is full and not n.stage.pending
+
     def test_signal_miss_lists_every_missing_signal(self):
         n, ctx = make_follower(node_id=3)
         n.stage.stage(Entry(index=2, term=1, kind=EntryKind.FUTURE,
@@ -451,7 +478,7 @@ class TestSignalFlow:
         assert not resp.success and resp.prefix_ok
         assert resp.missing == [1, 3] and resp.last_applied_index_report == 0
         # nothing is logged above the first miss; the staged entry stays
-        assert not n.log.occupied_above(0) and n.stage.peek(2) is not None
+        assert not n.log.occupied_above(0) and n.stage.pending.get(2) is not None
 
     def test_stale_entry_at_first_miss_is_not_reported(self):
         # the follower keeps a term-1 entry at 2; the term-2 leader's signal
@@ -739,7 +766,7 @@ class TestConflictResolution:
         n.on_timer("housekeeping")
         assert not n.parked_futures
         ((new_idx, p),) = n.pending_futures.items()
-        assert new_idx > 303 and new_idx % 5 == 2 and n.stage.peek(new_idx)
+        assert new_idx > 303 and new_idx % 5 == 2 and n.stage.pending.get(new_idx)
         assert p.acked and p.entry.request_id == "c1.1.nt"
         assert n.pending_by_rid == {"c1.1.nt": new_idx}
         resent = [(to, m.entry.index) for to, m in ctx.retransmitted
@@ -784,9 +811,13 @@ class TestCommit:
 
 
 class TestStepFill:
-    def test_fills_after_grace(self):
-        cfg = NodeConfig(step_threshold=4, step_grace_us=1000)
-        n, ctx = make_leader(cfg)
+    @pytest.fixture(autouse=True)
+    def _small_threshold(self, monkeypatch):
+        monkeypatch.setattr("lcrsim.node.STEP_THRESHOLD", 4)
+
+    def test_fills_after_grace(self, monkeypatch):
+        monkeypatch.setattr("lcrsim.node.STEP_GRACE_US", 1000)
+        n, ctx = make_leader()
         n.ctx.now = 10_000
         n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
                                   generation=5, request_id="c9.1.nt"))
@@ -797,9 +828,9 @@ class TestStepFill:
         assert all(kinds[i] == EntryKind.NOOP_FILL
                    for i in range(2, 9) if kinds[i] != EntryKind.NORMAL)
 
-    def test_respects_grace(self):
-        cfg = NodeConfig(step_threshold=4, step_grace_us=1_000_000)
-        n, ctx = make_leader(cfg)
+    def test_respects_grace(self, monkeypatch):
+        monkeypatch.setattr("lcrsim.node.STEP_GRACE_US", 1_000_000)
+        n, ctx = make_leader()
         n.ctx.now = 10_000
         n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
                                   generation=5, request_id="c9.1.nt"))
@@ -808,9 +839,9 @@ class TestStepFill:
         n._step_fill()
         assert n.log.last_contiguous_index == before
 
-    def test_fills_only_below_newest_eligible_future(self):
-        cfg = NodeConfig(step_threshold=4, step_grace_us=1000)
-        n, ctx = make_leader(cfg)
+    def test_fills_only_below_newest_eligible_future(self, monkeypatch):
+        monkeypatch.setattr("lcrsim.node.STEP_GRACE_US", 1000)
+        n, ctx = make_leader()
         n.ctx.now = 10_000
         n._integrate_future(Entry(index=9, term=n.term, kind=EntryKind.FUTURE,
                                   generation=5, request_id="c9.1.nt"))
@@ -819,7 +850,7 @@ class TestStepFill:
                                   generation=5, request_id="c9.2.nt"))
         # 9 was past its grace and got filled up to; 15 is not yet
         assert n.log.last_contiguous_index == 9
-        assert not any(n.log.occupied(j) for j in range(10, 15))
+        assert all(n.log.get(j) is None for j in range(10, 15))
         n.ctx.now = 19_900
         before = list(map(n.log.get, n.log.occupied_above(0)))
         n._step_fill()

@@ -69,6 +69,8 @@ class TestLoader:
         ("timers", "election_jitter"),
         ("network", "entry_header_bytes"),
         ("workload", "max_requests_per_client"),
+        ("future_log", "step_threshold"),
+        ("future_log", "step_grace_ms"),
     ])
     def test_unknown_section_key(self, section, key):
         with pytest.raises(ScenarioError, match=key):
