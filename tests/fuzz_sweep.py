@@ -39,6 +39,10 @@ runs whose verdict moved and the runs whose error texts moved (their
 digest, compares as before: its error texts are not compared. The exit
 status is then 1 when a verdict or an error text moved, instead of when a
 run fails.
+
+``--bytes`` ends the output with the bytes the nodes sent, summed over the
+runs of each mode from ``result.sim.stats``: all of them (``sent_bytes``)
+and those flagged as retransmitted (``retrans_bytes``), with their share.
 """
 
 from __future__ import annotations
@@ -103,10 +107,11 @@ def failure_shapes(result) -> list[str]:
 
 
 def run_one(job: tuple[tuple, str, bool]
-            ) -> tuple[tuple, str, list[str], str, list[str], str]:
+            ) -> tuple[tuple, str, list[str], str, list[str], str, tuple[int, int]]:
     """(key, protocol, failed checks, least error message, failure shapes,
-    output digests or "") for one run. The key is ``(seed,)`` for a fuzz
-    case and ``(scenario, seed)`` for a pinned run."""
+    output digests or "", (sent bytes, retransmitted bytes)) for one run.
+    The key is ``(seed,)`` for a fuzz case and ``(scenario, seed)`` for a
+    pinned run."""
     key, protocol, digest = job
     if len(key) == 1:
         result = run_scenario(_scenario(key[0], fuzz_case(key[0])),
@@ -118,8 +123,11 @@ def run_one(job: tuple[tuple, str, bool]
         result = run_scenario(load_scenario(text), seed=key[1], protocol=protocol)
     verdict = result.verdict
     failed = sorted(name for name, ok in verdict.checks.items() if not ok)
+    stats = result.sim.stats.values()
     return (key, protocol, failed, min(verdict.errors, default=""),
-            failure_shapes(result), output_digests(result) if digest else "")
+            failure_shapes(result), output_digests(result) if digest else "",
+            (sum(st.sent_bytes for st in stats),
+             sum(st.retrans_bytes for st in stats)))
 
 
 def main(argv=None) -> int:
@@ -138,6 +146,8 @@ def main(argv=None) -> int:
     ap.add_argument("--against", metavar="FILE",
                     help="compare every run with its line in FILE, a "
                          "--digests file of another tree")
+    ap.add_argument("--bytes", action="store_true",
+                    help="end with the sent and retransmitted bytes per mode")
     args = ap.parse_args(argv)
     if args.pinned:
         if args.first is not None:
@@ -157,6 +167,7 @@ def main(argv=None) -> int:
     failures = {p: [] for p in protocols}
     shape_counts = {p: Counter() for p in protocols}
     mine = {}
+    sent = {p: [0, 0] for p in protocols}
     if args.jobs == 1:
         results = map(run_one, jobs)
         pool = None
@@ -165,7 +176,9 @@ def main(argv=None) -> int:
         results = pool.imap(run_one, jobs)
     digests = open(args.digests, "w") if args.digests else None
     try:
-        for key, protocol, failed, error, shapes, digest in results:
+        for key, protocol, failed, error, shapes, digest, nbytes in results:
+            sent[protocol][0] += nbytes[0]
+            sent[protocol][1] += nbytes[1]
             verdict = ",".join(failed) or "ok"
             run = " ".join(map(str, key))
             if digests:
@@ -193,9 +206,20 @@ def main(argv=None) -> int:
               + (f": {', '.join(failed)}" if failed else "")
               + (f"; shapes: {', '.join(f'{k} {shapes[k]}' for k in sorted(shapes))}"
                  if shapes else ""))
-    if theirs is not None:
-        return 1 if compare(mine, theirs, args.against) else 0
-    return 1 if any(failures.values()) else 0
+    status = (compare(mine, theirs, args.against) if theirs is not None
+              else any(failures.values()))
+    if args.bytes:
+        print_bytes(sent)
+    return 1 if status else 0
+
+
+def print_bytes(sent: dict) -> None:
+    """Print a table of mode, sent bytes, retransmitted bytes and their
+    share, from ``sent``: protocol -> [sent bytes, retransmitted bytes]."""
+    print(f"{'mode':<6}{'sent_bytes':>16}{'retrans_bytes':>16}{'share':>9}")
+    for protocol, (total, retrans) in sent.items():
+        print(f"{protocol:<6}{total:>16,}{retrans:>16,}"
+              f"{retrans / total if total else 0:>9.4f}")
 
 
 def read_digests(path: str) -> dict:
