@@ -61,6 +61,7 @@ class AppendEntriesResponse:
 class FutureReplicateRequest:
     term: int
     entry: Entry               # a future of the sender's generation
+    seq: int = 0               # in-flight bookkeeping at the sender
 
 
 @dataclass(slots=True)
@@ -70,6 +71,7 @@ class FutureReplicateResponse:
     from_leader: bool
     index: int                 # the future's; not charged when STALE
     outcome: StageOutcome
+    seq: int = 0               # the request's, echoed
 
 
 @dataclass(slots=True)

@@ -74,23 +74,45 @@ class PendingFuture:
 
 
 @dataclass(slots=True)
-class Peer:
-    """The leader's replication stream to one follower."""
-    next_index: int            # first index not yet confirmed by the follower
-    opt_next: int              # first index not yet sent (pipelined ahead)
-    last_resp: int             # time of the follower's latest response
-    match_index: int = 0
-    future_ack: int = 0        # highest future index the follower has staged
+class Stream:
+    """Requests to one peer, answered in order on a link that keeps order.
+    A peer that leaves a request unanswered for ``max_await`` is silent: its
+    requests in flight are given up on and only probes go out until it
+    answers."""
+    last_resp: int             # time of the peer's latest answer
     last_sent: int = -10**12
-    max_sent: int = 0          # highest index ever sent, to flag retransmits
     # requests sent, each numbered by the count so far, and the highest of
     # them answered or given up on: the sent - answered between are in flight
     sent: int = 0
     answered: int = 0
-    force_full: set[int] = field(default_factory=set)   # no signal for these
-    # no answer within max_await: only empty probes at the log end go out
-    # until the follower answers
     silent: bool = False
+
+    def overdue(self, now: int, max_await: int) -> bool:
+        return self.sent > self.answered and now - self.last_resp >= max_await
+
+    def give_up(self, now: int) -> None:
+        self.answered = self.sent
+        self.last_resp = now
+        self.silent = True
+
+    def answer(self, seq: int) -> bool:
+        """Note the answer to request ``seq``; True when it ends a silence.
+        A number above ``sent`` answers an earlier incarnation's request."""
+        self.answered = max(self.answered, min(seq, self.sent))
+        was, self.silent = self.silent, False
+        return was
+
+
+@dataclass(slots=True, kw_only=True)
+class Peer(Stream):
+    """The leader's replication stream to one follower. A silent follower
+    gets only empty probes at the log end."""
+    next_index: int            # first index not yet confirmed by the follower
+    opt_next: int              # first index not yet sent (pipelined ahead)
+    match_index: int = 0
+    future_ack: int = 0        # highest future index the follower has staged
+    max_sent: int = 0          # highest index ever sent, to flag retransmits
+    force_full: set[int] = field(default_factory=set)   # no signal for these
 
 
 @dataclass
@@ -129,6 +151,7 @@ class Node:
         self.integrated_at: dict[int, int] = {}   # future idx -> integration time
 
         # data-leader state
+        self.streams: dict[int, Stream] = {}      # future stream per peer
         self.pending_futures: dict[int, PendingFuture] = {}
         self.pending_by_rid: dict[str, int] = {}
         self.parked_futures: list[PendingFuture] = []
@@ -203,13 +226,9 @@ class Node:
             if self.role == LEADER:
                 for f in self._others():
                     p = self.peers[f]
-                    if p.sent > p.answered and \
-                            self.ctx.now - p.last_resp >= self.cfg.max_await_us:
-                        # follower went silent with requests outstanding:
+                    if p.overdue(self.ctx.now, self.cfg.max_await_us):
                         # probe it instead of resending its backlog
-                        p.answered = p.sent
-                        p.last_resp = self.ctx.now
-                        p.silent = True
+                        p.give_up(self.ctx.now)
                         self._send_append(f)
                     elif self.ctx.now - p.last_sent >= self.cfg.heartbeat_us:
                         self._send_append(f)
@@ -372,11 +391,28 @@ class Node:
 
     def _broadcast_future(self, p: PendingFuture, retransmit: bool = False,
                           skip: set | None = None) -> None:
-        p.last_sent = self.ctx.now
-        msg = FutureReplicateRequest(term=self.term, entry=p.entry)
+        """Send ``p``'s future to every other member not in ``skip``; a
+        silent peer gets one future per ``max_await`` as its probe."""
+        now = p.last_sent = self.ctx.now
+        max_await = self.cfg.max_await_us
         for m in self._others():
-            if not skip or m not in skip:
-                self.ctx.send(m, msg, retransmit=retransmit)
+            if skip and m in skip:
+                continue
+            s = self.streams.get(m)
+            if s is None:
+                s = self.streams[m] = Stream(last_resp=now)
+            elif s.overdue(now, max_await):
+                s.give_up(now)
+            if s.silent and now - s.last_sent < max_await:
+                continue
+            if s.sent == s.answered:
+                # no heartbeat keeps an idle stream's clock: the wait for an
+                # answer starts at this send
+                s.last_resp = now
+            s.sent += 1
+            s.last_sent = now
+            self.ctx.send(m, FutureReplicateRequest(
+                term=self.term, entry=p.entry, seq=s.sent), retransmit=retransmit)
 
     def _respond(self, via: Optional[int], resp: ClientResponse) -> None:
         """Answer the client through the relay ``via``, or directly."""
@@ -400,7 +436,8 @@ class Node:
                         f"idx={fe.index}|gen={fe.generation}|origin={fe.origin}"))
         self.ctx.send(frm, FutureReplicateResponse(
             term=self.term, generation=self.generation,
-            from_leader=self.role == LEADER, index=fe.index, outcome=out))
+            from_leader=self.role == LEADER, index=fe.index, outcome=out,
+            seq=req.seq))
 
     def _integrate_future(self, fe: Entry) -> StageOutcome:
         """Leader-side: adopt a future entry at its claimed index."""
@@ -429,6 +466,10 @@ class Node:
         return StageOutcome.STAGED
 
     def handle_future_ack(self, frm: int, resp: FutureReplicateResponse) -> None:
+        s = self.streams.get(frm)
+        if s is not None:     # None only for an earlier incarnation's send
+            s.last_resp = self.ctx.now
+            s.answer(resp.seq)
         if resp.generation > self.generation:
             self._change_generation(resp.generation, None)
             return
@@ -572,15 +613,13 @@ class Node:
         p.last_resp = self.ctx.now
         if not resp.success and resp.seq <= p.answered:
             return  # stale failure from a stream that was already reset
-        p.answered = max(p.answered, resp.seq)
         p.future_ack = max(p.future_ack, resp.last_future_index)
-        if p.silent:
+        if p.answer(resp.seq):
             # the follower answered: resume its stream from the report, with
             # futures in full, since those broadcast while it was silent never
             # reached it. A rejected probe verified nothing, so resume no
             # higher than the unconfirmed point: walking back from the log end
             # would resend the suffix once per step, e.g. to a deposed leader.
-            p.silent = False
             if not resp.success:
                 report = min(report, p.next_index - 1)
             p.opt_next = report + 1

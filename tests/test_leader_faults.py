@@ -52,10 +52,10 @@ CASES = {
                        (2.91, "disconnect", 1), (3.69, "reconnect", 1)]),
 }
 
-# Every fuzz seed in 1..400 that fails does so in LCR mode on ack_durability,
-# and all of them, 108, 229, 231, 242 and 334, end in the barrier shape
-# below. Seeds 794 (late fill) and 1015 (lost) lie outside that range.
-# ``tests/fuzz_sweep.py`` names the shape of each failure.
+# Every fuzz seed in 1..400 that fails does so in LCR mode on ack_durability:
+# 108, 149, 222, 231 and 334 end in the barrier shape below, and 229 in the
+# late-fill shape of its own mark. Seed 794 (late fill) lies outside that
+# range. ``tests/fuzz_sweep.py`` names the shape of each failure.
 FUZZ_ACKED_NEVER_COMMITS = pytest.mark.xfail(strict=True, reason=(
     "ack_durability: an acked older-term future sits at the top of every "
     "node's contiguous log and the leader ends at commit = contig - 1: the "
@@ -70,10 +70,13 @@ FUZZ_ELECTED_LATE = pytest.mark.xfail(strict=True, reason=(
     "futures above its gap and no contiguous log holds them; it passes with "
     "a 2 s drain"))
 
-FUZZ_ACKED_LOST = pytest.mark.xfail(strict=True, reason=(
-    "ack_durability: acked c2.36.nt and c4.35.nt are lost from every log and "
-    "every stage: every node ends with applied = contig, and only the "
-    "data-leader's pending_futures still holds them"))
+FUZZ_FILL_AFTER_THE_RUN = pytest.mark.xfail(strict=True, reason=(
+    "ack_durability (late fill): node 0 is re-elected for term 4 at 4.78 s "
+    "with a gap at 1860-1862 below the term-1 futures it integrated from its "
+    "stage, waits step_timeout_ms (400 ms) to fill it, and the run ends at "
+    "5.2 s, before the fill: only the leader logs acked c1.355.nt, above its "
+    "contiguous log"))
+
 
 
 def fuzz_case(seed: int):
@@ -135,9 +138,20 @@ def test_fuzz_verifier_passes(seed, protocol):
     assert result.verdict.ok, result.verdict.errors[:2]
 
 
-@pytest.mark.parametrize("protocol", [
-    pytest.param("lcr", marks=FUZZ_ACKED_NEVER_COMMITS), "raft"])
-@pytest.mark.parametrize("seed", [108, 229, 231, 242, 334])
+# seed -> the mark of its LCR run. Each seed ended in the barrier shape at
+# some time. Seed 242 passes now only because its timing moved when
+# data-leaders stopped replicating into silent peers, and 229 has moved to
+# the late-fill shape.
+ABOVE_BARRIER = {108: FUZZ_ACKED_NEVER_COMMITS, 149: FUZZ_ACKED_NEVER_COMMITS,
+                 222: FUZZ_ACKED_NEVER_COMMITS, 229: FUZZ_FILL_AFTER_THE_RUN,
+                 231: FUZZ_ACKED_NEVER_COMMITS, 242: (),
+                 334: FUZZ_ACKED_NEVER_COMMITS}
+
+
+@pytest.mark.parametrize("seed, protocol", [
+    pytest.param(seed, protocol,
+                 marks=ABOVE_BARRIER[seed] if protocol == "lcr" else ())
+    for seed in sorted(ABOVE_BARRIER) for protocol in ("lcr", "raft")])
 def test_fuzz_acked_future_above_barrier(seed, protocol):
     result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
                           drain_s=1.2)
@@ -152,8 +166,11 @@ def test_fuzz_leader_elected_late(protocol):
     assert result.verdict.ok, result.verdict.errors[:2]
 
 
-@pytest.mark.parametrize("protocol", [
-    pytest.param("lcr", marks=FUZZ_ACKED_LOST), "raft"])
+# Seed 1015 lost acked c2.36.nt and c4.35.nt from every log and every stage,
+# and only the data-leader's pending_futures still held them. It passes now
+# only because its timing moved when data-leaders stopped replicating into
+# silent peers; no seed in 1..1100 ends in that shape any more.
+@pytest.mark.parametrize("protocol", ["lcr", "raft"])
 def test_fuzz_acked_future_lost(protocol):
     result = run_scenario(_scenario(1015, fuzz_case(1015)), protocol=protocol,
                           drain_s=1.2)

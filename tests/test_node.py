@@ -702,6 +702,97 @@ class TestSilentFollower:
         assert [e.index for e in resend.entries] == [2, 3, 4]
 
 
+class TestSilentFuturePeer:
+    """A data-leader keeps the leader's silent rule per peer: a peer that
+    leaves a future unanswered for ``max_await`` gets one future per
+    ``max_await`` as its probe until it answers."""
+
+    @staticmethod
+    def _futures(ctx):
+        """(target, request) of every future sent since the last take."""
+        return [(to, m) for to, m in ctx.take_sent()
+                if isinstance(m, FutureReplicateRequest)]
+
+    @staticmethod
+    def _answer(n, frm, req, outcome=StageOutcome.STAGED):
+        n.on_message(frm, FutureReplicateResponse(
+            term=n.term, generation=5, from_leader=frm == 0,
+            index=req.entry.index, outcome=outcome, seq=req.seq))
+
+    def _sent(self, n, ctx, quiet=(1,), outcome=StageOutcome.STAGED):
+        """The peers the futures sent since the last take went to; every
+        peer but those in ``quiet`` answers them with ``outcome``."""
+        sent = self._futures(ctx)
+        for to, req in sent:
+            if to not in quiet:
+                self._answer(n, to, req, outcome)
+        ctx.take_sent()
+        return sorted(to for to, _ in sent)
+
+    def _request(self, n, ctx, seq, quiet=(1,), outcome=StageOutcome.STAGED):
+        """Accept nt request ``seq`` of client c1; see ``_sent``."""
+        n.handle_client_request(creq(f"c1.{seq}.nt", payload=b"I k 1"))
+        return self._sent(n, ctx, quiet, outcome)
+
+    def test_unanswered_peer_gets_one_probe_per_period_then_resumes(self):
+        # the others answer STALE, so no future is acked and housekeeping
+        # retransmits each one a max_await after its last send
+        n, ctx = make_follower(node_id=2)
+        wait, stale = n.cfg.max_await_us, StageOutcome.STALE
+        assert self._request(n, ctx, 1, outcome=stale) == [0, 1, 3, 4]
+        # the future sent at 0 is unanswered at max_await: peer 1 is silent
+        # and the new future is its probe
+        ctx.now = wait
+        assert self._request(n, ctx, 2, outcome=stale) == [0, 1, 3, 4]
+        assert n.streams[1].silent
+        # within the period neither a first broadcast nor a housekeeping
+        # retransmission goes to it
+        ctx.now = wait + 1_000
+        assert self._request(n, ctx, 3, outcome=stale) == [0, 3, 4]
+        ctx.now = 2 * wait - 1
+        n.on_timer("housekeeping")        # future 1's retransmission
+        assert self._sent(n, ctx, outcome=stale) == [0, 3, 4]
+        # a period after the probe, future 2's retransmission is the next
+        ctx.now = 2 * wait
+        n.on_timer("housekeeping")
+        (probe,) = [m for to, m in ctx.sent
+                    if to == 1 and isinstance(m, FutureReplicateRequest)]
+        assert self._sent(n, ctx, outcome=stale) == [0, 1, 3, 4]
+        assert probe.entry.request_id == "c1.2.nt" and n.streams[1].silent
+        ctx.now += 1_000
+        assert self._request(n, ctx, 4, outcome=stale) == [0, 3, 4]
+        # its first answer resumes the broadcast to it
+        self._answer(n, 1, probe, stale)
+        assert not n.streams[1].silent
+        assert self._request(n, ctx, 5, quiet=()) == [0, 1, 3, 4]
+
+    def test_a_peer_that_answered_everything_never_goes_silent(self):
+        n, ctx = make_follower(node_id=2)
+        wait = n.cfg.max_await_us
+        assert self._request(n, ctx, 1, quiet=()) == [0, 1, 3, 4]
+        # long quiet, then two futures in a row: the second goes out before
+        # the first is answered, and the wait runs from the first's send
+        for step in range(1, 11):
+            ctx.now = 10 * step * wait
+            n.on_timer("housekeeping")
+            assert self._futures(ctx) == []
+        n.handle_client_request(creq("c1.2.nt", payload=b"I k 2"))
+        first = self._futures(ctx)
+        ctx.now += 1_000
+        assert self._request(n, ctx, 3, quiet=()) == [0, 1, 3, 4]
+        for to, req in first:
+            self._answer(n, to, req)
+        assert not any(s.silent for s in n.streams.values())
+
+    def test_leader_and_data_leader_share_the_rule(self):
+        # the leader's follower streams and the data-leader's future streams
+        # are one record type with one silent test
+        n, _ = make_leader()
+        f, _ = make_follower(node_id=2)
+        f.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
+        assert type(n.peers[1]).overdue is type(f.streams[1]).overdue
+
+
 class TestReconcile:
     def test_new_leader_integrates_reconciled_entry(self):
         n, _ = make_leader()

@@ -37,6 +37,14 @@ and the leader's answer on as they are, so a relay hop's ``send`` line names
 ``ForwardedResponse``). Bytes and times are unchanged: each moved digest is
 the old trace with those two names replaced. gen_change's LCR digest did not
 move: its requests are all non-transactional, so none is relayed.
+
+The LCR digests of the three fault runs, fig15_failover, case 19 and fuzz
+seed 43, are those of a data-leader that sends a peer which left a future
+unanswered for ``max_await`` only one future per ``max_await``, as a probe,
+until the peer answers. On fig15_failover cut to 32 s that cuts the sent
+bytes from 25,477,600 to 25,280,696. Case 19 still makes 6 step fills and 2
+truncations, and fuzz seed 43 still restarts two nodes and elects a leader
+with futures above its contiguous log. The fault-free digests did not move.
 """
 
 import hashlib
@@ -61,7 +69,7 @@ DIGESTS = {
     ("gen_change", 3.0, "raft"):
         "72b54d42a8e9a045ea1d0a06c6b2f2f66dbcb768d9e2daffbe4da7254bbec4b6",
     ("fig15_failover", 32.0, "lcr"):
-        "54e7e7646818d0579b5588d46bcc0392ad5ca6a3d14108bbd97494526bb0f222",
+        "86dcd56aa1feda1eb76e619a835aeeaaca8e5e037e3c1370bb2e201ec68534dd",
 }
 
 # leader-fault case -> protocol -> digest, each run with a 1.2 s drain.
@@ -71,7 +79,7 @@ DIGESTS = {
 # 9,204 against resending the backlog at each reset).
 LEADER_FAULT_DIGESTS = {
     (19, "lcr"):
-        "63d3e3082c22747217899e1989237ca9b1c1d5ed3f99f67717c2bab91d1ce477",
+        "689810adb670507dd96313ce74a94e61d540387f220d44cbae7c160b89329505",
     (19, "raft"):
         "83e4b5f4feadce68a5b3de193f428f0c85c3c5ff574aab2052034335077c18d9",
 }
@@ -79,7 +87,7 @@ LEADER_FAULT_DIGESTS = {
 # fuzz seed -> protocol -> digest, each run with a 1.2 s drain
 FUZZ_DIGESTS = {
     (43, "lcr"):
-        "797fae78f71b2f1505bc000aa932a5e8cc3f2cef2defc0b2811112fa295af20d",
+        "5df512dd1cae6431bea3cca82b1a727c1e49751d87ac4661a268014df2377740",
     (43, "raft"):
         "4c3f71247c1523f92d00ddd12d8f71cba7f875fa65de3b26c7c4649255e3b4e3",
 }
