@@ -52,16 +52,27 @@ CASES = {
                        (2.91, "disconnect", 1), (3.69, "reconnect", 1)]),
 }
 
-# Every fuzz seed in 1..400 that fails does so in LCR mode on ack_durability:
-# 108, 149, 222, 231 and 334 end in the barrier shape below, and 229 in the
-# late-fill shape of its own mark. Seed 794 (late fill) lies outside that
-# range. ``tests/fuzz_sweep.py`` names the shape of each failure.
+# Every fuzz seed in 1..400 that fails does so in LCR mode on ack_durability,
+# in one of three shapes, each with its mark below. ``tests/fuzz_sweep.py``
+# names the shape of each failure. Seed 794 (late fill) lies outside that
+# range.
 FUZZ_ACKED_NEVER_COMMITS = pytest.mark.xfail(strict=True, reason=(
-    "ack_durability: an acked older-term future sits at the top of every "
-    "node's contiguous log and the leader ends at commit = contig - 1: the "
-    "new leader's barrier went into the lowest gap below it and only "
+    "ack_durability (barrier): an acked older-term future sits at the top of "
+    "every node's contiguous log and the leader ends at commit = contig - 1: "
+    "the new leader's barrier went into the lowest gap below it and only "
     "own-term entries commit, so the future is never applied once the "
     "clients stop"))
+
+FUZZ_FILLED_AFTER_THE_RUN = pytest.mark.xfail(strict=True, reason=(
+    "ack_durability (late fill): a leader elected less than step_timeout_ms "
+    "(400 ms) before the run ends logs acked futures above a gap below them "
+    "and waits step_timeout_ms to fill it, so the run ends before the fill "
+    "and no majority holds them within its contiguous log"))
+
+FUZZ_ACKED_LOST = pytest.mark.xfail(strict=True, reason=(
+    "ack_durability (lost): an acked future is in no log and no stage at the "
+    "end: a later leader that did not hold it put another entry at its "
+    "index, and only the data-leader's pending_futures still holds it"))
 
 FUZZ_ELECTED_LATE = pytest.mark.xfail(strict=True, reason=(
     "ack_durability: the term-6 leader is elected at 4.88 s with a gap below "
@@ -69,14 +80,6 @@ FUZZ_ELECTED_LATE = pytest.mark.xfail(strict=True, reason=(
     "the run ends at 5.2 s, before the fill: the leader logs the acked "
     "futures above its gap and no contiguous log holds them; it passes with "
     "a 2 s drain"))
-
-FUZZ_FILL_AFTER_THE_RUN = pytest.mark.xfail(strict=True, reason=(
-    "ack_durability (late fill): node 0 is re-elected for term 4 at 4.78 s "
-    "with a gap at 1860-1862 below the term-1 futures it integrated from its "
-    "stage, waits step_timeout_ms (400 ms) to fill it, and the run ends at "
-    "5.2 s, before the fill: only the leader logs acked c1.355.nt, above its "
-    "contiguous log"))
-
 
 
 def fuzz_case(seed: int):
@@ -138,20 +141,19 @@ def test_fuzz_verifier_passes(seed, protocol):
     assert result.verdict.ok, result.verdict.errors[:2]
 
 
-# seed -> the mark of its LCR run. Each seed ended in the barrier shape at
-# some time. Seed 242 passes now only because its timing moved when
-# data-leaders stopped replicating into silent peers, and 229 has moved to
-# the late-fill shape.
-ABOVE_BARRIER = {108: FUZZ_ACKED_NEVER_COMMITS, 149: FUZZ_ACKED_NEVER_COMMITS,
-                 222: FUZZ_ACKED_NEVER_COMMITS, 229: FUZZ_FILL_AFTER_THE_RUN,
-                 231: FUZZ_ACKED_NEVER_COMMITS, 242: (),
-                 334: FUZZ_ACKED_NEVER_COMMITS}
+# Every fuzz seed in 1..400 that has failed -> the mark of its LCR run today,
+# () for a pass. The test is named for the shape the first of them, 108,
+# 229, 231, 242 and 334, ended in. Those that pass now do so only because
+# their timing moved, not because a shape is mended.
+FUZZ_FAILED = {108: (), 149: FUZZ_ACKED_LOST, 165: FUZZ_FILLED_AFTER_THE_RUN,
+               222: FUZZ_ACKED_NEVER_COMMITS, 229: FUZZ_FILLED_AFTER_THE_RUN,
+               231: (), 242: (), 334: ()}
 
 
 @pytest.mark.parametrize("seed, protocol", [
     pytest.param(seed, protocol,
-                 marks=ABOVE_BARRIER[seed] if protocol == "lcr" else ())
-    for seed in sorted(ABOVE_BARRIER) for protocol in ("lcr", "raft")])
+                 marks=FUZZ_FAILED[seed] if protocol == "lcr" else ())
+    for seed in sorted(FUZZ_FAILED) for protocol in ("lcr", "raft")])
 def test_fuzz_acked_future_above_barrier(seed, protocol):
     result = run_scenario(_scenario(seed, fuzz_case(seed)), protocol=protocol,
                           drain_s=1.2)
@@ -169,7 +171,7 @@ def test_fuzz_leader_elected_late(protocol):
 # Seed 1015 lost acked c2.36.nt and c4.35.nt from every log and every stage,
 # and only the data-leader's pending_futures still held them. It passes now
 # only because its timing moved when data-leaders stopped replicating into
-# silent peers; no seed in 1..1100 ends in that shape any more.
+# silent peers.
 @pytest.mark.parametrize("protocol", ["lcr", "raft"])
 def test_fuzz_acked_future_lost(protocol):
     result = run_scenario(_scenario(1015, fuzz_case(1015)), protocol=protocol,

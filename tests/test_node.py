@@ -989,9 +989,9 @@ class TestTermRule:
         n.on_message(3, TERMED_RECORDS[record](t + 1))
         assert (n.role, n.term, n.persist.voted_for, n.integrated_at) == \
             (FOLLOWER, t + 1, None, {})
-        # only the new term's leader sends these
+        # only the new term's leader sends these; no other record names one
         sets_leader = record in (AppendEntriesRequest, ReconcileRequest)
-        assert n.leader_id == (3 if sets_leader else 0)
+        assert n.leader_id == (3 if sets_leader else None)
 
     def test_client_records_change_no_term(self):
         n, ctx = make_leader()
@@ -1035,6 +1035,19 @@ class TestElections:
                                     last_log_term=0))
         assert [m.granted for _, m in ctx.take_sent()] == [False]
         assert n.role == FOLLOWER and "election" in ctx.timers
+
+    def test_deposed_leader_knows_no_leader(self):
+        # deposed by a vote request, it neither takes a transactional request
+        # nor acts as a data-leader until the new term's leader is heard from
+        n, ctx = make_leader()
+        n.on_message(3, VoteRequest(term=n.term + 1, last_log_index=0,
+                                    last_log_term=0))
+        ctx.take_sent()
+        assert (n.role, n.leader_id) == (FOLLOWER, None)
+        n.on_message("c0", creq("c0.1.t"))
+        n.on_message("c1", creq("c1.1.nt", payload=b"I k 1"))
+        assert client_answers(ctx) == [("c0", "Rejected"), ("c1", "Rejected")]
+        assert not any(isinstance(m, FutureReplicateRequest) for _, m in ctx.sent)
 
     def test_election_on_timeout(self):
         n, ctx = make_follower(node_id=1)
