@@ -8,7 +8,7 @@ carries one future, of the sender's generation.
 Sizes on the simulated network are derived from these: a fixed per-message
 header plus a per-entry header plus exact payload bytes (signal and
 no-op-fill entries are header-only), plus a fixed width per index named in
-a response.
+a response and for a conflict-term hint.
 
 A payload is held unpadded, at its information size. A client pads its
 request to its configured payload size on the wire, and the request and
@@ -50,6 +50,9 @@ class AppendEntriesResponse:
     prefix_ok: bool = True
     # every signal in the request the responder could not resolve
     missing: list[int] = field(default_factory=list)
+    # on a prev_log_term mismatch, the responder's term at prev, whose run
+    # starts just past the report (Raft's conflict-term hint); 0 otherwise
+    conflict_term: int = 0
 
     @property
     def success(self) -> bool:
@@ -130,7 +133,7 @@ def message_bytes(msg) -> int:
     if isinstance(msg, AppendEntriesRequest):
         size += _entries_bytes(msg.entries)
     elif isinstance(msg, AppendEntriesResponse):
-        size += INDEX_BYTES * len(msg.missing)
+        size += INDEX_BYTES * (len(msg.missing) + bool(msg.conflict_term))
     elif isinstance(msg, FutureReplicateRequest):
         size += _entries_bytes([msg.entry])
     elif isinstance(msg, FutureReplicateResponse):

@@ -615,6 +615,12 @@ class Node:
         p.last_resp = self.ctx.now
         if not resp.success and resp.seq <= p.answered:
             return  # stale failure from a stream that was already reset
+        # the follower's run of the conflicting term starts past the report;
+        # where this log holds that term too, both hold the same entries
+        # (Log Matching), up to the end of this log's run, which lies below
+        # the rejected prev, whose term here differs
+        while resp.conflict_term and self._term_at(report + 1) == resp.conflict_term:
+            report += 1
         p.future_ack = max(p.future_ack, resp.last_future_index)
         if p.answer(resp.seq):
             # the follower answered: resume its stream from the report, with
@@ -697,10 +703,16 @@ class Node:
         if req.generation > self.generation:
             self._change_generation(req.generation, None)
         prev = req.prev_log_index
-        if prev > 0 and (prev > self.log.last_contiguous_index
-                         or self._term_at(prev) != req.prev_log_term):
-            self._answer_append(frm, req, min(self.log.last_contiguous_index,
-                                              prev - 1), False, [])
+        if prev > self.log.last_contiguous_index:
+            self._answer_append(frm, req, self.log.last_contiguous_index, False, [])
+            return
+        if prev > 0 and self._term_at(prev) != req.prev_log_term:
+            # Raft's conflict-term hint: the term at prev and the first index
+            # of its run, so the leader skips the run in one step
+            term, first = self._term_at(prev), prev
+            while self._term_at(first - 1) == term:
+                first -= 1
+            self._answer_append(frm, req, first - 1, False, [], conflict_term=term)
             return
 
         missing = []
@@ -739,11 +751,13 @@ class Node:
         self._answer_append(frm, req, report, True, missing)
 
     def _answer_append(self, frm: int, req: AppendEntriesRequest, report: int,
-                       prefix_ok: bool, missing: list[int]) -> None:
+                       prefix_ok: bool, missing: list[int],
+                       conflict_term: int = 0) -> None:
         self.ctx.send(frm, AppendEntriesResponse(
             term=self.term, last_applied_index_report=report,
             last_future_index=self.stage.max_index_seen,
-            seq=req.seq, prefix_ok=prefix_ok, missing=missing))
+            seq=req.seq, prefix_ok=prefix_ok, missing=missing,
+            conflict_term=conflict_term))
 
     def _confirm_own_future(self, logged: Entry) -> None:
         """The leader has sequenced ``logged``; a pending record of ours for

@@ -609,6 +609,64 @@ class TestLeaderStream:
         assert f.log.last_contiguous_index == 6
 
 
+class TestConflictTermHint:
+    """A prev_log_term mismatch is rejected with the follower's term at prev
+    and the first index of its run of that term (Raft §5.3)."""
+
+    @staticmethod
+    def _log(terms):
+        """A persisted state whose log holds no-op fills of ``terms``, one
+        (term, count) run after another."""
+        p = PersistentState(generation=len(MEMBERS), membership=list(MEMBERS))
+        i = 0
+        for term, count in terms:
+            for _ in range(count):
+                i += 1
+                p.log.append(Entry(index=i, term=term, kind=EntryKind.NOOP_FILL))
+            p.current_term = term
+        return p
+
+    def test_stale_suffix_of_an_older_term_is_skipped_in_one_step(self):
+        # the follower holds a 100-entry term-2 suffix that the term-4
+        # leader, whose log has term 3 there, never held
+        lctx = FakeCtx()
+        p = self._log([(1, 10), (3, 110)])
+        p.current_term = 4
+        n = Node(0, MEMBERS, NodeConfig(), lctx, persist=p, bootstrap_leader=True)
+        f, fctx = make_follower(node_id=1, persist=self._log([(1, 10), (2, 100)]))
+        rejections = []
+        for _ in range(10):
+            (req,) = [m for to, m in lctx.take_sent()
+                      if to == 1 and isinstance(m, AppendEntriesRequest)][-1:]
+            f.on_message(0, req)
+            (resp,) = responses(fctx)
+            if resp.success:
+                break
+            rejections.append((resp.last_applied_index_report, resp.conflict_term))
+            n.on_message(1, resp)
+        # too short at 120, then the hint: term 2 from index 11
+        assert rejections == [(110, 0), (10, 2)]
+        assert f.log.last_contiguous_index == 121
+        assert message_bytes(AppendEntriesResponse(
+            term=4, last_applied_index_report=10, last_future_index=0,
+            prefix_ok=False, conflict_term=2)) == 48 + 8
+
+    def test_leader_resumes_past_its_own_run_of_the_term(self):
+        # both logs hold term 2 at 11-20; the leader's run of it ends there,
+        # the follower's goes on to 30
+        lctx = FakeCtx()
+        p = self._log([(1, 10), (2, 10), (3, 15)])
+        p.current_term = 4
+        n = Node(0, MEMBERS, NodeConfig(), lctx, persist=p, bootstrap_leader=True)
+        lctx.take_sent()
+        n.on_message(1, AppendEntriesResponse(
+            term=4, last_applied_index_report=10, last_future_index=0,
+            seq=1, prefix_ok=False, conflict_term=2))
+        assert n.peers[1].next_index == 21
+        (resend,) = appends_to(lctx, 1)
+        assert (resend.prev_log_index, resend.prev_log_term) == (20, 2)
+
+
 class TestFollowerReply:
     def test_reply_vouches_only_for_what_the_request_verified(self):
         # the follower's term-1 entries at 4 and 5 may not be the term-2
