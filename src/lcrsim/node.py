@@ -528,17 +528,14 @@ class Node:
         if self.cfg.protocol != "lcr":
             return
         # own unconfirmed entries move to fresh indices; foreign staged copies
-        # with the old generation are dropped (a later signal miss makes the
-        # leader re-send raw content, so this is safe)
+        # stay, for the signals of their generation
         own = [(idx, p) for idx, p in self.pending_futures.items()
                if self.log.get(idx) is None]
-        for idx, e in list(self.stage.pending.items()):
-            if e.generation < new_gen:
-                self.stage.drop(idx)
         self.window_start = 0     # reopen the windows above the log
         self._refresh_windows()
         for idx, p in own:
             self.pending_futures.pop(idx, None)
+            self.stage.drop(idx)
             self._stage_own_future(reallocate_index(idx, old_gen, new_gen, self.id),
                                    p.entry, acked=p.acked)
 

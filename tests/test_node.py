@@ -1129,12 +1129,25 @@ class TestGenerationChange:
         assert new_idx >= old_idx
         assert n.pending_by_rid["c1.1.nt"] == new_idx
 
-    def test_foreign_old_generation_dropped(self):
+    def test_foreign_copy_kept_for_its_signal(self):
+        # a staged copy of the old generation stays, and the leader's later
+        # signal of that generation logs it without a miss
         n, ctx = make_follower(node_id=3)
-        n.stage.stage(Entry(index=7, term=1, kind=EntryKind.FUTURE,
-                            generation=5, request_id="c9.1.nt"), 5)
+        fe = Entry(index=7, term=1, kind=EntryKind.FUTURE, generation=5,
+                   request_id="c9.1.nt", payload=b"I k 1")
+        n.stage.stage(fe, 5)
         n._change_generation(7, None)
-        assert not n.stage.pending
+        assert n.stage.pending.get(7) is fe
+        ctx.take_sent()
+        entries = [Entry(index=i, term=1, kind=EntryKind.NOOP_FILL)
+                   for i in range(1, 7)] + [
+            Entry(index=7, term=1, kind=EntryKind.SIGNAL, generation=5)]
+        n.handle_append_entries(0, AppendEntriesRequest(
+            term=1, generation=7, prev_log_index=0, prev_log_term=0,
+            entries=entries, leader_commit=0, seq=1))
+        (resp,) = responses(ctx)
+        assert resp.success and resp.missing == []
+        assert n.log.get(7) is fe and n.stage.pending.get(7) is None
 
     def test_never_shrinks(self):
         n, _ = make_follower(node_id=3)
