@@ -842,14 +842,6 @@ class TestSilentFuturePeer:
             self._answer(n, to, req)
         assert not any(s.silent for s in n.streams.values())
 
-    def test_leader_and_data_leader_share_the_rule(self):
-        # the leader's follower streams and the data-leader's future streams
-        # are one record type with one silent test
-        n, _ = make_leader()
-        f, _ = make_follower(node_id=2)
-        f.handle_client_request(creq("c1.1.nt", payload=b"I k 1"))
-        assert type(n.peers[1]).overdue is type(f.streams[1]).overdue
-
 
 class TestReconcile:
     def test_new_leader_integrates_reconciled_entry(self):
