@@ -274,8 +274,10 @@ class Node:
     def _step_down(self, reset_timer: bool = True) -> None:
         """Become a follower of the current term. Nothing re-arms a leader's
         election timer while it leads, so a leader always resets it, and it
-        knows no leader until the term's leader is heard from (Raft §5.2)."""
+        knows no leader until the term's leader is heard from (Raft §5.2),
+        and its streams to the followers end with the role."""
         if self.role == LEADER:
+            self.peers = {}
             self.integrated_at.clear()
             self.leader_id = None
             reset_timer = True

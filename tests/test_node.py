@@ -1099,6 +1099,15 @@ class TestElections:
         assert client_answers(ctx) == [("c0", "Rejected"), ("c1", "Rejected")]
         assert not any(isinstance(m, FutureReplicateRequest) for _, m in ctx.sent)
 
+    def test_deposed_leader_drops_its_streams(self):
+        # no send stamp, round-trip estimate or pacing state outlives the role
+        n, ctx = make_leader()
+        n.handle_client_request(creq())
+        assert set(n.peers) == {1, 2, 3, 4}
+        n.on_message(3, VoteRequest(term=n.term + 1, last_log_index=0,
+                                    last_log_term=0))
+        assert (n.role, n.peers) == (FOLLOWER, {})
+
     def test_election_on_timeout(self):
         n, ctx = make_follower(node_id=1)
         ctx.now = ctx.timers["election"]
