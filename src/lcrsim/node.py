@@ -25,6 +25,7 @@ carries that rid. ``test_commit_never_passes_the_contiguous_log`` in
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -113,6 +114,41 @@ class Peer(Stream):
     future_ack: int = 0        # highest future index the follower has staged
     max_sent: int = 0          # highest index ever sent, to flag retransmits
     force_full: set[int] = field(default_factory=set)   # no signal for these
+    # send times of the latest requests, oldest first: those in flight are
+    # the last sent - answered of them
+    stamps: deque = field(default_factory=deque)
+    rtt: int = 0               # round-trip estimate; 0 before the first sample
+    pace_at: int = 0           # when the armed pacing timer fires; 0 for none
+
+    def stamp(self, now: int) -> None:
+        """Number a request sent at ``now``."""
+        self.sent += 1
+        self.last_sent = now
+        self.stamps.append(now)
+        while len(self.stamps) > self.sent - self.answered:
+            self.stamps.popleft()
+
+    def sample(self, seq: int, now: int) -> None:
+        """Time the answer to request ``seq`` against its send, if it is in
+        flight: not given up on, nor an earlier incarnation's. The estimate
+        starts at the first sample and then moves 1/8 of the way to each
+        (Jacobson, SIGCOMM 1988)."""
+        flying = self.sent - self.answered
+        if 0 <= self.sent - seq < flying:
+            rtt = now - self.stamps[seq - self.sent - 1]
+            self.rtt = (7 * self.rtt + rtt) // 8 if self.rtt else rtt
+
+    def paced_until(self, now: int) -> int:
+        """When the next append may leave, as seen at ``now`` with a slot
+        free: the last send plus the time left until the oldest request's
+        answer is due, split over the free slots. The wait shrinks as
+        ``now`` grows, and a burst of requests does not spend the window at
+        once. No wait with nothing in flight or before a sample."""
+        flying = self.sent - self.answered
+        if not flying or not self.rtt:
+            return 0
+        due = self.stamps[-flying] + self.rtt
+        return self.last_sent + (due - now) // (MAX_FLYING - flying)
 
 
 @dataclass
@@ -237,6 +273,12 @@ class Node:
         elif name == "housekeeping":
             self._housekeeping()
             self.ctx.set_timer("housekeeping", HOUSEKEEPING_US)
+        elif name.startswith("pace:"):
+            f = int(name[5:])
+            p = self.peers.get(f)
+            if p is not None:     # None once the node no longer leads
+                p.pace_at = 0
+                self._try_replicate(f)
 
     def _housekeeping(self) -> None:
         now = self.ctx.now
@@ -567,11 +609,20 @@ class Node:
     # -- append-entries: leader side --------------------------------------
 
     def _try_replicate(self, f: int) -> None:
+        """Send ``f`` what it lacks, while a slot is free, at the pace that
+        ``Peer.paced_until`` sets; the pacing timer sends the rest."""
         p = self.peers.get(f)
         if self.role != LEADER or p is None or p.silent:
             return
+        now = self.ctx.now
         while p.sent - p.answered < MAX_FLYING \
                 and p.opt_next <= self.log.last_contiguous_index:
+            due = p.paced_until(now)
+            if due > now:
+                if p.pace_at != due:
+                    p.pace_at = due
+                    self.ctx.set_timer(f"pace:{f}", due - now)
+                return
             self._send_append(f)
 
     def _package(self, p: Peer, start: int, end: int) -> list[Entry]:
@@ -594,7 +645,7 @@ class Node:
         start = self.log.last_contiguous_index + 1 if p.silent else p.opt_next
         end = min(self.log.last_contiguous_index, start + MAX_ENTRIES - 1)
         entries = self._package(p, start, end)
-        p.sent += 1
+        p.stamp(self.ctx.now)
         req = AppendEntriesRequest(
             term=self.term, generation=self.generation,
             prev_log_index=start - 1, prev_log_term=self._term_at(start - 1),
@@ -604,7 +655,6 @@ class Node:
         if end >= start:
             p.opt_next = end + 1
             p.max_sent = max(p.max_sent, end)
-        p.last_sent = self.ctx.now
 
     def handle_append_response(self, frm: int, resp: AppendEntriesResponse) -> None:
         if self.role != LEADER or resp.term < self.term:
@@ -621,6 +671,7 @@ class Node:
         while resp.conflict_term and self._term_at(report + 1) == resp.conflict_term:
             report += 1
         p.future_ack = max(p.future_ack, resp.last_future_index)
+        p.sample(resp.seq, self.ctx.now)
         if p.answer(resp.seq):
             # the follower answered: resume its stream from the report, with
             # futures in full, since those broadcast while it was silent never

@@ -52,27 +52,16 @@ CASES = {
                        (2.91, "disconnect", 1), (3.69, "reconnect", 1)]),
 }
 
-# Every fuzz seed in 1..400 that fails does so in LCR mode on ack_durability,
-# in one of three shapes, each with its mark below. ``tests/fuzz_sweep.py``
-# names the shape of each failure. Seed 794 (late fill) lies outside that
-# range.
-FUZZ_ACKED_NEVER_COMMITS = pytest.mark.xfail(strict=True, reason=(
-    "ack_durability (barrier): an acked older-term future sits at the top of "
-    "every node's contiguous log and the leader ends at commit = contig - 1: "
-    "the new leader's barrier went into the lowest gap below it and only "
-    "own-term entries commit, so the future is never applied once the "
-    "clients stop"))
-
+# Every fuzz seed in 1..400 that fails does so in LCR mode on ack_durability.
+# ``tests/fuzz_sweep.py`` names the shape of each failure: barrier, late fill
+# or lost (ROADMAP item 1). The one such seed, 229, ends in the late fill and
+# barrier shapes and carries the mark below. Seed 794 (late fill) lies
+# outside that range.
 FUZZ_FILLED_AFTER_THE_RUN = pytest.mark.xfail(strict=True, reason=(
     "ack_durability (late fill): a leader elected less than step_timeout_ms "
     "(400 ms) before the run ends logs acked futures above a gap below them "
     "and waits step_timeout_ms to fill it, so the run ends before the fill "
     "and no majority holds them within its contiguous log"))
-
-FUZZ_ACKED_LOST = pytest.mark.xfail(strict=True, reason=(
-    "ack_durability (lost): an acked future is in no log and no stage at the "
-    "end: a later leader that did not hold it put another entry at its "
-    "index, and only the data-leader's pending_futures still holds it"))
 
 FUZZ_ELECTED_LATE = pytest.mark.xfail(strict=True, reason=(
     "ack_durability: the term-6 leader is elected at 4.88 s with a gap below "
@@ -144,10 +133,11 @@ def test_fuzz_verifier_passes(seed, protocol):
 # Every fuzz seed in 1..400 that has failed -> the mark of its LCR run today,
 # () for a pass. The test is named for the shape the first of them, 108,
 # 229, 231, 242 and 334, ended in. Those that pass now do so only because
-# their timing moved, not because a shape is mended.
-FUZZ_FAILED = {108: (), 149: FUZZ_ACKED_LOST, 165: FUZZ_FILLED_AFTER_THE_RUN,
-               222: FUZZ_ACKED_NEVER_COMMITS, 229: FUZZ_FILLED_AFTER_THE_RUN,
-               231: (), 242: (), 334: ()}
+# their timing moved, not because a shape is mended: 149 (lost), 165 (late
+# fill) and 222 (barrier) pass by timing, not a fix, since the leader paces
+# each follower's appends over its round trip.
+FUZZ_FAILED = {108: (), 149: (), 165: (), 222: (),
+               229: FUZZ_FILLED_AFTER_THE_RUN, 231: (), 242: (), 334: ()}
 
 
 @pytest.mark.parametrize("seed, protocol", [

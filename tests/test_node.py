@@ -609,6 +609,140 @@ class TestLeaderStream:
         assert f.log.last_contiguous_index == 6
 
 
+def answer(n, seq, report):
+    return AppendEntriesResponse(term=n.term, last_applied_index_report=report,
+                                 last_future_index=0, seq=seq)
+
+
+def paced_leader(cfg=None):
+    """A leader whose stream to follower 1 holds a 5 ms round-trip sample and
+    12 appends in flight, the oldest sent at 4 ms, so that its answer is due
+    at 9 ms. Followers 2-4 have no sample."""
+    n, ctx = make_leader(cfg)           # the barrier, request 1, at 0
+    ctx.now = 4_000
+    for i in range(1, 13):
+        n.handle_client_request(creq(f"c0.{i}.t"))
+    ctx.now = 5_000
+    n.handle_append_response(1, answer(n, seq=1, report=1))
+    ctx.take_sent()
+    return n, ctx
+
+
+class TestPacing:
+    """A leader spends the free slots of a follower's window no faster than
+    its oldest append in flight can come back: with k appends in flight and
+    the oldest answer due at D, the next one waits until
+    last_sent + (D - now) / (MAX_FLYING - k)."""
+
+    @staticmethod
+    def run(n, ctx, arrivals):
+        """Deliver the client requests ``arrivals`` ((time, rid), in time
+        order), firing follower 1's pacing timer when due, and then the
+        timer alone; return the time of every append sent to follower 1."""
+        times = []
+        while arrivals or "pace:1" in ctx.timers:
+            if "pace:1" in ctx.timers and (not arrivals or
+                                           ctx.timers["pace:1"] <= arrivals[0][0]):
+                ctx.now = ctx.timers.pop("pace:1")
+                n.on_timer("pace:1")
+            else:
+                ctx.now, rid = arrivals.pop(0)
+                n.handle_client_request(creq(rid))
+            times += [ctx.now] * len(appends_to(ctx, 1))
+            ctx.take_sent()
+        return times
+
+    def test_burst_does_not_spend_the_window_at_once(self):
+        n, ctx = paced_leader()
+        peer = n.peers[1]
+        assert (peer.rtt, peer.sent - peer.answered) == (5_000, 12)
+        # eight requests at 5 ms, where the four free slots went at once
+        for i in range(13, 21):
+            n.handle_client_request(creq(f"c0.{i}.t"))
+        # 4 ms + (9 ms - 5 ms) / 4 is now: the first leaves; the next waits
+        # until 5 ms + (9 ms - 5 ms) / 3
+        assert len(appends_to(ctx, 1)) == 1
+        ctx.take_sent()
+        assert ctx.timers["pace:1"] == 6_333
+        ctx.now = ctx.timers.pop("pace:1")
+        n.on_timer("pace:1")
+        # the seven that waited share one append, and two slots stay free
+        (sent,) = appends_to(ctx, 1)
+        assert len(sent.entries) == 7
+        assert peer.sent - peer.answered == MAX_FLYING - 2
+
+    def test_each_append_waits_the_rules_gap(self):
+        n, ctx = paced_leader()
+        arrivals = [(5_000 + 250 * i, f"c0.{13 + i}.t") for i in range(16)]
+        times = self.run(n, ctx, arrivals)
+        # sent at once, the four would have left by 5.75 ms
+        assert times == [5_000, 6_000, 7_000, 8_000]
+        last = 4_000
+        for free, t in zip((4, 3, 2, 1), times):
+            assert t - last >= (9_000 - t) / free
+            last = t
+
+    def test_no_wait_with_nothing_in_flight_or_no_sample(self):
+        n, ctx = make_leader()
+        ctx.now = 5_000
+        n.handle_append_response(1, answer(n, seq=1, report=1))
+        ctx.now = 5_100
+        # follower 1 has a sample and nothing in flight, 2-4 have no sample
+        n.handle_client_request(creq("c0.1.t"))
+        assert sorted(to for to, m in ctx.take_sent()) == [1, 2, 3, 4]
+        ctx.now = 5_200
+        n.handle_client_request(creq("c0.2.t"))
+        assert sorted(to for to, m in ctx.take_sent()) == [2, 3, 4]
+        # 5.1 ms + (5.1 ms + 5 ms - 5.2 ms) / 15 free slots
+        assert ctx.timers["pace:1"] == 5_426
+
+    @pytest.mark.parametrize("cfg, probe", [
+        (NodeConfig(heartbeat_us=100), False),
+        (NodeConfig(max_await_us=100), True)], ids=["heartbeat", "probe"])
+    def test_heartbeat_and_probe_go_out_while_a_send_waits(self, cfg, probe):
+        n, ctx = paced_leader(cfg)
+        n.handle_client_request(creq("c0.13.t"))
+        n.handle_client_request(creq("c0.14.t"))
+        assert len(appends_to(ctx, 1)) == 1 and ctx.timers["pace:1"] == 6_333
+        ctx.take_sent()
+        ctx.now = 5_100
+        n.on_timer("heartbeat")
+        (sent,) = appends_to(ctx, 1)
+        ctx.take_sent()
+        # a heartbeat carries the waiting entry; a silent follower's probe
+        # is empty, at the log end
+        assert len(sent.entries) == (0 if probe else 1)
+        assert n.peers[1].silent == probe
+        ctx.now = ctx.timers.pop("pace:1")
+        n.on_timer("pace:1")
+        assert appends_to(ctx, 1) == []
+
+    def test_only_an_answer_in_flight_is_a_sample(self):
+        n, ctx = paced_leader()
+        peer = n.peers[1]
+        ctx.now = 6_000
+        n.handle_append_response(1, answer(n, seq=2, report=2))   # sent at 4 ms
+        assert peer.rtt == (7 * 5_000 + 2_000) // 8
+        rtt = peer.rtt
+        # answered already, and above ``sent``: an earlier incarnation's
+        for seq in (2, 1, peer.sent + 1):
+            ctx.now += 1_000
+            n.handle_append_response(1, answer(n, seq=seq, report=2))
+            assert peer.rtt == rtt
+
+    def test_pacing_timer_after_step_down_sends_nothing(self):
+        n, ctx = paced_leader()
+        n.handle_client_request(creq("c0.13.t"))
+        n.handle_client_request(creq("c0.14.t"))
+        assert "pace:1" in ctx.timers
+        n.on_message(3, VoteRequest(term=n.term + 1, last_log_index=0,
+                                    last_log_term=0))
+        ctx.take_sent()
+        ctx.now = ctx.timers.pop("pace:1")
+        n.on_timer("pace:1")
+        assert ctx.sent == []
+
+
 class TestConflictTermHint:
     """A prev_log_term mismatch is rejected with the follower's term at prev
     and the first index of its run of that term (Raft §5.3)."""
