@@ -24,21 +24,27 @@ scenario, seed and protocol, so a refactor's byte-identity claim over the
 pinned set is one ``--pinned --against FILE``.
 
 ``--digests FILE`` also writes one line per run,
-``seed protocol outputs metrics verdict_json verdict``
+``seed protocol outputs metrics verdict_json timing verdict``
 (``scenario seed protocol ...`` with ``--pinned``): the sha256 of
 ``trace.txt`` followed by ``metrics.csv``, the sha256 of ``metrics.csv``
-alone, the sha256 of ``verdict.json`` (its checks and error texts), and the
-verdict (``ok``, or the failed checks joined by commas).
+alone, the sha256 of ``verdict.json`` (its checks and error texts), the
+timing digest, and the verdict (``ok``, or the failed checks joined by
+commas). The timing digest is the sha256 of ``trace.txt`` with the byte
+field of every line blanked (``timing_digest``): it holds when a change
+moves only the sizes of messages, since sizes enter neither latency nor
+processing cost.
 
 ``--against FILE`` compares each run with its line in FILE, a ``--digests``
 file written by another tree; to compare with an older tree, run this script
 with ``PYTHONPATH`` set to that tree's ``src``. After the summary it prints
-how many runs' outputs moved, then the runs whose metrics digest moved, the
-runs whose verdict moved and the runs whose error texts moved (their
-``verdict.json``). A line in the older format, without the ``verdict.json``
-digest, compares as before: its error texts are not compared. The exit
-status is then 1 when a verdict or an error text moved, instead of when a
-run fails.
+how many runs' outputs moved, then the runs whose timing moved and those
+whose bytes alone moved (outputs moved, timing digest held), the runs whose
+metrics digest moved, the runs whose verdict moved and the runs whose error
+texts moved (their ``verdict.json``). A line in an older format compares on
+what it has: without the ``verdict.json`` digest its error texts are not
+compared, and without the timing digest its timing is not. The exit status
+is then 1 when a verdict or an error text moved, instead of when a run
+fails.
 
 ``--bytes`` ends the output with the bytes the nodes sent, summed over the
 runs of each mode from ``result.sim.stats``: all of them (``sent_bytes``)
@@ -67,21 +73,34 @@ PINNED = ("fig14_response_time", "fig18_traffic", "fig15_failover", "gen_change"
 PINNED_SEEDS = (1, 101)
 
 
+def timing_digest(trace: bytes) -> str:
+    """The sha256 of ``trace`` (a ``trace.txt``) with the byte field of
+    every line blanked: ``time,kind,from,to,msg_kind,,detail``."""
+    h = hashlib.sha256()
+    for line in trace.splitlines(keepends=True):
+        fields = line.split(b",", 6)
+        fields[5] = b""
+        h.update(b",".join(fields))
+    return h.hexdigest()
+
+
 def output_digests(result) -> str:
     """The sha256 of the run's ``trace.txt`` followed by its ``metrics.csv``,
-    the sha256 of ``metrics.csv`` alone and that of ``verdict.json``,
-    separated by spaces."""
+    the sha256 of ``metrics.csv`` alone, that of ``verdict.json`` and the
+    timing digest of ``trace.txt``, separated by spaces."""
     outputs = hashlib.sha256()
+    data = {}
     with tempfile.TemporaryDirectory() as outdir:
         write_outputs(result, outdir)
-        for name in ("trace.txt", "metrics.csv"):
+        for name in ("trace.txt", "metrics.csv", "verdict.json"):
             with open(os.path.join(outdir, name), "rb") as fh:
-                data = fh.read()
-            outputs.update(data)
-        with open(os.path.join(outdir, "verdict.json"), "rb") as fh:
-            verdict = hashlib.sha256(fh.read()).hexdigest()
-    # ``data`` holds metrics.csv, read last
-    return f"{outputs.hexdigest()} {hashlib.sha256(data).hexdigest()} {verdict}"
+                data[name] = fh.read()
+    outputs.update(data["trace.txt"])
+    outputs.update(data["metrics.csv"])
+    return " ".join((outputs.hexdigest(),
+                     hashlib.sha256(data["metrics.csv"]).hexdigest(),
+                     hashlib.sha256(data["verdict.json"]).hexdigest(),
+                     timing_digest(data["trace.txt"])))
 
 
 ACKED_NEVER_APPLIED = re.compile(r"ack_durability: acked (\S+) never applied")
@@ -142,7 +161,8 @@ def main(argv=None) -> int:
                     help="worker processes (default 1)")
     ap.add_argument("--digests", metavar="FILE",
                     help="write 'seed protocol outputs metrics verdict_json "
-                         "verdict' per run to FILE, scenario first with --pinned")
+                         "timing verdict' per run to FILE, scenario first "
+                         "with --pinned")
     ap.add_argument("--against", metavar="FILE",
                     help="compare every run with its line in FILE, a "
                          "--digests file of another tree")
@@ -184,7 +204,9 @@ def main(argv=None) -> int:
             if digests:
                 digests.write(f"{run} {protocol} {digest} {verdict}\n")
             if theirs is not None:
-                mine[(*map(str, key), protocol)] = (*digest.split(), verdict)
+                outputs, metrics, verdict_json, timing = digest.split()
+                mine[(*map(str, key), protocol)] = (outputs, metrics,
+                                                    verdict_json, verdict, timing)
             if failed:
                 failures[protocol].append(run)
                 shape_counts[protocol].update(shapes)
@@ -224,15 +246,17 @@ def print_bytes(sent: dict) -> None:
 
 def read_digests(path: str) -> dict:
     """The run's key fields, ``seed protocol`` or ``scenario seed
-    protocol``, -> (outputs, metrics, verdict_json, verdict) from a
-    --digests file; verdict_json is None on a line in the older format."""
+    protocol``, -> (outputs, metrics, verdict_json, verdict, timing) from a
+    --digests file; verdict_json and timing are None on a line in an older
+    format that lacks them."""
     runs = {}
     with open(path) as fh:
         for fields in map(str.split, fh):
             end = next(i for i, f in enumerate(fields) if f in PROTOCOLS) + 1
-            outputs, metrics, *verdict_json, verdict = fields[end:]
-            runs[tuple(fields[:end])] = (outputs, metrics,
-                                         *(verdict_json or [None]), verdict)
+            outputs, metrics, *rest, verdict = fields[end:]
+            verdict_json, timing = (rest + [None, None])[:2]
+            runs[tuple(fields[:end])] = (outputs, metrics, verdict_json,
+                                         verdict, timing)
     return runs
 
 
@@ -245,10 +269,17 @@ def compare(mine: dict, theirs: dict, path: str) -> bool:
     verdicts = [k for k in both if mine[k][3] != theirs[k][3]]
     texts = [k for k in both if theirs[k][2] not in (None, mine[k][2])]
     old_format = sum(theirs[k][2] is None for k in both)
+    timed = [k for k in outputs if theirs[k][4] is not None]
+    timing = [k for k in timed if mine[k][4] != theirs[k][4]]
     print(f"against {path}: outputs moved in {len(outputs)} of {len(both)} runs"
           + (f"; {len(mine) - len(both)} runs not in it"
              if len(both) < len(mine) else ""))
-    print("metrics moved: "
+    print(f"timing moved in {len(timing)}: "
+          + (", ".join(" ".join(k) for k in timing) or "none"))
+    print(f"bytes alone moved in {len(timed) - len(timing)}"
+          + (f"; {len(outputs) - len(timed)} moved runs of {path} have no "
+             "timing digest" if len(timed) < len(outputs) else ""))
+    print(f"metrics moved in {len(metrics)}: "
           + (", ".join(" ".join(k) for k in metrics) or "none"))
     print("verdict moved: "
           + (", ".join(f"{' '.join(k)} {theirs[k][3]} -> {mine[k][3]}"
