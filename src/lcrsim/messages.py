@@ -10,6 +10,15 @@ header plus a per-entry header plus exact payload bytes (signal and
 no-op-fill entries are header-only), plus a fixed width per index named in
 a response and for a conflict-term hint.
 
+A held entry (``Held``) is charged as a header too. It stands in an append
+to the follower that relayed the entry's client request to the leader: that
+follower keeps the request until it applies it, and a rid determines its
+payload, so the header's index, term and rid name bytes the follower holds.
+The record carries the leader's entry only so that the follower can log that
+object, as it logs a full entry or a resolved signal, instead of building a
+copy; a follower that no longer holds the request treats the record as a
+miss, as it does an unresolved signal.
+
 A payload is held unpadded, at its information size. A client pads its
 request to its configured payload size on the wire, and the request and
 every entry made from it carry that padding as a count, ``pad``: the NUL
@@ -27,12 +36,19 @@ INDEX_BYTES = 8
 
 
 @dataclass(slots=True)
+class Held:
+    """A normal entry sent to the follower that relayed its request: its
+    header goes on the wire, and ``entry`` is what that follower logs."""
+    entry: Entry
+
+
+@dataclass(slots=True)
 class AppendEntriesRequest:
     term: int
     generation: int
     prev_log_index: int
     prev_log_term: int
-    entries: list[Entry]
+    entries: list[Entry | Held]
     leader_commit: int
     seq: int = 0  # in-flight bookkeeping at the sender
 
@@ -118,10 +134,10 @@ class ReconcileResponse:
 _HEADER_ONLY = frozenset({EntryKind.SIGNAL, EntryKind.NOOP_FILL})
 
 
-def _entries_bytes(entries: list[Entry]) -> int:
+def _entries_bytes(entries: list[Entry | Held]) -> int:
     size = 0
     for e in entries:
-        size += ENTRY_HEADER_BYTES if e.kind in _HEADER_ONLY \
+        size += ENTRY_HEADER_BYTES if type(e) is Held or e.kind in _HEADER_ONLY \
             else ENTRY_HEADER_BYTES + len(e.payload) + e.pad
     return size
 

@@ -35,7 +35,7 @@ from .logcore import (Entry, EntryKind, FutureStage, NoOpenWindow, StageOutcome,
                       maintain_windows, owner_of, reallocate_index)
 from .messages import (AppendEntriesRequest, AppendEntriesResponse, ClientRequest,
                        ClientResponse, FutureReplicateRequest,
-                       FutureReplicateResponse, ReconcileRequest,
+                       FutureReplicateResponse, Held, ReconcileRequest,
                        ReconcileResponse, VoteRequest, VoteResponse)
 
 PROTOCOLS = ("lcr", "raft")    # future-log mode, leader-only baseline
@@ -194,6 +194,9 @@ class Node:
 
         # rid -> the relay to answer through, or None to answer the client
         self.pending_client: dict[str, Optional[int]] = {}
+        # relay state: rid -> a request this node relayed to the leader, kept
+        # until it applies the rid, so the leader need not send it back
+        self.relayed: dict[str, ClientRequest] = {}
         self.window_start = 0   # the first open window's start; 0 for none
 
         if self.cfg.protocol == "lcr":
@@ -379,6 +382,7 @@ class Node:
             self._data_leader_accept(req)
             return
         if self.leader_id is not None and self.leader_id != self.id:
+            self.relayed[req.request_id] = req
             self.ctx.send(self.leader_id, req)
         else:
             self._respond(via, ClientResponse(req.request_id, "Rejected"))
@@ -625,7 +629,11 @@ class Node:
                 return
             self._send_append(f)
 
-    def _package(self, p: Peer, start: int, end: int) -> list[Entry]:
+    def _package(self, f: int, start: int, end: int) -> list[Entry | Held]:
+        """Entries ``start``..``end`` as ``f`` gets them: a future it has
+        staged as a signal, an entry whose request it relayed here as a held
+        record, and every index of ``force_full`` in full."""
+        p = self.peers[f]
         out = []
         for i in range(start, end + 1):
             e = self.log.get(i)
@@ -634,6 +642,10 @@ class Node:
                     out.append(Entry(index=i, term=e.term, kind=EntryKind.SIGNAL,
                                      generation=e.generation))
                     continue
+            elif e.kind == EntryKind.NORMAL and i not in p.force_full \
+                    and self.pending_client.get(e.request_id) == f:
+                out.append(Held(e))
+                continue
             out.append(e)
         return out
 
@@ -644,7 +656,7 @@ class Node:
         p = self.peers[f]
         start = self.log.last_contiguous_index + 1 if p.silent else p.opt_next
         end = min(self.log.last_contiguous_index, start + MAX_ENTRIES - 1)
-        entries = self._package(p, start, end)
+        entries = self._package(f, start, end)
         p.stamp(self.ctx.now)
         req = AppendEntriesRequest(
             term=self.term, generation=self.generation,
@@ -767,6 +779,9 @@ class Node:
 
         missing = []
         for e in req.entries:
+            held = type(e) is Held
+            if held:
+                e = e.entry
             if e.index <= self.commit_index:
                 continue
             existing = self.log.get(e.index)
@@ -778,6 +793,10 @@ class Node:
             if e.kind == EntryKind.SIGNAL and (staged is None or
                                               staged.generation != e.generation):
                 missing.append(e.index)   # ask the leader for the raw content
+            elif held and e.request_id not in self.relayed:
+                # a rid determines its payload: the request relayed from here
+                # holds the entry's bytes, and without it they are missing
+                missing.append(e.index)
             if missing:
                 continue   # nothing is logged above the first miss
             if existing is not None:
@@ -853,6 +872,7 @@ class Node:
                 self.ctx.trace("apply", detail=(
                     f"idx={i}|rid=|kind={e.kind.name}|digest=-|dup=0"))
                 continue
+            self.relayed.pop(e.request_id, None)
             dup = not self.kv.apply(e.request_id, e.payload)
             self.ctx.trace("apply", detail=(
                 f"idx={i}|rid={e.request_id}|kind={e.kind.name}"

@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from lcrsim.logcore import Entry, EntryKind, StageOutcome
-from lcrsim.messages import (AppendEntriesRequest, AppendEntriesResponse,
-                             ClientRequest, ClientResponse,
-                             FutureReplicateRequest, FutureReplicateResponse,
-                             ReconcileRequest, ReconcileResponse, VoteRequest,
-                             VoteResponse, message_bytes)
+from lcrsim.logcore import ENTRY_HEADER_BYTES, Entry, EntryKind, StageOutcome
+from lcrsim.messages import (MESSAGE_HEADER_BYTES, AppendEntriesRequest,
+                             AppendEntriesResponse, ClientRequest,
+                             ClientResponse, FutureReplicateRequest,
+                             FutureReplicateResponse, Held, ReconcileRequest,
+                             ReconcileResponse, VoteRequest, VoteResponse,
+                             message_bytes)
 from lcrsim.node import (FOLLOWER, LEADER, MAX_FLYING, Node, NodeConfig,
                          PersistentState)
 
@@ -203,6 +204,136 @@ class TestRelay:
         assert client_answers(ctx) == [(3, "Ok")]
 
 
+def relayed_req(rid="c0.1.t"):
+    """A client request whose payload is 80 B on the wire, as fig14's are."""
+    return ClientRequest(request_id=rid, payload=b"T a b 1", pad=73)
+
+
+def entry_bytes(req):
+    """The bytes an append's entries add to its header."""
+    return message_bytes(req) - MESSAGE_HEADER_BYTES
+
+
+def fields(e):
+    return (e.index, e.term, e.kind, e.request_id, e.payload, e.pad)
+
+
+class TestRelayedEntry:
+    """The leader sends an entry to the follower that relayed its request
+    as a header-sized ``Held`` record: that follower keeps the request until
+    it applies the rid, and logs the leader's entry on the record's word. A
+    follower without the request reports a miss, and the leader resends the
+    entry in full."""
+
+    def _relay(self):
+        """Relay node 2, holding the leader's term-1 barrier at index 1."""
+        return make_follower(node_id=2, persist=noop_log(1))
+
+    def _append(self, entries, seq=2, commit=0, prev=1):
+        return AppendEntriesRequest(term=1, generation=5, prev_log_index=prev,
+                                    prev_log_term=1, entries=entries,
+                                    leader_commit=commit, seq=seq)
+
+    def test_relay_gets_a_header_and_logs_the_leaders_entry(self):
+        leader, lctx = make_leader()
+        relay, rctx = self._relay()
+        relay.on_message("c0", relayed_req())
+        assert "c0.1.t" in relay.relayed
+        (to, req), = rctx.take_sent()
+        assert to == 0
+        leader.on_message(2, req)
+        sent = {f: appends_to(lctx, f) for f in (1, 2, 3, 4)}
+        (held,) = sent[2]
+        assert [type(e) for e in held.entries] == [Held]
+        assert entry_bytes(held) == ENTRY_HEADER_BYTES == 24
+        for f in (1, 3, 4):
+            (full,) = sent[f]
+            assert [type(e) for e in full.entries] == [Entry]
+            assert entry_bytes(full) == 104
+        relay.on_message(0, held)
+        (resp,) = responses(rctx)
+        assert resp.success and resp.last_applied_index_report == 2
+        got, want = relay.log.get(2), leader.log.get(2)
+        assert fields(got) == fields(want) == (
+            2, 1, EntryKind.NORMAL, "c0.1.t", b"T a b 1", 73)
+        assert got is want      # the leader's entry, not a copy
+
+    def test_relay_without_the_request_misses_and_gets_it_in_full(self):
+        leader, lctx = make_leader()
+        relay, _ = self._relay()
+        relay.on_message("c0", relayed_req())
+        # the relay restarts: the new incarnation never relayed the request
+        relay, rctx = make_follower(node_id=2, persist=relay.persist)
+        assert relay.relayed == {}
+        leader.on_message(2, relayed_req())
+        leader.on_message("c1", relayed_req("c1.1.t"))
+        # one append carries both entries: the held 2 and the direct 3
+        lctx.take_sent()
+        leader.peers[2].opt_next = 2
+        leader._send_append(2)
+        (req,) = appends_to(lctx, 2)
+        assert [type(e) for e in req.entries] == [Held, Entry]
+        lctx.take_sent()
+        relay.on_message(0, req)
+        (resp,) = responses(rctx)
+        assert (resp.prefix_ok, resp.success, resp.missing) == (True, False, [2])
+        assert resp.last_applied_index_report == 1
+        assert relay.log.get(2) is None and relay.log.get(3) is None
+        leader.on_message(2, resp)
+        (resend,) = appends_to(lctx, 2)
+        assert [type(e) for e in resend.entries] == [Entry, Entry]
+        assert fields(resend.entries[0]) == fields(leader.log.get(2))
+        assert entry_bytes(resend) == 2 * 104
+        relay.on_message(0, resend)
+        (resp,) = responses(rctx)
+        assert resp.success and relay.log.get(2) is leader.log.get(2)
+
+    def test_a_retry_moves_the_held_record_to_the_second_relay(self):
+        leader, lctx = make_leader()
+        leader.on_message(2, relayed_req())
+        assert [type(e) for e in appends_to(lctx, 2)[0].entries] == [Held]
+        assert [type(e) for e in appends_to(lctx, 3)[0].entries] == [Entry]
+        # the client timed out at relay 2 and retried at relay 3
+        leader.on_message(3, relayed_req())
+        assert [type(e) for e in leader._package(2, 2, 2)] == [Entry]
+        assert [type(e) for e in leader._package(3, 2, 2)] == [Held]
+
+    def test_a_direct_clients_entry_is_never_held(self):
+        leader, lctx = make_leader()
+        leader.on_message(2, relayed_req())
+        lctx.take_sent()
+        leader.on_message("c1", relayed_req("c1.1.t"))
+        for f in (1, 2, 3, 4):
+            (req,) = appends_to(lctx, f)
+            assert [type(e) for e in req.entries] == [Entry]
+            assert entry_bytes(req) == 104
+        # relay 2 gets its own request's entry held and the direct one full
+        assert [type(e) for e in leader._package(2, 2, 3)] == [Held, Entry]
+        for f in (1, 3, 4):
+            assert [type(e) for e in leader._package(f, 2, 3)] == [Entry, Entry]
+
+    def test_the_relay_keeps_the_request_until_it_applies_it(self):
+        relay, rctx = self._relay()
+        relay.on_message("c0", relayed_req())
+        rctx.take_sent()
+        other = Entry(index=2, term=1, kind=EntryKind.NORMAL,
+                      request_id="c1.1.t", payload=b"T b c 1")
+        mine = Entry(index=3, term=1, kind=EntryKind.NORMAL,
+                     request_id="c0.1.t", payload=b"T a b 1", pad=73)
+        # a held record it cannot resolve comes first, so its own is not
+        # logged, and the request stays for the leader's resend
+        relay.on_message(0, self._append([Held(other), Held(mine)]))
+        (resp,) = responses(rctx)
+        assert resp.missing == [2] and relay.log.get(3) is None
+        assert "c0.1.t" in relay.relayed
+        relay.on_message(0, self._append([other, Held(mine)], seq=3, commit=2))
+        (resp,) = responses(rctx)
+        assert resp.success and relay.log.get(3) is mine
+        assert relay.commit_index == 2 and "c0.1.t" in relay.relayed
+        relay.on_message(0, self._append([], seq=4, commit=3, prev=3))
+        assert relay.commit_index == 3 and relay.relayed == {}
+
+
 class TestFutureReplication:
     def test_data_leader_allocates_and_broadcasts(self):
         n, ctx = make_follower()
@@ -385,14 +516,14 @@ class TestSignalFlow:
 
     def test_package_full_content_before_ack(self):
         n, _, fe = self._integrated_leader()
-        entries = n._package(n.peers[1], fe.index, fe.index)
+        entries = n._package(1, fe.index, fe.index)
         assert entries[0].kind == EntryKind.FUTURE
         assert entries[0].payload == fe.payload
 
     def test_package_signal_after_ack(self):
         n, _, fe = self._integrated_leader()
         n.peers[1].future_ack = fe.index
-        entries = n._package(n.peers[1], fe.index, fe.index)
+        entries = n._package(1, fe.index, fe.index)
         assert entries[0].kind == EntryKind.SIGNAL
         assert entries[0].payload == b""
 

@@ -71,12 +71,31 @@ LCR 16,467,348 -> 16,962,450 (retransmitted 1,171,804 -> 1,314,114) and raft
 6,839,256 -> 6,846,872; fig15_failover 25,280,696 -> 24,917,128. Case 19
 still makes 6 step fills and 2 truncations, and fuzz seed 43 still restarts
 two nodes and elects a leader with futures above its contiguous log.
+
+Every case also pins a timing digest, ``timing_digest`` of
+``tests/fuzz_sweep.py``: the sha256 of ``trace.txt`` with the byte field of
+every line blanked. Message sizes enter neither latency nor processing cost,
+so a change that moves only sizes moves the first digest and keeps this one.
+
+Every digest below is also that of a leader that sends an entry to the
+follower that relayed its client request as a header-sized held record
+(README "Replication stream"). Eight digests moved, each for send byte
+counts only; timing digest unchanged (each timing digest below is also that
+of the code without held records). Sent bytes, before -> after: fig14 LCR
+4,460,672 -> 4,229,632 and raft 3,769,328 -> 3,492,288; gen_change raft
+6,846,872 -> 6,271,432; fig15_failover 24,917,128 -> 23,685,048; case 19
+LCR 611,628 -> 602,208 and raft 379,428 -> 361,248; fuzz seed 43 LCR
+1,326,552 -> 1,314,732 and raft 1,126,344 -> 1,062,324. gen_change's LCR
+digest did not move: its requests are all non-transactional, which each
+member sequences itself as a data-leader in LCR mode, so no request is
+relayed to the leader.
 """
 
 import hashlib
 
 import pytest
 
+from fuzz_sweep import timing_digest
 from lcrsim.runner import run_scenario, write_outputs
 from lcrsim.scenario import builtin_scenario_path, load_scenario
 from test_leader_faults import _scenario, fuzz_case
@@ -86,44 +105,54 @@ from test_leader_faults import _scenario, fuzz_case
 # (retransmitted bytes: fig14 48,728 -> 11,552, gen_change 2,102,578 ->
 # 1,343,164).
 DIGESTS = {
-    ("fig14_response_time", 2.0, "lcr"):
-        "a5808d9a7d432ad626ab7e3ed75a814dae90020da9d396d6cff67372cd8b21a7",
-    ("fig14_response_time", 2.0, "raft"):
-        "e4f4e167329a12c8652a3e1fe2e6a7497d49782f8d8ae0ac9aede4594d18eb4e",
-    ("gen_change", 3.0, "lcr"):
+    ("fig14_response_time", 2.0, "lcr"): (
+        "bf7a23441824ceaf939f35b9e13d2f2104bfcd0b83905c52922b512919e94808",
+        "842c58491cf7382d475a7c917f0f56ffd834d898ce24b069096a38898451486f"),
+    ("fig14_response_time", 2.0, "raft"): (
+        "dc9b58d7dbd70182f03dba028d0d5110c7c9108373275fac2b02c35ecb074974",
+        "86d6bbb8a700f814be9247c7e67127f83d4ab66a56f4f12c21fa781c3a63009e"),
+    ("gen_change", 3.0, "lcr"): (
         "cfe38f7598bb9e614c8af173475d34acf2d0e9d7c8f294fa207f85737f78a9bd",
-    ("gen_change", 3.0, "raft"):
-        "de2df0d294192b15b2bfb5e56c4a60ae9e4c95cb7724e8fcb106d5a956cacb53",
-    ("fig15_failover", 32.0, "lcr"):
-        "125090a3e0d2fa48504008697fadc8b0a28e095240631b43b1766f2b5eb494e1",
+        "68e5330a5a2f57f28993c9dec1969c616ebd3e10c7513adaf6d3335614870863"),
+    ("gen_change", 3.0, "raft"): (
+        "1416156c65a12d5a43c9965031455747fa84d5f1cebb520c857a161f79eac6d5",
+        "51bc571d43f198daef2ca51a50f1817334242adccf9ed89471fa5dafbf7b9574"),
+    ("fig15_failover", 32.0, "lcr"): (
+        "2e21d2ef2c4d934b0ab48a6d550e4673b44231dbe64c73f15b7f50699d8d2d72",
+        "d30dd5169267943fb2d5d952335b179121881ee25a014201b01c49d5c80362fd"),
 }
 
-# leader-fault case -> protocol -> digest, each run with a 1.2 s drain.
+# leader-fault case -> protocol -> digests, each run with a 1.2 s drain.
 # Case 19 crashes nodes, so its leaders go through max_await resets: these
 # digests are those of a leader that probes a silent follower and resyncs it
 # once it answers (retransmitted bytes: lcr 38,388 -> 26,088, raft 10,320 ->
 # 9,204 against resending the backlog at each reset).
 LEADER_FAULT_DIGESTS = {
-    (19, "lcr"):
-        "ae5c6715e44fd8962c5d333f64c737e08d01405f22ad601e5fdc1361797f8c42",
-    (19, "raft"):
-        "3291a7f62877bc16485a3a093284b049eca4b5f03115b8377a2512b78c317d53",
+    (19, "lcr"): (
+        "9531606e6328d54e2c063fba4f77c8d0af44b94e494e2763d963ecce487296e2",
+        "3d0e74131ba34dac2df703d8f85fb2e42363aafaf03e8ac0a0236f014b1174d1"),
+    (19, "raft"): (
+        "f3c99c1bccbf4c299fb9c59a8119cb85d1c1f521f36b91c96674b8d6a0f8ba22",
+        "c9bbf6f87b64693d3f139634361dc664df54e07b53f8e596ae9d7883b890b695"),
 }
 
-# fuzz seed -> protocol -> digest, each run with a 1.2 s drain
+# fuzz seed -> protocol -> digests, each run with a 1.2 s drain
 FUZZ_DIGESTS = {
-    (43, "lcr"):
-        "8e4a01d54167956a179b913ed37659355292a19060fe605c0749ccda70a953ff",
-    (43, "raft"):
-        "bcd7e1b9b167b6fcbf41797ebc0de5502ceec7b48f2bc0a04d712b65ef9ecda7",
+    (43, "lcr"): (
+        "52144137f66acd25ba14a12593333b8f8f0c3c3ec46cd603e775f1f56f4d75af",
+        "44843d904fa827ac6388de1861df4496672138ade4d7528d2584d68b5f93fa06"),
+    (43, "raft"): (
+        "23075cd18a8926dc8bce0b328102850e9f623fafc57f25a6f44b85145132ae22",
+        "067a25a4fae788146baade80a15d53388da3f1ee22f5d22a01c0c933ca38ee21"),
 }
 
 
-def _outputs_sha256(outdir) -> str:
-    h = hashlib.sha256()
-    for name in ("trace.txt", "metrics.csv"):
-        h.update((outdir / name).read_bytes())
-    return h.hexdigest()
+def _digests(outdir) -> tuple[str, str]:
+    """The sha256 of ``trace.txt`` followed by ``metrics.csv``, and the
+    timing digest of ``trace.txt``."""
+    trace = (outdir / "trace.txt").read_bytes()
+    outputs = hashlib.sha256(trace + (outdir / "metrics.csv").read_bytes())
+    return outputs.hexdigest(), timing_digest(trace)
 
 
 @pytest.mark.parametrize("name, seconds, protocol", sorted(DIGESTS))
@@ -131,14 +160,14 @@ def test_outputs_unchanged(tmp_path, name, seconds, protocol):
     sc = load_scenario(builtin_scenario_path(name).read_text())
     sc.duration_s = seconds
     write_outputs(run_scenario(sc, seed=1, protocol=protocol), str(tmp_path))
-    assert _outputs_sha256(tmp_path) == DIGESTS[(name, seconds, protocol)]
+    assert _digests(tmp_path) == DIGESTS[(name, seconds, protocol)]
 
 
 @pytest.mark.parametrize("case, protocol", sorted(LEADER_FAULT_DIGESTS))
 def test_leader_fault_outputs_unchanged(tmp_path, case, protocol):
     result = run_scenario(_scenario(case), protocol=protocol, drain_s=1.2)
     write_outputs(result, str(tmp_path))
-    assert _outputs_sha256(tmp_path) == LEADER_FAULT_DIGESTS[(case, protocol)]
+    assert _digests(tmp_path) == LEADER_FAULT_DIGESTS[(case, protocol)]
 
 
 @pytest.mark.parametrize("seed, protocol", sorted(FUZZ_DIGESTS))
@@ -147,4 +176,4 @@ def test_restart_then_leader_change_outputs_unchanged(tmp_path, seed, protocol):
                           drain_s=1.2)
     assert result.verdict.ok, result.verdict.errors[:2]
     write_outputs(result, str(tmp_path))
-    assert _outputs_sha256(tmp_path) == FUZZ_DIGESTS[(seed, protocol)]
+    assert _digests(tmp_path) == FUZZ_DIGESTS[(seed, protocol)]
