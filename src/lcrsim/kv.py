@@ -26,6 +26,10 @@ unless a request applies out of order, and the state grows with the number
 of clients, not of requests. A request id outside that form raises
 ``ValueError``.
 
+``RidCodec`` accepts exactly the rids that lcrsim writes: the empty rid of
+fills and configs, and ``<client>.<seq>.<t|nt>`` with a seq in [1, 2**31).
+Any other text raises ``ValueError``.
+
 Keys are interned, so every replica in a process shares one string per key.
 """
 
@@ -87,40 +91,33 @@ class RidCodec:
     ``client number << 32 | seq << 1 | kind bit`` (``nt`` is 1), where a
     client's number is its place in the order the codec first met the
     client names: a positive code, below 2**63 while there are fewer than
-    2**31 names. The empty rid of fills and configs codes as 0, and any
-    other text as a negative index into a side list of texts. So two rids
+    2**31 names. The empty rid of fills and configs codes as 0. So two rids
     of one codec have equal codes exactly when their texts are equal."""
 
     def __init__(self) -> None:
         self._numbers: dict[str, int] = {}    # client name -> number
         self._clients: list[str] = []         # number -> client name
-        self._others: dict[str, int] = {}     # text outside the form -> code
-        self._texts: list[str] = []           # ~code -> text outside the form
 
     def code(self, rid: str) -> int:
-        """The code of request id ``rid``."""
+        """The code of request id ``rid``; ``ValueError`` for any other text."""
         if not rid:
             return 0
         fields = _rid_fields(rid)
-        if fields is not None and fields[1] < _SEQ_LIMIT and fields[2] in _KIND_BIT:
-            client, seq, kind = fields
-            number = self._numbers.get(client)
-            if number is None:
-                number = self._numbers[client] = len(self._clients)
-                self._clients.append(client)
-            return number << 32 | seq << 1 | _KIND_BIT[kind]
-        code = self._others.get(rid)
-        if code is None:
-            code = self._others[rid] = ~len(self._texts)
-            self._texts.append(rid)
-        return code
+        if fields is None or fields[1] >= _SEQ_LIMIT or fields[2] not in _KIND_BIT:
+            raise ValueError(f"request id {rid!r} is not <client>.<seq>.<t|nt>")
+        client, seq, kind = fields
+        number = self._numbers.get(client)
+        if number is None:
+            number = self._numbers[client] = len(self._clients)
+            self._clients.append(client)
+        return number << 32 | seq << 1 | _KIND_BIT[kind]
 
     def text(self, code: int) -> str:
         """The request id that ``code`` stands for."""
-        if code > 0:
-            seq = (code & 0xFFFFFFFF) >> 1
-            return f"{self._clients[code >> 32]}.{seq}.{'nt' if code & 1 else 't'}"
-        return self._texts[~code] if code else ""
+        if not code:
+            return ""
+        seq = (code & 0xFFFFFFFF) >> 1
+        return f"{self._clients[code >> 32]}.{seq}.{'nt' if code & 1 else 't'}"
 
 
 @dataclass(slots=True)

@@ -26,8 +26,8 @@ class TraceCollector:
     """The trace facts behind the metrics. ``verify.verify_trace`` feeds it
     each parsed event of ``KINDS`` and keeps its mutation map in
     ``committed``, a ``verify.MutationMap`` (rid -> lowest index applied
-    without ``dup``, held as rid codes; it takes ``in``, ``len``, ``get``
-    and ``==``, and ``items`` gives the rids as text). Apply lag is
+    without ``dup``, held as rid codes; it takes ``in`` and ``len``, and
+    ``recall`` gives a rid's code and lowest index). Apply lag is
     summed as each nt rid's first ack meets the apply at the acking node;
     until then the rid waits in ``_acked`` or ``_applied``. A rid in
     ``committed`` and in neither is timed, and its later acks and applies

@@ -4,10 +4,9 @@ The verifier only reads the trace text. Every node must apply the same entry
 at each index (Raft's State Machine Safety), so a correct run has one applied
 history. The verifier keeps that history once: at each index, the request
 id of the first node to apply it and one int packing that apply's entry
-kind and payload digest (``_pack``: a 12-digit hex digest and its kind fit
-in 51 bits, and any other pair is kept as its text). It replays the
-history once through its own state machine (payloads are reconstructable
-from request ids) and checks:
+kind and payload digest (``_pack``). It replays the history once through
+its own state machine (payloads are reconstructable from request ids) and
+checks:
 
   applied_prefix      every apply matches the history at its index, or
                       extends the history by one index
@@ -29,21 +28,25 @@ the file lazily. Every line is still split and checked, but only ``apply``,
 ``metrics.TraceCollector.KINDS`` when a collector is given: a run's verdict
 and its metrics come from one parse.
 
+The verifier accepts exactly the ``apply`` and ``ack`` lines that lcrsim
+writes: a rid that is empty (fills and configs) or ``<client>.<seq>.<t|nt>``
+with a seq in [1, 2**31); and, in an apply, an ``EntryKind`` name, a digest
+of 12 lowercase hex digits or ``-``, and an ``idx`` in [1, 2**63). Any other
+such line is malformed and raises ``ValueError``, as a line that does not
+split into its fields does.
+
 What the verifier keeps holds each rid as an int64 code of ``kv.RidCodec``,
-which packs a ``<client>.<seq>.<t|nt>`` rid as its client number, seq and
-kind and lists any other text once. Per applied index it keeps a rid code
-and a packed code in two int64 columns (a packed code past 64 bits, such as
-the text of a fill's ``-`` digest, goes in a side map keyed by index and
-leaves ``_WIDE`` in the column); for each rid that mutated, its lowest
-mutating index in a ``MutationMap``, 16 B per rid in sorted per-client
-columns; an acknowledged rid code only while it is not yet in the history;
-and a last index and final state per node. So its memory grows with the
-number of applied indices, not with the number of nodes or the length of the
-trace. The map remembers the code and lowest index of the last few hundred
-rid texts it was given, so a rid that every node applies and acks is parsed
-and searched for once. Errors show a rid and a history record as the text
-the trace gave; the ``ack_durability`` errors come in the order of their
-rids' texts.
+which packs a rid as its client number, seq and kind. Per applied index it
+keeps a rid code and a packed code in two int64 columns; for each rid that
+mutated, its lowest mutating index in a ``MutationMap``, 16 B per rid in
+sorted per-client columns; an acknowledged rid code only while it is not
+yet in the history; and a last index and final state per node. So its memory
+grows with the number of applied indices, not with the number of nodes or
+the length of the trace. The map remembers the code and lowest index of the
+last few hundred rid texts it was given, so a rid that every node applies
+and acks is parsed and searched for once. Errors show a rid and a history
+record as the text the trace gave; the ``ack_durability`` errors come in the
+order of their rids' texts.
 """
 
 from __future__ import annotations
@@ -123,35 +126,28 @@ class VerifyResult:
 
 _DIGEST = re.compile("[0-9a-f]{12}")
 _KIND_CODES = {kind.name: kind.value for kind in EntryKind}
+_DASH = 1 << 48               # the packed digest of "-", above every hex one
+_INDEX_LIMIT = 1 << 63        # an applied index is below this
 
 
 def _pack(kind: str, digest: str) -> int:
-    """An applied entry's kind and payload digest as one int.
-
-    A node's apply line gives an ``EntryKind`` name and 12 lowercase hex
-    digits, which pack into ``digest << 3 | kind``, under 2**51. Any other
-    pair, such as the ``-`` digest of fills and configs, packs as its text,
-    negated so that the two forms cannot collide; there the closing ``|``
-    keeps trailing NUL bytes, and neither field can hold a ``|``."""
+    """An applied entry's kind and payload digest as one int,
+    ``digest << 3 | kind``, under 2**52: the digest is 12 lowercase hex
+    digits or the ``-`` of fills and configs, which packs as ``_DASH``.
+    ``ValueError`` for any other kind or digest."""
     code = _KIND_CODES.get(kind)
-    if code is not None and _DIGEST.fullmatch(digest):
-        return int(digest, 16) << 3 | code
-    return -int.from_bytes(f"{kind}|{digest}|".encode(), "little")
-
-
-# A history slot whose code is in the side map: no _pack code is -1, since a
-# text code is at least the two bytes of "||".
-_WIDE = -1
+    if code is not None:
+        if digest == "-":
+            return _DASH << 3 | code
+        if _DIGEST.fullmatch(digest):
+            return int(digest, 16) << 3 | code
+    raise ValueError(f"{kind}|{digest} is not an entry kind and a digest")
 
 
 def _record(rid: str, packed: int) -> tuple[str, str, str]:
     """The ``(rid, kind, digest)`` of a history record, as error texts show it."""
-    if packed >= 0:
-        return rid, EntryKind(packed & 7).name, f"{packed >> 3:012x}"
-    packed = -packed
-    kind, digest, _ = packed.to_bytes((packed.bit_length() + 7) // 8,
-                                      "little").decode().split("|")
-    return rid, kind, digest
+    digest = packed >> 3
+    return rid, EntryKind(packed & 7).name, "-" if digest == _DASH else f"{digest:012x}"
 
 
 class MutationMap:
@@ -161,11 +157,8 @@ class MutationMap:
     a client's codes, ``client number << 32 | seq << 1 | kind bit``, keep
     their low 32 bits and lowest indices in a pair of int64 columns sorted
     by those bits and searched by bisection, so a client's entries cost
-    16 B each whatever its seqs are. A code outside the form (0 or
-    negative), and a code whose index does not fit in 64 bits, is kept in a
-    side map. ``get`` and ``in`` take a rid's text, ``recall`` gives the
-    verifier a rid's code and lowest index, and ``items`` gives back the
-    texts.
+    16 B each whatever its seqs are. ``in`` takes a rid's text, ``len``
+    counts the rids, and ``recall`` gives a rid's code and lowest index.
 
     ``recall`` remembers the entries of the last ``RECENT`` to
     ``2 * RECENT`` rids it was given: every node applies and acks a rid
@@ -178,7 +171,6 @@ class MutationMap:
         self.codec = RidCodec()
         # client number -> (low 32 bits of its codes, sorted; lowest indices)
         self._columns: dict[int, tuple[array, array]] = {}
-        self._side: dict[int, int] = {}       # code -> lowest index
         self._recent: dict[str, list] = {}    # rid -> its entry, the newest rids
         self._older: dict[str, list] = {}     # the generation before them
 
@@ -197,70 +189,41 @@ class MutationMap:
         return entry
 
     def _lowest(self, code: int) -> int | None:
-        low = self._side.get(code)
-        if low is None and code > 0:
-            column = self._columns.get(code >> 32)
-            if column is not None:
-                keys, lows = column
-                key = code & 0xFFFFFFFF
-                i = bisect_left(keys, key)
-                if i < len(keys) and keys[i] == key:
-                    return lows[i]
-        return low
+        column = self._columns.get(code >> 32)
+        if column is not None:
+            keys, lows = column
+            key = code & 0xFFFFFFFF
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                return lows[i]
+        return None
 
     def lower(self, entry: list, idx: int) -> int:
         """Record that the rid of ``entry`` (from ``recall``) mutated at
-        ``idx``, and return the lowest index it mutated at."""
+        ``idx``, an index in [1, 2**63), and return the lowest index it
+        mutated at."""
         code, low = entry
         if low is not None and low <= idx:
             return low
         entry[1] = idx
-        side = self._side
-        if code <= 0 or code in side:
-            side[code] = idx
-            return idx
         column = self._columns.get(code >> 32)
         if column is None:
             column = self._columns[code >> 32] = array("q"), array("q")
         keys, lows = column
         key = code & 0xFFFFFFFF
         i = bisect_left(keys, key)
-        found = i < len(keys) and keys[i] == key
-        try:
-            if found:
-                lows[i] = idx
-            else:
-                lows.insert(i, idx)
-                keys.insert(i, key)
-        except OverflowError:           # idx goes to the side map
-            if found:
-                del keys[i], lows[i]
-            side[code] = idx
+        if i < len(keys) and keys[i] == key:
+            lows[i] = idx
+        else:
+            lows.insert(i, idx)
+            keys.insert(i, key)
         return idx
 
     def __len__(self) -> int:
-        return len(self._side) + sum(len(keys) for keys, _ in self._columns.values())
-
-    def get(self, rid: str, default: int | None = None) -> int | None:
-        low = self.recall(rid)[1]
-        return default if low is None else low
+        return sum(len(keys) for keys, _ in self._columns.values())
 
     def __contains__(self, rid: str) -> bool:
         return self.recall(rid)[1] is not None
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        """Every ``(rid, lowest index)``, the rid as its text."""
-        text = self.codec.text
-        for number, (keys, lows) in self._columns.items():
-            for key, low in zip(keys, lows):
-                yield text(number << 32 | key), low
-        for code, low in self._side.items():
-            yield text(code), low
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MutationMap):
-            return NotImplemented
-        return dict(self.items()) == dict(other.items())
 
 
 def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
@@ -278,13 +241,7 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
     mutated_at = MutationMap() if collector is None else collector.committed
     codec = mutated_at.codec
     rids = array("q")                # index - 1 -> rid code of the history
-    packed = array("q")              # index - 1 -> _pack(kind, digest), or _WIDE
-    wide: dict[int, int] = {}        # index - 1 -> a _pack code past 64 bits
-
-    def code_at(i: int) -> int:
-        code = packed[i]
-        return wide[i] if code == _WIDE else code
-
+    packed = array("q")              # index - 1 -> _pack(kind, digest)
     last: dict[str, int] = {}        # node -> index it applied last
     off_history: set[str] = set()    # nodes that applied something else
     acked: set[int] = set()          # acked rids not (yet) in the history
@@ -292,12 +249,20 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
 
     collected = collector.KINDS if collector is not None else frozenset()
     for ev in parse_trace(lines, VERIFIED_KINDS | collected):
-        if ev.kind in collected:
+        kind, node, d = ev.kind, ev.frm, ev.detail
+        if kind == "apply" or kind == "ack":
+            try:
+                entry = mutated_at.recall(d["rid"])
+                if kind == "apply":
+                    idx, code = int(d["idx"]), _pack(d["kind"], d["digest"])
+                    if not 0 < idx < _INDEX_LIMIT:
+                        raise ValueError(f"index {idx} is not in [1, 2**63)")
+            except ValueError as exc:
+                raise ValueError(f"malformed trace line: {kind} by node {node} "
+                                 f"at {ev.time}: {exc}") from None
+        if kind in collected:
             collector(ev)
-        if ev.kind == "apply":
-            node, d = ev.frm, ev.detail
-            idx = int(d["idx"])
-            entry, code = mutated_at.recall(d["rid"]), _pack(d["kind"], d["digest"])
+        if kind == "apply":
             rid = entry[0]
             prev = last.get(node, 0)
             if idx != prev + 1:
@@ -306,17 +271,13 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
             last[node] = idx
             if idx == len(rids) + 1:
                 rids.append(rid)
-                try:
-                    packed.append(code)
-                except OverflowError:
-                    packed.append(_WIDE)
-                    wide[idx - 1] = code
+                packed.append(code)
                 if rid:
                     acked.discard(rid)
-            elif not (0 < idx <= len(rids) and rids[idx - 1] == rid
-                      and code_at(idx - 1) == code):
-                have = (_record(codec.text(rids[idx - 1]), code_at(idx - 1))
-                        if 0 < idx <= len(rids) else None)
+            elif not (idx <= len(rids) and rids[idx - 1] == rid
+                      and packed[idx - 1] == code):
+                have = (_record(codec.text(rids[idx - 1]), packed[idx - 1])
+                        if idx <= len(rids) else None)
                 off_history.add(node)
                 res.fail("applied_prefix",
                          f"node {node} applied {_record(d['rid'], code)} at index "
@@ -327,13 +288,12 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
                     res.fail("at_most_once",
                              f"node {node} mutated for {d['rid']} at {idx}, "
                              f"above its mutation at {low}")
-        elif ev.kind == "ack":
-            rid, low = mutated_at.recall(ev.detail["rid"])
-            low = low or 0
-            if not (0 < low <= len(rids) and rids[low - 1] == rid):
+        elif kind == "ack":
+            rid, low = entry
+            if low is None or low > len(rids) or rids[low - 1] != rid:
                 acked.add(rid)       # not known to be in the history yet
-        elif ev.kind == "final_state":
-            finals[ev.frm] = ev.detail
+        elif kind == "final_state":
+            finals[node] = d
 
     # acknowledged requests must be in the history, reported in rid order
     acked.difference_update(filter(None, rids))
@@ -342,7 +302,7 @@ def verify_trace(lines: Iterable[str], collector=None) -> VerifyResult:
 
     # final digests against one replay of the history, in order of length;
     # the replay reads only the rids, so the packed records go first
-    del packed, wide
+    del packed
     if not finals:
         res.fail("digest_replay", "the trace has no final_state line")
     for node in sorted(last.keys() - finals.keys()):

@@ -296,6 +296,10 @@ class TestCli:
         trace.write_text("0,send,0,1,AppendEntriesRequest,152,\n0,send,0\n")
         assert main(["verify", str(trace)]) == 1
         assert "malformed trace line" in capsys.readouterr().err
+        # an apply whose digest is not the 12 hex digits lcrsim writes
+        trace.write_text("1,apply,0,-,-,0,idx=1|rid=c0.1.t|kind=NORMAL|digest=aaa|dup=0\n")
+        assert main(["verify", str(trace)]) == 1
+        assert "malformed trace line" in capsys.readouterr().err
 
     def test_verify_missing_file_is_exit_2(self, tmp_path, capsys):
         # exit 1 means the trace failed a check, so a mistyped path must not

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import sys
 import tracemalloc
 
@@ -149,9 +150,9 @@ class TestRequestIdentity:
 
 # rids outside <client>.<seq>.<t|nt> with a seq below 2**31: a leading zero,
 # another kind, two or four fields, an empty client or seq, a non-ASCII
-# digit, a 10-digit seq, and the empty rid of fills and configs
+# digit and a 10-digit seq
 RIDS_OUTSIDE = ["c0.01.t", "c0.1.x", "c0.1", "c0..t", "c0.1.t.x", ".1.t",
-                "c0.\u0661.t", "c0.9999999999.t", ""]
+                "c0.\u0661.t", "c0.9999999999.t"]
 
 
 class TestRidCodec:
@@ -165,24 +166,24 @@ class TestRidCodec:
         assert codec.text(code) == rid
 
     @pytest.mark.parametrize("rid", RIDS_OUTSIDE)
-    def test_rid_outside_the_form_keeps_its_text(self, rid):
+    def test_rid_outside_the_form_is_rejected(self, rid):
         codec = RidCodec()
-        code = codec.code(rid)
-        assert code < 0 if rid else code == 0
-        assert codec.text(code) == rid
+        with pytest.raises(ValueError, match="is not <client>.<seq>.<t|nt>"):
+            codec.code(rid)
 
     def test_seq_must_fit_in_31_bits(self):
         codec = RidCodec()
         assert codec.code("c0.2147483647.t") > 0
-        assert codec.code("c0.2147483648.t") < 0
-        assert codec.text(codec.code("c0.2147483648.t")) == "c0.2147483648.t"
+        with pytest.raises(ValueError, match="'c0.2147483648.t' is not"):
+            codec.code("c0.2147483648.t")
 
     def test_codes_are_equal_exactly_when_texts_are(self):
+        # the empty rid of fills and configs codes as 0
         codec = RidCodec()
-        rids = (RIDS_OUTSIDE + [f"c{i % 7}.{i}.{'nt' if i % 3 else 't'}"
-                                for i in range(1, 1000)])
+        rids = ([""] + [f"c{i % 7}.{i}.{'nt' if i % 3 else 't'}"
+                        for i in range(1, 1000)])
         first = [codec.code(rid) for rid in rids]
-        assert len(set(first)) == len(rids)
+        assert first[0] == 0 and len(set(first)) == len(rids)
         assert [codec.code(rid) for rid in rids] == first
         assert [codec.text(code) for code in first] == rids
 
@@ -284,12 +285,12 @@ COLLECTED_TRACE = """\
 4,conflict,1,-,-,0,idx=7|origin=1|owner=2
 10,ack,1,-,-,0,rid=c0.1.nt|path=nt|idx=1
 12,ack,2,-,-,0,rid=c0.1.nt|path=nt|idx=1
-20,apply,0,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
-21,apply,1,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
-30,apply,0,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=1
-31,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=1
-32,apply,0,-,-,0,idx=3|rid=c0.2.t|kind=NORMAL|digest=bbb|dup=0
-33,apply,1,-,-,0,idx=3|rid=c0.2.t|kind=NORMAL|digest=bbb|dup=0
+20,apply,0,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaaaaaaaaaaa|dup=0
+21,apply,1,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaaaaaaaaaaa|dup=0
+30,apply,0,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaaaaaaaaaaa|dup=1
+31,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaaaaaaaaaaa|dup=1
+32,apply,0,-,-,0,idx=3|rid=c0.2.t|kind=NORMAL|digest=bbbbbbbbbbbb|dup=0
+33,apply,1,-,-,0,idx=3|rid=c0.2.t|kind=NORMAL|digest=bbbbbbbbbbbb|dup=0
 33,ack,1,-,-,0,rid=c0.2.t|path=t|idx=3
 34,apply,0,-,-,0,idx=4|rid=|kind=NOOP_FILL|digest=-|dup=0
 40,final_state,0,-,-,0,alive=1|term=2|gen=5|applied=4|contig=4|digest={d}
@@ -301,13 +302,13 @@ COLLECTED_TRACE = """\
 # ack by node 0 must not time it again; the origin's apply of c0.6.nt is
 # stamped before its ack, so it is not timed
 ORIGIN_FIRST_TRACE = """\
-52,apply,1,-,-,0,idx=1|rid=c0.5.nt|kind=FUTURE|digest=ccc|dup=0
+52,apply,1,-,-,0,idx=1|rid=c0.5.nt|kind=FUTURE|digest=cccccccccccc|dup=0
 50,ack,1,-,-,0,rid=c0.5.nt|path=nt|idx=1
 53,ack,0,-,-,0,rid=c0.5.nt|path=nt|idx=1
-57,apply,0,-,-,0,idx=1|rid=c0.5.nt|kind=FUTURE|digest=ccc|dup=0
-60,apply,1,-,-,0,idx=2|rid=c0.6.nt|kind=FUTURE|digest=ddd|dup=0
+57,apply,0,-,-,0,idx=1|rid=c0.5.nt|kind=FUTURE|digest=cccccccccccc|dup=0
+60,apply,1,-,-,0,idx=2|rid=c0.6.nt|kind=FUTURE|digest=dddddddddddd|dup=0
 64,ack,1,-,-,0,rid=c0.6.nt|path=nt|idx=2
-65,apply,0,-,-,0,idx=2|rid=c0.6.nt|kind=FUTURE|digest=ddd|dup=0
+65,apply,0,-,-,0,idx=2|rid=c0.6.nt|kind=FUTURE|digest=dddddddddddd|dup=0
 70,final_state,0,-,-,0,alive=1|term=2|gen=5|applied=2|contig=2|digest={d}
 71,final_state,1,-,-,0,alive=1|term=2|gen=5|applied=2|contig=2|digest={d}
 """
@@ -329,6 +330,8 @@ class TestTraceCollector:
         assert rep.apply_lag_mean_us == 11.0
         assert (c.elections, c.window_closes, c.conflicts) == (1, 1, 1)
         assert not (c._acked or c._applied)              # timed rids leave
+        assert [c.committed.recall(rid)[1] for rid in ("c0.1.nt", "c0.2.t", "")] \
+            == [1, 3, None]
 
     def test_origin_applies_before_its_ack(self):
         c, rep = _collected(ORIGIN_FIRST_TRACE, "c0.5.nt", "c0.6.nt")
@@ -347,7 +350,11 @@ class TestTraceCollector:
             assert verify_trace(fh, c).ok
         run = result.report.collector
         assert c.lag_count and c.window_closes
-        assert c.committed == run.committed
+        with open(tmp_path / "trace.txt") as fh:
+            rids = {ev.detail["rid"] for ev in parse_trace(fh, {"apply"})}
+        assert len(c.committed) == len(run.committed) == len(rids - {""})
+        assert ([c.committed.recall(rid)[1] for rid in sorted(rids)]
+                == [run.committed.recall(rid)[1] for rid in sorted(rids)])
         assert ((c.lag_sum_us, c.lag_count, c.elections, c.window_closes, c.conflicts)
                 == (run.lag_sum_us, run.lag_count, run.elections,
                     run.window_closes, run.conflicts))
@@ -364,20 +371,9 @@ class TestMutationMap:
         m = MutationMap()
         entry = m.recall("c0.5.t")
         assert (m.lower(entry, 9), m.lower(entry, 12), m.lower(entry, 4)) == (9, 9, 4)
-        assert entry == [m.codec.code("c0.5.t"), 4] and m.get("c0.5.t") == 4
+        assert entry == [m.codec.code("c0.5.t"), 4] == m.recall("c0.5.t")
         assert "c0.5.t" in m and "c0.5.nt" not in m and "c0.6.t" not in m
-        assert m.get("c0.6.t", 0) == 0 and len(m) == 1
-
-    def test_items_are_texts(self):
-        pairs = [("c1.7.nt", 3), ("c0.2.t", 1), ("c1.2.t", 2), ("c0.01.t", 5),
-                 ("c0.1.t", 2**70), ("c0.1.nt", -2**70)]
-        m = self._filled(pairs)
-        assert dict(m.items()) == dict(pairs) and len(m) == len(pairs)
-
-    def test_index_past_64_bits_moves_to_the_side_map(self):
-        m = self._filled([("c0.1.t", 5), ("c0.2.t", 6), ("c0.1.t", -2**70)])
-        assert m.get("c0.1.t") == -2**70 and m.get("c0.2.t") == 6
-        assert m.lower(m.recall("c0.1.t"), 1) == -2**70 and len(m) == 2
+        assert m.recall("c0.6.t")[1] is None and len(m) == 1
 
     def test_recall_past_the_memo(self):
         # a rid the memo has forgotten is searched for again, and an entry
@@ -385,24 +381,31 @@ class TestMutationMap:
         rids = [f"c{i % 3}.{i}.t" for i in range(1, 4 * MutationMap.RECENT)]
         m = self._filled((rid, i + 10) for i, rid in enumerate(rids))
         m.lower(m.recall(rids[-1]), 1)
-        assert [m.get(rid) for rid in rids] == [i + 10 for i in range(len(rids) - 1)] + [1]
+        assert ([m.recall(rid)[1] for rid in rids]
+                == [i + 10 for i in range(len(rids) - 1)] + [1])
         assert m.recall(rids[0]) == [m.codec.code(rids[0]), 10]
         assert m.recall("c0.1.nt") == [m.codec.code("c0.1.nt"), None]
         assert len(m) == len(rids)
 
     def test_equal_exactly_when_every_rid_and_index_is(self):
-        pairs = [("c0.1.t", 1), ("c1.1.t", 2), ("c1.2.nt", 4), ("", 0), ("r1", 3)]
+        # compared by len and by recall over every rid of either map
+        pairs = [("c0.1.t", 1), ("c1.1.t", 2), ("c1.2.nt", 4), ("c0.1.nt", 2**63 - 1)]
+        rids = [rid for rid, _ in pairs] + ["c1.3.nt", "c2.1.t"]
+
+        def same(a, b):
+            return len(a) == len(b) and all(
+                a.recall(rid)[1] == b.recall(rid)[1] for rid in rids)
+
         a = self._filled(pairs)
-        assert a == self._filled(reversed(pairs))
-        assert a != self._filled(pairs + [("c1.2.nt", 3)])
-        assert a != self._filled(pairs + [("c1.3.nt", 5)])
-        assert a != {rid: idx for rid, idx in pairs}
+        assert same(a, self._filled(reversed(pairs)))
+        assert not same(a, self._filled(pairs + [("c1.2.nt", 3)]))
+        assert not same(a, self._filled(pairs + [("c1.3.nt", 5)]))
 
 
 GOOD_TRACE = """\
 0,ack,1,-,-,0,rid=c0.1.nt|path=nt|idx=5
-10,apply,0,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
-11,apply,1,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0
+10,apply,0,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaaaaaaaaaaa|dup=0
+11,apply,1,-,-,0,idx=1|rid=c0.1.nt|kind=FUTURE|digest=aaaaaaaaaaaa|dup=0
 20,final_state,0,-,-,0,alive=1|term=1|gen=5|applied=1|contig=1|digest={d}
 21,final_state,1,-,-,0,alive=1|term=1|gen=5|applied=1|contig=1|digest={d}
 """
@@ -419,7 +422,8 @@ def _variants() -> dict[str, list[str]]:
     """GOOD_TRACE and one tampered copy per check, as lists of lines."""
     good = GOOD_TRACE.format(d=_expected_digest()).splitlines()
     double = list(good)
-    double.insert(3, "12,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0")
+    double.insert(3, "12,apply,1,-,-,0,idx=2|rid=c0.1.nt|kind=FUTURE"
+                     "|digest=aaaaaaaaaaaa|dup=0")
     return {
         "clean": good,
         "divergent_apply": [l.replace("idx=1|rid=c0.1.nt", "idx=1|rid=c9.9.nt")
@@ -444,8 +448,8 @@ VERDICTS = {
     "clean": (_PASS, []),
     "divergent_apply": (
         {**_PASS, "applied_prefix": False, "digest_replay": False},
-        ["applied_prefix: node 1 applied ('c9.9.nt', 'FUTURE', 'aaa') at index 1; "
-         "the history of 1 has ('c0.1.nt', 'FUTURE', 'aaa')",
+        ["applied_prefix: node 1 applied ('c9.9.nt', 'FUTURE', 'aaaaaaaaaaaa') at "
+         "index 1; the history of 1 has ('c0.1.nt', 'FUTURE', 'aaaaaaaaaaaa')",
          "digest_replay: node 1 applied off the history"]),
     "double_mutation": (
         {**_PASS, "at_most_once": False, "commit_monotone": False},
@@ -454,8 +458,8 @@ VERDICTS = {
     "gapped_prefix": (
         {**_PASS, "applied_prefix": False, "commit_monotone": False},
         ["commit_monotone: node 0 applied 2 after 0",
-         "applied_prefix: node 0 applied ('c0.1.nt', 'FUTURE', 'aaa') at index 2; "
-         "the history of 0 has None",
+         "applied_prefix: node 0 applied ('c0.1.nt', 'FUTURE', 'aaaaaaaaaaaa') at "
+         "index 2; the history of 0 has None",
          "commit_monotone: node 0 final applied=1 but its last traced apply is 2"]),
     "final_state_missing": (
         {**_PASS, "digest_replay": False},
@@ -493,11 +497,12 @@ class TestVerifier:
 
     def test_unapplied_acks_come_in_rid_order(self):
         # in the order of the rids' texts, not the order the trace met them
-        res = verify_trace([f"{t},ack,1,-,-,0,rid={rid}|path=nt|idx=5" for t, rid
-                            in enumerate(["x", "c9.1.nt", "c10.2.nt", "c10.1.nt"])])
+        rids = ["d0.1.t", "c9.1.nt", "c10.2.nt", "c10.1.nt"]
+        res = verify_trace([f"{t},ack,1,-,-,0,rid={rid}|path=nt|idx=5"
+                            for t, rid in enumerate(rids)])
         assert [e for e in res.errors if e.startswith("ack_durability")] == [
             f"ack_durability: acked {rid} never applied"
-            for rid in ["c10.1.nt", "c10.2.nt", "c9.1.nt", "x"]]
+            for rid in ["c10.1.nt", "c10.2.nt", "c9.1.nt", "d0.1.t"]]
 
     def test_double_mutation_fails(self):
         res = verify_trace(_variants()["double_mutation"])
@@ -638,69 +643,38 @@ class TestVerifier:
         assert peak < 1024 * 1024, peak
 
     def test_rids_outside_the_form(self):
-        # every rid of RIDS_OUTSIDE in the history, applied again by a second
-        # node, extended, applied off the history, mutated at an index past
-        # 64 bits and acked; errors, checks and mutation map as the verifier
-        # gave them when it held rid strings
+        # each rid of RIDS_OUTSIDE makes an ack or apply line malformed, with
+        # or without a collector; the empty rid and the largest seq verify
+        rid = "c0.2147483647.nt"
         sm = KvStateMachine()
-        sm.apply("c0.1.t", payload_for_rid("c0.1.t"))
-        history = ["c0.1.t", *RIDS_OUTSIDE, "c0.2147483647.nt"]
-        lines = ["0,ack,0,-,-,0,rid=.1.t|path=t|idx=7"]
-        for node in range(2):
-            for idx, rid in enumerate(history, 1):
-                record = "NOOP_FILL|digest=-" if not rid else "NORMAL|digest=0123456789ab"
-                lines.append(f"{idx},apply,{node},-,-,0,idx={idx}|rid={rid}|kind={record}"
-                             f"|dup={int(node > 0 and idx % 2 == 0)}")
-        record = "kind=NORMAL|digest=0123456789ab"
-        lines += [
-            f"20,apply,1,-,-,0,idx=12|rid=c0.01.t|{record}|dup=0",
-            f"21,apply,2,-,-,0,idx=1|rid=c0.1.t.x|{record}|dup=0",
-            f"22,apply,2,-,-,0,idx=99999999999999999999|rid=c0.9999999999.t|{record}|dup=0",
-            f"23,apply,3,-,-,0,idx=-99999999999999999999|rid=c0.1.t|{record}|dup=0",
-            f"24,apply,4,-,-,0,idx=1|rid=c0.1.t|{record}|dup=0",
-            "25,ack,1,-,-,0,rid=c0..t|path=t|idx=5",
-            "26,ack,1,-,-,0,rid=c0.\u0661.t|path=t|idx=5",
-            "27,ack,1,-,-,0,rid=c0.01.nt|path=nt|idx=5",
-            f"30,final_state,4,-,-,0,alive=1|term=1|gen=5|applied=1|contig=1"
-            f"|digest={sm.digest()}"]
-        c = TraceCollector()
-        res = verify_trace(lines, c)
-        assert res.errors == [
-            "at_most_once: node 1 mutated for c0.01.t at 12, above its mutation at 2",
-            "applied_prefix: node 2 applied ('c0.1.t.x', 'NORMAL', '0123456789ab') at "
-            "index 1; the history of 12 has ('c0.1.t', 'NORMAL', '0123456789ab')",
-            "commit_monotone: node 2 applied 99999999999999999999 after 1",
-            "applied_prefix: node 2 applied ('c0.9999999999.t', 'NORMAL', '0123456789ab') "
-            "at index 99999999999999999999; the history of 12 has None",
-            "at_most_once: node 2 mutated for c0.9999999999.t at 99999999999999999999, "
-            "above its mutation at 9",
-            "commit_monotone: node 3 applied -99999999999999999999 after 0",
-            "applied_prefix: node 3 applied ('c0.1.t', 'NORMAL', '0123456789ab') at "
-            "index -99999999999999999999; the history of 12 has None",
-            "at_most_once: node 4 mutated for c0.1.t at 1, above its mutation at "
-            "-99999999999999999999",
-            "ack_durability: acked c0.01.nt never applied",
-            "digest_replay: node 0 applied but has no final_state line",
-            "digest_replay: node 1 applied but has no final_state line",
-            "digest_replay: node 2 applied but has no final_state line",
-            "digest_replay: node 3 applied but has no final_state line"]
-        assert res.checks == dict.fromkeys(_PASS, False)
-        assert dict(c.committed.items()) == {
-            ".1.t": 7, "c0..t": 5, "c0.01.t": 2, "c0.1": 4,
-            "c0.1.t": -99999999999999999999, "c0.1.t.x": 1, "c0.1.x": 3,
-            "c0.2147483647.nt": 11, "c0.9999999999.t": 9, "c0.\u0661.t": 8}
+        sm.apply(rid, payload_for_rid(rid))
+        good = ["1,apply,0,-,-,0,idx=1|rid=|kind=NOOP_FILL|digest=-|dup=0",
+                f"2,apply,0,-,-,0,idx=2|rid={rid}|kind=NORMAL|digest=0123456789ab"
+                "|dup=0",
+                f"3,ack,0,-,-,0,rid={rid}|path=nt|idx=2",
+                f"4,final_state,0,-,-,0,alive=1|term=1|gen=5|applied=2|contig=2"
+                f"|digest={sm.digest()}"]
+        assert verify_trace(good).ok and verify_trace(good, TraceCollector()).ok
+        for rid in RIDS_OUTSIDE:
+            for line in (f"3,ack,0,-,-,0,rid={rid}|path=t|idx=2",
+                         f"3,apply,0,-,-,0,idx=3|rid={rid}|kind=NORMAL"
+                         f"|digest=0123456789ab|dup=0"):
+                for collector in (None, TraceCollector()):
+                    with pytest.raises(ValueError, match="^malformed trace line: .*"
+                                       + re.escape(repr(rid))):
+                        verify_trace([*good[:3], line, *good[3:]], collector)
 
     def test_ack_of_a_rid_applied_at_a_bad_index(self):
-        # the ack's rid mutated only at index -5, which the history does
-        # not hold: the ack is still checked, and nothing is looked up there
+        # the ack's rid mutated only at index 5, past the end of the history:
+        # the ack is still checked, and nothing is looked up there
         res = verify_trace([
-            "1,apply,0,-,-,0,idx=1|rid=c0.2.nt|kind=FUTURE|digest=aaa|dup=0",
-            "2,apply,1,-,-,0,idx=-5|rid=c0.1.nt|kind=FUTURE|digest=aaa|dup=0",
+            "1,apply,0,-,-,0,idx=1|rid=c0.2.nt|kind=FUTURE|digest=aaaaaaaaaaaa|dup=0",
+            "2,apply,1,-,-,0,idx=5|rid=c0.1.nt|kind=FUTURE|digest=aaaaaaaaaaaa|dup=0",
             "3,ack,1,-,-,0,rid=c0.1.nt|path=nt|idx=1"])
         assert res.errors == [
-            "commit_monotone: node 1 applied -5 after 0",
-            "applied_prefix: node 1 applied ('c0.1.nt', 'FUTURE', 'aaa') at index -5; "
-            "the history of 1 has None",
+            "commit_monotone: node 1 applied 5 after 0",
+            "applied_prefix: node 1 applied ('c0.1.nt', 'FUTURE', 'aaaaaaaaaaaa') at "
+            "index 5; the history of 1 has None",
             "ack_durability: acked c0.1.nt never applied",
             "digest_replay: the trace has no final_state line",
             "digest_replay: node 0 applied but has no final_state line",
@@ -711,6 +685,19 @@ class TestVerifier:
         "x,send,0,1,AppendEntriesRequest,152,",          # time not a number
         "13,deliver,0,1,AppendEntriesRequest,big,",      # size not a number
         "13,apply,0,-,-,zero,idx=2|rid=|kind=NOOP|digest=-|dup=0",
+        # fields of an apply outside the forms lcrsim writes
+        *(pytest.param(f"12,apply,1,-,-,0,idx=2|rid={rid}|kind=NORMAL"
+                       f"|digest=0123456789ab|dup=0", id=f"rid={rid}")
+          for rid in RIDS_OUTSIDE),
+        *(pytest.param(f"12,apply,1,-,-,0,idx=2|rid=c0.2.t|kind=NORMAL"
+                       f"|digest={digest}|dup=0", id=f"digest={digest}")
+          for digest in ["aaa", "0123456789AB", "0123456789abc", "0x23456789ab",
+                         "abc\0"]),
+        pytest.param("12,apply,1,-,-,0,idx=2|rid=c0.2.t|kind=BOGUS"
+                     "|digest=0123456789ab|dup=0", id="kind=BOGUS"),
+        *(pytest.param(f"12,apply,1,-,-,0,idx={idx}|rid=c0.2.t|kind=NORMAL"
+                       f"|digest=0123456789ab|dup=0", id=f"idx={idx}")
+          for idx in [0, -5, 2**63]),
     ])
     def test_malformed_line_is_rejected(self, bad):
         lines = _variants()["clean"]
@@ -723,26 +710,24 @@ class TestVerifier:
         assert sys.getsizeof(_pack("NORMAL", "0123456789ab")) <= 32
 
     @pytest.mark.parametrize("kind, digest", [
-        ("NORMAL", "0123456789ab"), ("FUTURE", "aaa"), ("NOOP_FILL", "-"),
-        ("NORMAL", "0123456789AB"), ("NORMAL", "0x23456789ab"),
-        ("BOGUS", "0123456789ab"), ("FUTURE", "abc\0")])
+        ("NORMAL", "0123456789ab"), ("NOOP_FILL", "-"), ("CONFIG", "-"),
+        ("FUTURE", "ffffffffffff")])
     def test_history_code_round_trips(self, kind, digest):
         assert _record("c0.1.t", _pack(kind, digest)) == ("c0.1.t", kind, digest)
 
     def test_history_codes_differ_with_their_records(self):
-        pairs = [("NORMAL", "0123456789ab"), ("NORMAL", "0123456789AB"),
-                 ("FUTURE", "0123456789ab"), ("NORMAL", "123456789ab"),
-                 ("NOOP_FILL", "-"), ("CONFIG", "-")]
+        pairs = [("NORMAL", "0123456789ab"), ("NORMAL", "0123456789ac"),
+                 ("FUTURE", "0123456789ab"), ("NORMAL", "ffffffffffff"),
+                 ("NOOP_FILL", "-"), ("CONFIG", "-"), ("NORMAL", "-")]
         assert len({_pack(k, d) for k, d in pairs}) == len(pairs)
 
     def test_history_codes_outside_the_hex_form(self):
-        # a fill's "-" digest and an 11-byte text code pass 64 bits and go to
-        # the side map; the 4-byte text code of X stays in the int64 column.
-        # Node 1 applies each record again, node 2 a different one; the
+        # the "-" digest of fills and configs packs as a code of its own per
+        # kind. Node 1 applies each record again, node 2 a different one; the
         # errors are those of the history of (rid, kind, digest) tuples
         history = [("", "NOOP_FILL", "-", "CONFIG", "-"),
-                   ("c0.1.t", "NORMAL", "xyz", "NORMAL", "xyw"),
-                   ("c0.2.t", "X", "-", "Y", "-")]
+                   ("c0.1.t", "NORMAL", "0123456789ab", "NORMAL", "-"),
+                   ("", "CONFIG", "-", "NOOP_FILL", "-")]
         lines = []
         for node in range(3):
             for idx, (rid, kind, digest, other, other_digest) in enumerate(history, 1):
@@ -754,10 +739,10 @@ class TestVerifier:
         assert res.errors == [
             "applied_prefix: node 2 applied ('', 'CONFIG', '-') at index 1; "
             "the history of 3 has ('', 'NOOP_FILL', '-')",
-            "applied_prefix: node 2 applied ('c0.1.t', 'NORMAL', 'xyw') at index 2; "
-            "the history of 3 has ('c0.1.t', 'NORMAL', 'xyz')",
-            "applied_prefix: node 2 applied ('c0.2.t', 'Y', '-') at index 3; "
-            "the history of 3 has ('c0.2.t', 'X', '-')",
+            "applied_prefix: node 2 applied ('c0.1.t', 'NORMAL', '-') at index 2; "
+            "the history of 3 has ('c0.1.t', 'NORMAL', '0123456789ab')",
+            "applied_prefix: node 2 applied ('', 'NOOP_FILL', '-') at index 3; "
+            "the history of 3 has ('', 'CONFIG', '-')",
             "digest_replay: the trace has no final_state line",
             "digest_replay: node 0 applied but has no final_state line",
             "digest_replay: node 1 applied but has no final_state line",
